@@ -10,10 +10,9 @@ concatenated and mapped back to model dimensionality by ``Wo``.
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 
-from . import linalg
+from . import container, linalg
 from .errors import (
     ContextWindowExceededError,
     DimensionError,
@@ -40,8 +39,6 @@ __all__ = [
     "save_named_matrices",
     "load_named_matrices",
 ]
-
-_MAGIC = b"ATT1"
 
 DEFAULT_CONTEXT_WINDOW = 128
 
@@ -97,7 +94,6 @@ class MultiHeadConfig:
     n: int
     layers: int = 1
     scale_scores: bool = True
-    use_positional: bool = False
     context_window: int = DEFAULT_CONTEXT_WINDOW
 
     def __post_init__(self):
@@ -326,51 +322,26 @@ def random_stack_params(config, seed):
 
 def save_named_matrices(named):
     """Serialize an ordered mapping of name -> Matrix as ATT1 bytes."""
-    parts = [_MAGIC, struct.pack("<Q", len(named))]
+    parts = [container.ATT1, container.u64s(len(named))]
     for name, m in named.items():
-        b = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(b)))
-        parts.append(b)
-        parts.append(struct.pack("<QQ", m.rows, m.cols))
-        parts.append(struct.pack(f"<{m.rows * m.cols}f", *m.entries))
+        parts += (container.names([name]), container.u64s(m.rows, m.cols),
+                  container.floats(m.row_tuples(), "<f4"))
     return b"".join(parts)
 
 
 def load_named_matrices(source):
     """Parse ATT1 bytes back into an ordered dict of name -> Matrix."""
-    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
-    raw = bytes(raw)
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"bad magic: {raw[:4]!r}, expected {_MAGIC!r}")
-    if len(raw) < 12:
-        raise ParseError("truncated header")
-    (count,) = struct.unpack_from("<Q", raw, 4)
-    pos = 12
+    r = container.Reader(source, container.ATT1)
+    (count,) = r.u64s(1, "matrix count", minimum=0)
     out = {}
     for _ in range(count):
-        if pos + 4 > len(raw):
-            raise ParseError("truncated matrix name")
-        (nlen,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + nlen + 16 > len(raw):
-            raise ParseError("truncated matrix header")
-        try:
-            name = raw[pos : pos + nlen].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"matrix name is not UTF-8: {exc}") from None
-        pos += nlen
-        rows, cols = struct.unpack_from("<QQ", raw, pos)
-        pos += 16
-        need = rows * cols * 4
-        if pos + need > len(raw):
-            raise ParseError(f"truncated payload for matrix {name!r}")
-        entries = struct.unpack_from(f"<{rows * cols}f", raw, pos)
-        pos += need
+        (name,) = r.names(1, "matrix name")
+        rows, cols = r.u64s(2, f"shape of matrix {name!r}")
+        entries = r.floats(rows * cols, "<f4", f"payload of matrix {name!r}")
         if name in out:
             raise ParseError(f"duplicate matrix name {name!r}")
-        out[name] = Matrix.from_flat(rows, cols, entries)
-    if pos != len(raw):
-        raise ParseError(f"{len(raw) - pos} trailing bytes after last matrix")
+        out[name] = Matrix.from_flat(rows, cols, entries.tolist())
+    r.end()
     return out
 
 
@@ -390,21 +361,16 @@ def load_attention_params(source):
     """Rebuild a parameter stack saved by :func:`save_attention_params`."""
     named = load_named_matrices(source)
     layers = []
-    li = 0
-    while f"layer{li}.Wo" in named:
+    while f"layer{len(layers)}.Wo" in named:
+        layer = f"layer{len(layers)}."
         heads = []
-        hi = 0
-        while f"layer{li}.head{hi}.Wq" in named:
-            heads.append(
-                AttentionHeadParams(
-                    Wq=named[f"layer{li}.head{hi}.Wq"],
-                    Wk=named[f"layer{li}.head{hi}.Wk"],
-                    Wv=named[f"layer{li}.head{hi}.Wv"],
-                )
-            )
-            hi += 1
-        layers.append(AttentionLayerParams(heads=tuple(heads), Wo=named[f"layer{li}.Wo"]))
-        li += 1
+        while f"{layer}head{len(heads)}.Wq" in named:
+            keys = [f"{layer}head{len(heads)}.{w}" for w in ("Wq", "Wk", "Wv")]
+            missing = [k for k in keys if k not in named]
+            if missing:
+                raise ParseError(f"parameter file has no matrix {missing[0]!r}")
+            heads.append(container.build(AttentionHeadParams, *(named[k] for k in keys)))
+        layers.append(container.build(AttentionLayerParams, heads, named[layer + "Wo"]))
     if not layers:
         raise ParseError("no attention layers found in parameter file")
     expected = sum(3 * len(lp.heads) + 1 for lp in layers)

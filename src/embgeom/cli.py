@@ -9,7 +9,7 @@ on stderr, or 2 on a usage error.
 import argparse
 import sys
 
-from . import attention, embed_store, selfcheck, sense_geometry, trainer
+from . import attention, container, embed_store, selfcheck, sense_geometry, trainer
 from .errors import EmbgeomError
 from .linalg import Vector
 
@@ -47,7 +47,7 @@ def _write(path, blob):
 
 def _load_table(path, lowercase=False):
     blob = _read(path)
-    if blob[:4] == b"EMB1":
+    if blob[:4] == container.EMB1:
         return embed_store.load_embeddings_binary(blob)
     return embed_store.load_embeddings_text(blob, lowercase=lowercase)
 
@@ -178,7 +178,6 @@ def cmd_contextualize(args):
         n=args.heads,
         layers=args.layers,
         scale_scores=not args.no_scale,
-        use_positional=args.positional,
         context_window=args.window,
     )
     if args.params:
@@ -508,10 +507,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except EmbgeomError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (EmbgeomError, ValueError, TypeError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

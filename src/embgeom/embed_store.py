@@ -7,12 +7,12 @@ seconds; the public surface speaks :class:`~embgeom.linalg.Vector` and
 """
 
 import re
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import container
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -35,15 +35,22 @@ __all__ = [
     "nearest_neighbors",
 ]
 
-_MAGIC = b"EMB1"
-
 # Fixed or scientific decimal notation; deliberately narrower than float()
 # (no nan/inf, no underscores, no hex).
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
 
-def _valid_token(token):
-    return bool(token) and not any(map(str.isspace, token))
+def token_index(vocab):
+    """Map each token to its position; reject empty, spaced or repeated tokens."""
+    for t in vocab:
+        if not isinstance(t, str) or not t or any(map(str.isspace, t)):
+            raise ValueError(f"invalid token: {t!r}")
+    index = {t: i for i, t in enumerate(vocab)}
+    if len(index) != len(vocab):
+        seen = set()
+        dup = next(t for t in vocab if t in seen or seen.add(t))
+        raise ValueError(f"duplicate token: {dup!r}")
+    return index
 
 
 class EmbeddingTable:
@@ -57,20 +64,13 @@ class EmbeddingTable:
         V x D real matrix; row i embeds vocab[i].
     """
 
-    __slots__ = ("_vocab", "_index", "_array", "_norms", "_matrix")
+    __slots__ = ("_vocab", "_index", "_array", "_norms")
 
     def __init__(self, vocab, rows):
         vocab = tuple(vocab)
         if not vocab:
             raise EmptyInputError("a table needs at least one token")
-        for t in vocab:
-            if not isinstance(t, str) or not _valid_token(t):
-                raise ValueError(f"invalid token: {t!r}")
-        index = {t: i for i, t in enumerate(vocab)}
-        if len(index) != len(vocab):
-            seen = set()
-            dup = next(t for t in vocab if t in seen or seen.add(t))
-            raise ValueError(f"duplicate token: {dup!r}")
+        index = token_index(vocab)
 
         if isinstance(rows, Matrix):
             arr = np.array(rows.row_tuples(), dtype=np.float64)
@@ -87,7 +87,6 @@ class EmbeddingTable:
         self._index = index
         self._array = arr
         self._norms = None
-        self._matrix = None
 
     @property
     def vocab(self):
@@ -100,13 +99,6 @@ class EmbeddingTable:
     @property
     def D(self):
         return int(self._array.shape[1])
-
-    @property
-    def matrix(self):
-        """The full table as a linalg Matrix (built lazily, then cached)."""
-        if self._matrix is None:
-            self._matrix = Matrix(self._array.tolist())
-        return self._matrix
 
     def __contains__(self, token):
         return token in self._index
@@ -218,12 +210,6 @@ def token_filter(rules=()):
     return TokenFilter(rules)
 
 
-def _read_bytes(source):
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    return source.read()
-
-
 def load_embeddings_text(source, lowercase=False):
     """Parse the text embedding format into an EmbeddingTable.
 
@@ -233,7 +219,7 @@ def load_embeddings_text(source, lowercase=False):
 
     Raises ParseError with a 1-based line number on any malformation.
     """
-    raw = _read_bytes(source)
+    raw = container.read_bytes(source)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -307,7 +293,7 @@ def load_embeddings_text(source, lowercase=False):
         bad = int(np.argmin(finite_rows))
         raise ParseError(f"non-finite value in row for {vocab[bad]!r}", line=bad + 2)
 
-    return EmbeddingTable(vocab, arr)
+    return container.build(EmbeddingTable, vocab, arr)
 
 
 def save_embeddings_text(table):
@@ -327,42 +313,12 @@ def save_embeddings_text(table):
 
 def load_embeddings_binary(source):
     """Parse the EMB1 binary embedding format into an EmbeddingTable."""
-    raw = _read_bytes(source)
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"bad magic: {raw[:4]!r}, expected {_MAGIC!r}")
-    if len(raw) < 20:
-        raise ParseError("truncated header")
-    V, D = struct.unpack_from("<QQ", raw, 4)
-    if V < 1 or D < 1:
-        raise ParseError(f"V and D must be positive, got {V} {D}")
-    pos = 20
-    vocab = []
-    for _ in range(V):
-        if pos + 4 > len(raw):
-            raise ParseError("truncated vocabulary")
-        (n,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + n > len(raw):
-            raise ParseError("truncated vocabulary")
-        try:
-            token = raw[pos : pos + n].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"vocabulary entry is not UTF-8: {exc}") from None
-        pos += n
-        vocab.append(token)
-    need = V * D * 4
-    if len(raw) - pos != need:
-        raise ParseError(
-            f"expected {need} bytes of matrix data, found {len(raw) - pos}"
-        )
-    arr = np.frombuffer(raw, dtype="<f4", count=V * D, offset=pos)
-    arr = arr.astype(np.float64).reshape(V, D)
-    if not np.isfinite(arr).all():
-        raise ParseError("non-finite value in matrix data")
-    try:
-        return EmbeddingTable(vocab, arr)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    r = container.Reader(source, container.EMB1)
+    V, D = r.u64s(2, "V and D")
+    vocab = r.names(V, "vocabulary")
+    arr = r.floats(V * D, "<f4", "matrix data").astype(np.float64).reshape(V, D)
+    r.end()
+    return container.build(EmbeddingTable, vocab, arr)
 
 
 def save_embeddings_binary(table):
@@ -371,13 +327,8 @@ def save_embeddings_binary(table):
     Matrix entries are stored as little-endian float32; vocabulary entries
     are UTF-8 with a little-endian u32 byte-length prefix.
     """
-    parts = [_MAGIC, struct.pack("<QQ", table.V, table.D)]
-    for token in table.vocab:
-        b = token.encode("utf-8")
-        parts.append(struct.pack("<I", len(b)))
-        parts.append(b)
-    parts.append(table._array.astype("<f4").tobytes())
-    return b"".join(parts)
+    head = container.EMB1 + container.u64s(table.V, table.D)
+    return head + container.names(table.vocab) + container.floats(table._array, "<f4")
 
 
 def nearest_neighbors(table, token, k, filter=None):

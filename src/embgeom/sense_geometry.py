@@ -9,13 +9,12 @@ classes and ambiguity off embeddings.
 
 import math
 import random
-import struct
 import warnings
 from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
-from . import linalg
+from . import container, linalg
 from .errors import (
     DegenerateClassError,
     DegenerateClustersWarning,
@@ -50,8 +49,6 @@ __all__ = [
     "load_probe_model",
 ]
 
-_PROBE_MAGIC = b"PRB1"
-
 METRICS = ("cosine", "euclidean")
 
 
@@ -79,7 +76,7 @@ class SenseInventory:
             dims.update(v.dim for v in occurrences)
             clean[name] = occurrences
         if len(dims) != 1:
-            raise DimensionError(f"mixed occurrence dims: {sorted(dims)}")
+            raise DimensionError(f"{self.word!r}: mixed occurrence dims {sorted(dims)}")
         object.__setattr__(self, "senses", clean)
 
     @property
@@ -378,6 +375,8 @@ class ProbeModel:
             raise EmptyInputError("a probe needs at least one class")
         if not (len(self.classes) == len(self.weights) == len(self.biases)):
             raise DimensionError("classes, weights, and biases must align")
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError("class names must be unique")
         d = self.weights[0].dim
         for w in self.weights:
             if w.dim != d:
@@ -491,16 +490,9 @@ def probe_accuracy(model, examples, threshold=0.5):
     return hits / len(pairs)
 
 
-def _parse_vector_fields(text, line_no):
-    fields = text.split(" ")
-    try:
-        return Vector(float(f) for f in fields)
-    except (ValueError, EmptyInputError) as exc:
-        raise ParseError(f"bad embedding values: {exc}", line=line_no) from None
-
-
-def _decode_lines(source):
-    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
+def _tsv_rows(source):
+    """Yield (line number, column 1, column 2, vector) for each 3-column line."""
+    raw = container.read_bytes(source)
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -509,7 +501,14 @@ def _decode_lines(source):
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return lines
+    for line_no, line in enumerate(lines, 1):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 3 tab-separated columns, found {len(parts)}", line=line_no
+            )
+        vec = container.build(Vector, map(float, parts[2].split(" ")), line=line_no)
+        yield line_no, parts[0], parts[1], vec
 
 
 def load_sense_tsv(source):
@@ -518,27 +517,16 @@ def load_sense_tsv(source):
     Returns a dict keyed by word, preserving first-appearance order.
     """
     grouped = {}
-    for i, line in enumerate(_decode_lines(source)):
-        line_no = i + 1
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 3 tab-separated columns, found {len(parts)}", line=line_no
-            )
-        word, sense, rest = parts
+    for line_no, word, sense, vec in _tsv_rows(source):
         if not word or not sense:
             raise ParseError("empty word or sense label", line=line_no)
-        vec = _parse_vector_fields(rest, line_no)
         grouped.setdefault(word, {}).setdefault(sense, []).append(vec)
     if not grouped:
         raise ParseError("no occurrences found")
-    out = {}
-    for word, senses in grouped.items():
-        try:
-            out[word] = SenseInventory(word=word, senses=senses)
-        except DimensionError as exc:
-            raise ParseError(f"word {word!r}: {exc}") from None
-    return out
+    return {
+        word: container.build(SenseInventory, word=word, senses=senses)
+        for word, senses in grouped.items()
+    }
 
 
 def save_sense_tsv(inventories):
@@ -560,18 +548,10 @@ def load_probe_tsv(source):
     is a negative for every class.
     """
     out = []
-    for i, line in enumerate(_decode_lines(source)):
-        line_no = i + 1
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 3 tab-separated columns, found {len(parts)}", line=line_no
-            )
-        token, labels, rest = parts
+    for line_no, token, labels, vec in _tsv_rows(source):
         if not token:
             raise ParseError("empty token", line=line_no)
         label_set = frozenset(l for l in labels.split(",") if l)
-        vec = _parse_vector_fields(rest, line_no)
         out.append(ProbeExample(token=token, labels=label_set, vector=vec))
     if not out:
         raise ParseError("no examples found")
@@ -591,48 +571,23 @@ def save_probe_tsv(examples):
 
 def save_probe_model(model):
     """Serialize a ProbeModel: per class, a name, f64 bias, and f64 weights."""
-    parts = [_PROBE_MAGIC, struct.pack("<QQ", len(model.classes), model.d)]
+    parts = [container.PRB1, container.u64s(len(model.classes), model.d)]
     for c, w, b in zip(model.classes, model.weights, model.biases):
-        name = c.encode("utf-8")
-        parts.append(struct.pack("<I", len(name)))
-        parts.append(name)
-        parts.append(struct.pack("<d", b))
-        parts.append(struct.pack(f"<{model.d}d", *w.components))
+        parts += (container.names([c]), container.floats((b, *w.components), "<f8"))
     return b"".join(parts)
 
 
 def load_probe_model(source):
     """Rebuild a ProbeModel serialized by :func:`save_probe_model`."""
-    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
-    raw = bytes(raw)
-    if raw[:4] != _PROBE_MAGIC:
-        raise ParseError(f"bad magic: {raw[:4]!r}, expected {_PROBE_MAGIC!r}")
-    if len(raw) < 20:
-        raise ParseError("truncated header")
-    k, d = struct.unpack_from("<QQ", raw, 4)
-    if k < 1 or d < 1:
-        raise ParseError(f"class count and dim must be positive, got {k} {d}")
-    pos = 20
+    r = container.Reader(source, container.PRB1)
+    k, d = r.u64s(2, "class count and dim")
     classes, weights, biases = [], [], []
     for _ in range(k):
-        if pos + 4 > len(raw):
-            raise ParseError("truncated class name")
-        (n,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + n + 8 + d * 8 > len(raw):
-            raise ParseError("truncated class payload")
-        try:
-            classes.append(raw[pos : pos + n].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"class name is not UTF-8: {exc}") from None
-        pos += n
-        (b,) = struct.unpack_from("<d", raw, pos)
-        pos += 8
-        biases.append(b)
-        weights.append(Vector(struct.unpack_from(f"<{d}d", raw, pos)))
-        pos += d * 8
-    if pos != len(raw):
-        raise ParseError(f"{len(raw) - pos} trailing bytes after last class")
-    return ProbeModel(
-        classes=tuple(classes), weights=tuple(weights), biases=tuple(biases)
+        classes += r.names(1, "class name")
+        bias, *w = r.floats(1 + d, "<f8", "class payload").tolist()
+        biases.append(bias)
+        weights.append(Vector(w))
+    r.end()
+    return container.build(
+        ProbeModel, classes=tuple(classes), weights=tuple(weights), biases=tuple(biases)
     )

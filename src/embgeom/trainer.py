@@ -9,16 +9,15 @@ training, row w of ``W_in`` is the embedding of vocabulary item w.
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 from operator import mul
 
-from .embed_store import EmbeddingTable
+from . import container
+from .embed_store import EmbeddingTable, token_index
 from .errors import (
     DimensionError,
     EmptyInputError,
     OutOfVocabularyError,
-    ParseError,
 )
 from .linalg import Matrix, Vector
 
@@ -38,8 +37,6 @@ __all__ = [
     "load_model",
 ]
 
-_MAGIC = b"TLM1"
-
 
 @dataclass(frozen=True)
 class ToyLM:
@@ -53,8 +50,7 @@ class ToyLM:
         object.__setattr__(self, "vocab", tuple(self.vocab))
         if not self.vocab:
             raise EmptyInputError("a model needs at least one vocabulary item")
-        if len(set(self.vocab)) != len(self.vocab):
-            raise ValueError("vocabulary items must be unique")
+        token_index(self.vocab)
         V = len(self.vocab)
         if self.W_in.shape != self.W_out.shape or self.W_in.rows != V:
             raise DimensionError(
@@ -323,13 +319,9 @@ def extract_embeddings(m):
 
 def load_corpus(source, lowercase=False):
     """Read a corpus file: one sentence per line, space-separated tokens."""
-    if isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = source if isinstance(source, str) else container.read_bytes(source)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     if lowercase:
         text = text.lower()
     corpus = []
@@ -346,52 +338,20 @@ def save_model(m):
     Full 64-bit floats keep extract-after-reload bit-identical to
     extract-before-save.
     """
-    parts = [_MAGIC, struct.pack("<QQ", m.V, m.d)]
-    for token in m.vocab:
-        b = token.encode("utf-8")
-        parts.append(struct.pack("<I", len(b)))
-        parts.append(b)
+    blob = container.TLM1 + container.u64s(m.V, m.d) + container.names(m.vocab)
     for matrix in (m.W_in, m.W_out):
-        parts.append(struct.pack(f"<{m.V * m.d}d", *matrix.entries))
-    return b"".join(parts)
+        blob += container.floats(matrix.row_tuples(), "<f8")
+    return blob
 
 
 def load_model(source):
     """Rebuild a ToyLM serialized by :func:`save_model`."""
-    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
-    raw = bytes(raw)
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"bad magic: {raw[:4]!r}, expected {_MAGIC!r}")
-    if len(raw) < 20:
-        raise ParseError("truncated header")
-    V, d = struct.unpack_from("<QQ", raw, 4)
-    if V < 1 or d < 1:
-        raise ParseError(f"V and d must be positive, got {V} {d}")
-    pos = 20
-    vocab = []
-    for _ in range(V):
-        if pos + 4 > len(raw):
-            raise ParseError("truncated vocabulary")
-        (n,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + n > len(raw):
-            raise ParseError("truncated vocabulary")
-        try:
-            vocab.append(raw[pos : pos + n].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"vocabulary entry is not UTF-8: {exc}") from None
-        pos += n
-    need = V * d * 8
-    if len(raw) - pos != 2 * need:
-        raise ParseError(
-            f"expected {2 * need} bytes of weights, found {len(raw) - pos}"
-        )
-    matrices = []
-    for _ in range(2):
-        flat = struct.unpack_from(f"<{V * d}d", raw, pos)
-        pos += need
-        matrices.append(Matrix.from_flat(V, d, flat))
-    try:
-        return ToyLM(vocab=tuple(vocab), W_in=matrices[0], W_out=matrices[1])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    r = container.Reader(source, container.TLM1)
+    V, d = r.u64s(2, "V and d")
+    vocab = r.names(V, "vocabulary")
+    W_in, W_out = (
+        Matrix.from_flat(V, d, r.floats(V * d, "<f8", "weights").tolist())
+        for _ in range(2)
+    )
+    r.end()
+    return container.build(ToyLM, vocab=tuple(vocab), W_in=W_in, W_out=W_out)

@@ -164,7 +164,7 @@ def test_criterion_05_permutation_equivariance():
     broken = 0.0
     for case in range(100):
         d, n, length = 8, 2, 4
-        config = attention.MultiHeadConfig(d=d, n=n, layers=1, use_positional=True)
+        config = attention.MultiHeadConfig(d=d, n=n, layers=1)
         params = attention.random_stack_params(config, seed=case)
         vecs = [
             Vector([rng.uniform(-1, 1) for _ in range(d)]) for _ in range(length)

@@ -1,6 +1,7 @@
 """Tests for simplified multi-head self-attention."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ class TestStackForward:
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(31)
-        config = MultiHeadConfig(d=6, n=2, layers=2, use_positional=False)
+        config = MultiHeadConfig(d=6, n=2, layers=2)
         params = random_stack_params(config, seed=3)
         for _ in range(10):
             X = rng.normal(size=(5, 6))
@@ -504,3 +505,25 @@ class TestParamPersistence:
         blob = save_named_matrices({"m": Matrix([[1.0]])})
         with pytest.raises(ParseError, match="trailing"):
             load_named_matrices(blob + b"\x00")
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            save_named_matrices({"layer0.head0.Wq": Matrix([[1.0]]),
+                                 "layer0.Wo": Matrix([[1.0]])}),
+            save_named_matrices({"layer0.head0.Wq": Matrix([[1.0]]),
+                                 "layer0.head0.Wk": Matrix([[1.0]]),
+                                 "layer0.Wo": Matrix([[1.0]])}),
+            save_named_matrices({"layer0.Wo": Matrix([[1.0]])}),
+            save_named_matrices({"layer0.head0.Wq": Matrix([[1.0, 2.0]]),
+                                 "layer0.head0.Wk": Matrix([[1.0], [2.0]]),
+                                 "layer0.head0.Wv": Matrix([[1.0, 2.0]]),
+                                 "layer0.Wo": Matrix([[1.0]])}),
+            b"ATT1" + struct.pack("<QI", 1, 1) + b"m" + struct.pack("<QQ", 0, 5),
+            save_named_matrices({"m": Matrix([[1.0]])})[:-4] + struct.pack("<f", math.nan),
+        ],
+        ids=["no-Wk", "no-Wv", "no-heads", "unequal-shapes", "zero-rows", "nan-entry"],
+    )
+    def test_malformed_rejected(self, blob):
+        with pytest.raises(ParseError):
+            load_attention_params(blob)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from embgeom import cli, embed_store, trainer
+from embgeom import attention, cli, embed_store, trainer
+from embgeom.linalg import Matrix
 
 MINI_TABLE = (
     "4 2\n"
@@ -302,6 +303,21 @@ class TestContextualize:
         )
         assert code == 1
         assert err.startswith("HeadCountError")
+
+    def test_params_missing_a_projection_is_parse_error(self, capsys, table_file, tmp_path):
+        params = tmp_path / "p.att"
+        eye = Matrix.identity(2)
+        params.write_bytes(
+            attention.save_named_matrices({"layer0.head0.Wq": eye, "layer0.Wo": eye})
+        )
+        code, _, err = run(
+            capsys,
+            ["contextualize", "--table", table_file, "--tokens", "horse",
+             "--heads", "1", "--params", str(params)],
+        )
+        assert code == 1
+        assert err.startswith("ParseError: ")
+        assert "Traceback" not in err
 
     def test_output_dimension_matches_table(self, capsys, table_file):
         _, out, _ = run(

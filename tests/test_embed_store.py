@@ -35,11 +35,6 @@ class TestEmbeddingTable:
         assert t.V == 2 and t.D == 2
         assert t.vocab == ("a", "b")
 
-    def test_matrix_property_is_linalg_matrix(self):
-        t = make_table(["a"], [[1.0, 2.0]])
-        assert isinstance(t.matrix, Matrix)
-        assert t.matrix == Matrix([[1.0, 2.0]])
-
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_table(["a", "a"], [[1.0], [2.0]])
@@ -158,6 +153,11 @@ class TestTextFormat:
     def test_carriage_return_rejected(self):
         with pytest.raises(ParseError):
             load_embeddings_text(b"2 2\r\na 1 0\r\nb 0 1\r\n")
+
+    def test_whitespace_inside_token_rejected(self):
+        for sep in (b"\x0c", b"\x0b", b"\x1c", "\u2028".encode("utf-8")):
+            with pytest.raises(ParseError, match="invalid token"):
+                load_embeddings_text(b"1 1\na" + sep + b"b 1\n")
 
     def test_invalid_utf8_rejected(self):
         with pytest.raises(ParseError, match="UTF-8"):

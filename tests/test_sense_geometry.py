@@ -1,5 +1,8 @@
 """Tests for sense centroids, homonym clustering, and probing classifiers."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -452,3 +455,23 @@ class TestProbeModelPersistence:
         blob = save_probe_model(model)
         with pytest.raises(ParseError):
             load_probe_model(blob[:-1])
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda b: b[:-8] + struct.pack("<d", math.nan),
+            lambda b: b[:-8] + struct.pack("<d", -math.inf),
+            # the last class's bias sits just before its d = 2 weights
+            lambda b: b[:-24] + struct.pack("<d", math.nan) + b[-16:],
+            lambda b: b.replace(b"\x01\x00\x00\x00y", b"\x01\x00\x00\x00x"),
+        ],
+        ids=["nan-weight", "inf-weight", "nan-bias", "duplicate-class"],
+    )
+    def test_malformed_rejected(self, mutate):
+        model = ProbeModel(
+            classes=("x", "y"),
+            weights=(Vector([1.0, 0.0]), Vector([0.0, 1.0])),
+            biases=(0.5, -0.5),
+        )
+        with pytest.raises(ParseError):
+            load_probe_model(mutate(save_probe_model(model)))

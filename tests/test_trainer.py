@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -427,3 +428,17 @@ class TestModelPersistence:
         blob = save_model(tiny_model())
         with pytest.raises(ParseError):
             load_model(blob[:-4])
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda b: b[:-8] + struct.pack("<d", math.nan),
+            lambda b: b[:-8] + struct.pack("<d", math.inf),
+            lambda b: b.replace(b"\x01\x00\x00\x00x", b"\x00\x00\x00\x00"),
+            lambda b: b.replace(b"\x01\x00\x00\x00x", b"\x01\x00\x00\x00 "),
+        ],
+        ids=["nan-weight", "inf-weight", "empty-token", "space-token"],
+    )
+    def test_malformed_rejected(self, mutate):
+        with pytest.raises(ParseError):
+            load_model(mutate(save_model(tiny_model())))
