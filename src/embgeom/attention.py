@@ -80,6 +80,21 @@ class AttentionLayerParams:
         object.__setattr__(self, "heads", tuple(self.heads))
         if not self.heads:
             raise EmptyInputError("a layer needs at least one head")
+        shapes = {h.Wq.shape for h in self.heads}
+        if len(shapes) != 1:
+            raise DimensionError(f"heads of a layer disagree on shape: {sorted(shapes)}")
+        d, n = self.d, len(self.heads)
+        if n * self.heads[0].d_head != d:
+            raise HeadCountError(
+                f"{n} heads of dim {self.heads[0].d_head} do not make model dim {d}"
+            )
+        if self.Wo.shape != (d, d):
+            raise DimensionError(f"Wo must be {d}x{d}, got {self.Wo.rows}x{self.Wo.cols}")
+
+    @property
+    def d(self):
+        """Model dimensionality: the heads' input and Wo's size."""
+        return self.heads[0].d
 
 
 @dataclass(frozen=True)
@@ -373,6 +388,8 @@ def load_attention_params(source):
         layers.append(container.build(AttentionLayerParams, heads, named[layer + "Wo"]))
     if not layers:
         raise ParseError("no attention layers found in parameter file")
+    if len({lp.d for lp in layers}) != 1:
+        raise ParseError(f"layers disagree on model dim: {[lp.d for lp in layers]}")
     expected = sum(3 * len(lp.heads) + 1 for lp in layers)
     if expected != len(named):
         raise ParseError("parameter file holds matrices outside the layer scheme")

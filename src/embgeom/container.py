@@ -5,6 +5,7 @@ names, each behind its little-endian u32 byte length, and little-endian f32
 or f64 payloads, with nothing after the last field. Each format module
 picks its fields and their order; this module encodes and checks them, and
 every decoding failure it reports is a :class:`~embgeom.errors.ParseError`.
+It also reads the sources every loader takes, binary and UTF-8 text alike.
 """
 
 import struct
@@ -26,6 +27,20 @@ def read_bytes(source):
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
     return source.read()
+
+
+def read_text(source):
+    """The content of ``source`` as text: a str, bytes-like, or a file object.
+
+    Bytes must be valid UTF-8; anything else is a ParseError.
+    """
+    raw = source if isinstance(source, str) else read_bytes(source)
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from None
 
 
 def build(constructor, *args, line=None, **kwargs):

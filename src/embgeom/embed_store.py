@@ -219,11 +219,7 @@ def load_embeddings_text(source, lowercase=False):
 
     Raises ParseError with a 1-based line number on any malformation.
     """
-    raw = container.read_bytes(source)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}") from None
+    text = container.read_text(source)
     if "\t" in text or "\r" in text:
         bad = text.replace("\r", "\t").index("\t")
         line_no = text.count("\n", 0, bad) + 1

@@ -492,13 +492,7 @@ def probe_accuracy(model, examples, threshold=0.5):
 
 def _tsv_rows(source):
     """Yield (line number, column 1, column 2, vector) for each 3-column line."""
-    raw = container.read_bytes(source)
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}") from None
-    lines = raw.split("\n")
+    lines = container.read_text(source).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     for line_no, line in enumerate(lines, 1):
@@ -551,6 +545,11 @@ def load_probe_tsv(source):
     for line_no, token, labels, vec in _tsv_rows(source):
         if not token:
             raise ParseError("empty token", line=line_no)
+        if out and vec.dim != out[0].vector.dim:
+            raise ParseError(
+                f"vector has {vec.dim} components, line 1 has {out[0].vector.dim}",
+                line=line_no,
+            )
         label_set = frozenset(l for l in labels.split(",") if l)
         out.append(ProbeExample(token=token, labels=label_set, vector=vec))
     if not out:

@@ -5,12 +5,18 @@ are averaged into a hidden state, projected by ``W_out`` to one logit per
 vocabulary item, and softmax-normalized into a prediction for the masked
 word. Cross-entropy gradients are exact and propagated by plain SGD. After
 training, row w of ``W_in`` is the embedding of vocabulary item w.
+
+:func:`train` runs its loop on numpy arrays. The public ops
+(:func:`model_forward`, :func:`loss_and_gradients`, :func:`sgd_step`) stay
+in plain Python as the reference the tests replay training against.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from operator import mul
+
+import numpy as np
 
 from . import container
 from .embed_store import EmbeddingTable, token_index
@@ -36,6 +42,8 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -238,29 +246,29 @@ def sgd_step(m, grads, lr):
     )
 
 
-def _sgd_update_lists(w_in, w_out, target, context, lr):
-    """In-place fused forward/backward/update; returns the example loss.
+def _sgd_step_arrays(w_in, w_out, target, ctx, inv, lr):
+    """In-place fused forward/backward/update on V x d arrays; returns the loss.
 
-    Mathematically identical to loss_and_gradients followed by sgd_step,
-    but mutates list-of-list weights to keep long runs affordable.
+    The update of loss_and_gradients followed by sgd_step, equal up to
+    rounding and in the same order: the hidden gradient is taken from the
+    old ``w_out`` before ``w_out`` moves, then the context rows of ``w_in``
+    move. ``ctx`` holds distinct indices, so the indexed update touches each
+    row once.
     """
-    h, probs = _forward_lists(w_in, w_out, context)
-    loss = -math.log(probs[target])
-    delta = probs
-    delta[target] -= 1.0
-    d = len(h)
-    g_h = [0.0] * d
-    for dv, row in zip(delta, w_out):
-        for j in range(d):
-            g_h[j] += dv * row[j]
-    for dv, row in zip(delta, w_out):
-        f = lr * dv
-        row[:] = [r - f * hj for r, hj in zip(row, h)]
-    f = lr / len(context)
-    upd = [f * g for g in g_h]
-    for c in context:
-        row = w_in[c]
-        row[:] = [r - u for r, u in zip(row, upd)]
+    h = w_in.take(ctx, axis=0).sum(axis=0)
+    h *= inv
+    p = w_out @ h
+    p -= p.max()
+    np.exp(p, out=p)
+    p /= p.sum()
+    np.maximum(p, _TINY, out=p)  # same underflow floor as linalg.softmax
+    loss = -math.log(p[target])
+    p[target] -= 1.0
+    g_h = p @ w_out
+    p *= lr
+    w_out -= p[:, None] * h
+    g_h *= lr * inv
+    w_in[ctx] -= g_h
     return loss
 
 
@@ -294,22 +302,23 @@ def train(corpus, config, on_epoch=None):
     d = config.d
     bound = 0.5 / d
     V = len(vocab)
-    w_in = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
-    w_out = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
-
-    pairs = [(ex.target, sorted(ex.context)) for ex in examples]
-    order = list(range(len(pairs)))
+    w_in = np.array([[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)])
+    w_out = np.array([[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)])
+    steps = [
+        (ex.target, np.array(sorted(ex.context), dtype=np.intp), 1.0 / len(ex.context))
+        for ex in examples
+    ]
+    order = list(range(len(steps)))
     lr = config.learning_rate
     for epoch in range(config.epochs):
         rng.shuffle(order)
         total = 0.0
         for k in order:
-            target, context = pairs[k]
-            total += _sgd_update_lists(w_in, w_out, target, context, lr)
+            total += _sgd_step_arrays(w_in, w_out, *steps[k], lr)
         if on_epoch is not None:
             mean = total / len(order) if order else 0.0
             on_epoch(epoch, mean)
-    return ToyLM(vocab=vocab, W_in=Matrix(w_in), W_out=Matrix(w_out))
+    return ToyLM(vocab=vocab, W_in=Matrix(w_in.tolist()), W_out=Matrix(w_out.tolist()))
 
 
 def extract_embeddings(m):
@@ -319,9 +328,7 @@ def extract_embeddings(m):
 
 def load_corpus(source, lowercase=False):
     """Read a corpus file: one sentence per line, space-separated tokens."""
-    text = source if isinstance(source, str) else container.read_bytes(source)
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = container.read_text(source)
     if lowercase:
         text = text.lower()
     corpus = []

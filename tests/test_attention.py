@@ -457,6 +457,12 @@ class TestRandomStackParams:
             assert lp.Wo.shape == (6, 6)
 
 
+def head_matrices(layer, head, d_head, d):
+    """One head's projections under their ATT1 names, all d_head x d."""
+    m = Matrix.from_flat(d_head, d, [1.0] * (d_head * d))
+    return {f"layer{layer}.head{head}.{w}": m for w in ("Wq", "Wk", "Wv")}
+
+
 class TestParamPersistence:
     def test_named_matrix_round_trip(self):
         named = {
@@ -521,8 +527,21 @@ class TestParamPersistence:
                                  "layer0.Wo": Matrix([[1.0]])}),
             b"ATT1" + struct.pack("<QI", 1, 1) + b"m" + struct.pack("<QQ", 0, 5),
             save_named_matrices({"m": Matrix([[1.0]])})[:-4] + struct.pack("<f", math.nan),
+            save_named_matrices({**head_matrices(0, 0, 2, 2),
+                                 **head_matrices(0, 1, 1, 2),
+                                 "layer0.Wo": Matrix.identity(2)}),
+            save_named_matrices({**head_matrices(0, 0, 1, 4),
+                                 **head_matrices(0, 1, 1, 4),
+                                 "layer0.Wo": Matrix.identity(4)}),
+            save_named_matrices({**head_matrices(0, 0, 2, 2),
+                                 "layer0.Wo": Matrix.identity(3)}),
+            save_named_matrices({**head_matrices(0, 0, 2, 2),
+                                 "layer0.Wo": Matrix.identity(2),
+                                 **head_matrices(1, 0, 3, 3),
+                                 "layer1.Wo": Matrix.identity(3)}),
         ],
-        ids=["no-Wk", "no-Wv", "no-heads", "unequal-shapes", "zero-rows", "nan-entry"],
+        ids=["no-Wk", "no-Wv", "no-heads", "unequal-shapes", "zero-rows", "nan-entry",
+             "unequal-heads", "heads-short-of-d", "wo-not-d-by-d", "layers-differ-in-d"],
     )
     def test_malformed_rejected(self, blob):
         with pytest.raises(ParseError):

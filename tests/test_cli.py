@@ -439,6 +439,14 @@ class TestProbes:
         assert code == 1
         assert err.startswith("DegenerateClassError")
 
+    def test_unequal_vector_lengths_are_parse_error(self, capsys, tmp_path):
+        data = tmp_path / "ragged.tsv"
+        data.write_text("a\tX\t1 0\nb\tY\t1\n", encoding="utf-8")
+        code, _, err = run(capsys, ["probe-train", "--data", str(data)])
+        assert code == 1
+        assert err.startswith("ParseError: line 2: ")
+        assert "Traceback" not in err
+
 
 class TestSelfcheck:
     def test_all_checks_pass(self, capsys):

@@ -139,9 +139,9 @@ def _valid_inputs():
         AttentionLayerParams(
             heads=tuple(
                 AttentionHeadParams(
-                    Wq=Matrix([[0.5, -1.0, 0.25, 1.0]]),
-                    Wk=Matrix([[1.0, 0.0, -0.5, 2.0]]),
-                    Wv=Matrix([[0.0, 1.0, 1.5, -2.0]]),
+                    Wq=Matrix([[0.5, -1.0]]),
+                    Wk=Matrix([[1.0, -0.5]]),
+                    Wv=Matrix([[1.5, -2.0]]),
                 )
                 for _ in range(2)
             ),

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,24 @@ def random_model(rng, V, d):
         W_in=Matrix((rng.random(size=(V, d)) - 0.5).tolist()),
         W_out=Matrix((rng.random(size=(V, d)) - 0.5).tolist()),
     )
+
+
+def replay_public_ops(vocab, examples, config):
+    """Training replayed through loss_and_gradients and sgd_step, with the
+    seeded init and per-epoch shuffle of :func:`train`."""
+    rng = random.Random(config.seed)
+    bound = 0.5 / config.d
+    V, d = len(vocab), config.d
+    w_in = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
+    w_out = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
+    m = ToyLM(vocab=vocab, W_in=Matrix(w_in), W_out=Matrix(w_out))
+    order = list(range(len(examples)))
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for k in order:
+            _, grads = loss_and_gradients(m, examples[k])
+            m = sgd_step(m, grads, config.learning_rate)
+    return m
 
 
 def numpy_loss(w_in, w_out, context, target):
@@ -360,6 +379,24 @@ class TestTrain:
             atol=1e-12,
         )
 
+    def test_array_loop_matches_public_ops_at_larger_shape(self):
+        rng = random.Random(11)
+        words = [f"w{i}" for i in range(40)]
+        corpus = [rng.choices(words, k=rng.randint(5, 8)) for _ in range(50)]
+        corpus += [["solo"], ["echo", "echo"]]  # positions with no context
+        config = TrainConfig(d=8, window=3, epochs=3, seed=5, learning_rate=0.2)
+        vocab = induce_vocab(corpus)
+        examples = make_training_examples(corpus, config.window, list(vocab))
+        assert len(examples) < sum(map(len, corpus))
+        assert 38 <= len(vocab) <= 42
+
+        fused = train(corpus, config)
+        m = replay_public_ops(vocab, examples, config)
+        for got, want in ((fused.W_in, m.W_in), (fused.W_out, m.W_out)):
+            np.testing.assert_allclose(
+                np.array(got.row_tuples()), np.array(want.row_tuples()), atol=1e-12
+            )
+
     def test_single_example_convergence(self):
         m = ToyLM(
             vocab=tuple("abcd"),
@@ -374,6 +411,21 @@ class TestTrain:
                 break
             m = sgd_step(m, grads, lr=0.5)
         assert loss < 0.01
+
+
+class TestTrainBudget:
+    def test_v200_d32_four_epochs_under_three_seconds(self):
+        # the array loop takes about 0.2 s here; a loop back on per-element
+        # Python arithmetic takes about 6 s
+        rng = random.Random(17)
+        words = [f"w{i}" for i in range(200)]
+        corpus = [rng.choices(words, k=9) for _ in range(150)]
+        config = TrainConfig(d=32, window=3, epochs=4, seed=1, learning_rate=0.2)
+        start = time.perf_counter()
+        m = train(corpus, config)
+        elapsed = time.perf_counter() - start
+        assert m.V >= 190
+        assert elapsed < 3.0, f"training took {elapsed:.2f} s"
 
 
 class TestExtract:
@@ -402,6 +454,10 @@ class TestLoadCorpus:
 
     def test_lowercase_flag(self):
         assert load_corpus(b"The Bank\n", lowercase=True) == [["the", "bank"]]
+
+    def test_invalid_utf8_is_parse_error(self):
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_corpus(b"a \xff b\n")
 
     def test_accepts_str_and_file(self):
         import io
