@@ -6,11 +6,19 @@ Per head, every position's embedding is projected to a query, a key, and a
 value; dot-product scores against all keys are softmax-normalized into
 weights; the output is the weight-averaged sum of values. Head outputs are
 concatenated and mapped back to model dimensionality by ``Wo``.
+
+The stack runs on numpy float64 arrays: one head is three matmuls, a
+row-wise softmax and one more matmul over the whole sequence. The
+pure-Python :func:`attention_weights` (on ``linalg.dot`` and
+``linalg.softmax``) stays as the reference the tests replay the stack
+against.
 """
 
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import container, linalg
 from .errors import (
@@ -42,6 +50,15 @@ __all__ = [
 
 DEFAULT_CONTEXT_WINDOW = 128
 
+_TINY = math.ulp(0.0)
+
+
+def _frozen_array(m):
+    """A read-only float64 copy of a Matrix, built once per parameter set."""
+    a = np.array(m.row_tuples(), dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class AttentionHeadParams:
@@ -57,6 +74,8 @@ class AttentionHeadParams:
             raise DimensionError(
                 f"head projections disagree on shape: {sorted(shapes)}"
             )
+        # Not dataclass fields, so equality, hashing and repr see the Matrices.
+        object.__setattr__(self, "_qkv", tuple(map(_frozen_array, (self.Wq, self.Wk, self.Wv))))
 
     @property
     def d(self):
@@ -90,6 +109,7 @@ class AttentionLayerParams:
             )
         if self.Wo.shape != (d, d):
             raise DimensionError(f"Wo must be {d}x{d}, got {self.Wo.rows}x{self.Wo.cols}")
+        object.__setattr__(self, "_wo", _frozen_array(self.Wo))
 
     @property
     def d(self):
@@ -172,6 +192,30 @@ def attention_weights(query, keys, scale_scores=True):
     return linalg.softmax(scores)
 
 
+def _sequence_array(seq):
+    """``seq`` as an L x d float64 array with L, d >= 1 and finite entries.
+
+    Accepts a sequence of vectors or an array; rows of different dims raise
+    DimensionError, as they did when each row met a projection on its own.
+    """
+    if isinstance(seq, np.ndarray):
+        x = seq.astype(np.float64, copy=False)
+        if x.ndim != 2:
+            raise DimensionError(f"a sequence array must be L x d, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("sequence has a non-finite component")
+    else:
+        rows = [Vector(v).components for v in seq]
+        d = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != d:
+                raise DimensionError(f"mixed vector dims: {len(r)} != {d}")
+        x = np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    if x.size == 0:
+        raise EmptyInputError("attention needs at least one position")
+    return x
+
+
 def head_forward(seq, params, scale_scores=True):
     """Run one attention head over a sequence of d-dim vectors.
 
@@ -179,31 +223,31 @@ def head_forward(seq, params, scale_scores=True):
     weights from position i's query against every position's key. Each
     output has dim d_head and lies in the convex hull of the values.
     """
-    seq = [Vector(v) for v in seq]
-    if not seq:
-        raise EmptyInputError("attention needs at least one position")
-    queries = [linalg.linear_apply(params.Wq, x) for x in seq]
-    keys = [linalg.linear_apply(params.Wk, x) for x in seq]
-    values = [linalg.linear_apply(params.Wv, x) for x in seq]
-    out = []
-    for q in queries:
-        w = attention_weights(q, keys, scale_scores=scale_scores)
-        acc = w[0] * values[0]
-        for j in range(1, len(values)):
-            acc = acc + w[j] * values[j]
-        out.append(acc)
-    return out
+    x = _sequence_array(seq)
+    if x.shape[1] != params.d:
+        raise DimensionError(f"head expects input dim {params.d}, sequence has {x.shape[1]}")
+    wq, wk, wv = params._qkv
+    scores = (x @ wq.T) @ (x @ wk.T).T
+    if scale_scores:
+        scores /= math.sqrt(params.d_head)
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    np.maximum(scores, _TINY, out=scores)  # same underflow floor as linalg.softmax
+    return [Vector(row) for row in (scores @ (x @ wv.T)).tolist()]
 
 
 def multihead_forward(seq, heads, Wo, scale_scores=True):
-    """Run every head, concatenate per position, project back to dim d."""
-    seq = [Vector(v) for v in seq]
-    if not seq:
-        raise EmptyInputError("attention needs at least one position")
+    """Run every head, concatenate per position, project back to dim d.
+
+    ``Wo`` is a d x d Matrix or, as :func:`stack_forward` passes it, the
+    same weights as a float64 array.
+    """
+    x = _sequence_array(seq)
     heads = list(heads)
     if not heads:
         raise EmptyInputError("attention needs at least one head")
-    d = seq[0].dim
+    d = x.shape[1]
     n = len(heads)
     if d % n != 0:
         raise HeadCountError(f"{n} heads do not divide model dimensionality {d}")
@@ -217,13 +261,11 @@ def multihead_forward(seq, heads, Wo, scale_scores=True):
             )
     if Wo.shape != (d, d):
         raise DimensionError(f"Wo must be {d}x{d}, got {Wo.shape[0]}x{Wo.shape[1]}")
+    wo = Wo if isinstance(Wo, np.ndarray) else np.array(Wo.row_tuples(), dtype=np.float64)
 
-    per_head = [head_forward(seq, h, scale_scores=scale_scores) for h in heads]
-    out = []
-    for i in range(len(seq)):
-        joined = linalg.concat([per_head[h][i] for h in range(n)])
-        out.append(linalg.linear_apply(Wo, joined))
-    return out
+    per_head = [head_forward(x, h, scale_scores=scale_scores) for h in heads]
+    joined = np.hstack([[v.components for v in out] for out in per_head])
+    return [Vector(row) for row in (joined @ wo.T).tolist()]
 
 
 def stack_forward(seq, config, layer_params):
@@ -259,7 +301,7 @@ def stack_forward(seq, config, layer_params):
                 f"layer has {len(lp.heads)} heads, config expects {config.n}"
             )
         vectors = multihead_forward(
-            vectors, lp.heads, lp.Wo, scale_scores=config.scale_scores
+            vectors, lp.heads, lp._wo, scale_scores=config.scale_scores
         )
     return vectors
 
@@ -307,9 +349,12 @@ def embed_sequence(table, tokens, use_positional=False,
 
 
 def _random_matrix(rows, cols, bound, rng):
-    return Matrix(
-        [rng.uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)
-    )
+    # rng.uniform(a, b) is a + (b - a) * rng.random(); the same two float64
+    # operations in numpy give weights bit-identical to per-entry draws.
+    draw = rng.random
+    u = np.array([draw() for _ in range(rows * cols)]).reshape(rows, cols)
+    lo, hi = -bound, bound
+    return Matrix((lo + (hi - lo) * u).tolist())
 
 
 def random_stack_params(config, seed):

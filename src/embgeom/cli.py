@@ -173,16 +173,21 @@ def cmd_attend(args):
 def cmd_contextualize(args):
     table = _load_table(args.table)
     tokens = args.tokens.split()
+    if args.params:
+        params = attention.load_attention_params(_read(args.params))
+        n, layers = len(params[0].heads), len(params)
+    else:
+        params, n, layers = None, 1, 1
+    # A --heads or --layers flag that disagrees with a loaded file fails in
+    # stack_forward with HeadCountError or DimensionError.
     config = attention.MultiHeadConfig(
         d=table.D,
-        n=args.heads,
-        layers=args.layers,
+        n=n if args.heads is None else args.heads,
+        layers=layers if args.layers is None else args.layers,
         scale_scores=not args.no_scale,
         context_window=args.window,
     )
-    if args.params:
-        params = attention.load_attention_params(_read(args.params))
-    else:
+    if params is None:
         params = attention.random_stack_params(config, seed=args.seed)
     if args.save_params:
         _write(args.save_params, attention.save_attention_params(params))
@@ -441,8 +446,8 @@ def build_parser():
     )
     p.add_argument("--table", required=True)
     p.add_argument("--tokens", required=True)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--heads", type=int, help="heads per layer (default: 1, or the --params file's)")
+    p.add_argument("--layers", type=int, help="layer count (default: 1, or the --params file's)")
     p.add_argument("--params", help="load attention parameters instead of seeding")
     p.add_argument("--save-params", help="persist the parameters in use")
     p.add_argument("--no-scale", action="store_true")

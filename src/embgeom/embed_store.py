@@ -64,7 +64,7 @@ class EmbeddingTable:
         V x D real matrix; row i embeds vocab[i].
     """
 
-    __slots__ = ("_vocab", "_index", "_array", "_norms")
+    __slots__ = ("_vocab", "_index", "_array", "_norms", "_filter_masks")
 
     def __init__(self, vocab, rows):
         vocab = tuple(vocab)
@@ -87,6 +87,7 @@ class EmbeddingTable:
         self._index = index
         self._array = arr
         self._norms = None
+        self._filter_masks = {}
 
     @property
     def vocab(self):
@@ -120,6 +121,21 @@ class EmbeddingTable:
         if self._norms is None:
             self._norms = np.linalg.norm(self._array, axis=1)
         return self._norms
+
+    def _keep_mask(self, filter):
+        """Boolean mask of the tokens ``filter`` keeps.
+
+        A TokenFilter's mask is built once per rule tuple and cached; any
+        other callable is asked about every token on every call.
+        """
+        if type(filter) is not TokenFilter:
+            return np.fromiter(map(filter, self._vocab), dtype=bool, count=self.V)
+        mask = self._filter_masks.get(filter.rules)
+        if mask is None:
+            mask = np.fromiter(map(filter, self._vocab), dtype=bool, count=self.V)
+            mask.flags.writeable = False
+            self._filter_masks[filter.rules] = mask
+        return mask
 
     def __eq__(self, other):
         if isinstance(other, EmbeddingTable):
@@ -344,19 +360,18 @@ def nearest_neighbors(table, token, k, filter=None):
     if qnorm == 0.0:
         raise ZeroVectorError(f"query token {token!r} has a zero-norm row")
 
-    keep = np.ones(table.V, dtype=bool)
-    keep[qi] = False
+    keep = norms > 0.0
     if filter is not None:
-        for i, t in enumerate(table.vocab):
-            if keep[i] and not filter(t):
-                keep[i] = False
-    keep &= norms > 0.0
+        keep &= table._keep_mask(filter)
+    keep[qi] = False
 
     (cand,) = np.nonzero(keep)
     if cand.size == 0:
         return NeighborList(query=token, entries=())
 
-    sims = (arr[cand] @ arr[qi]) / (norms[cand] * qnorm)
+    # One mat-vec over the whole table; gathering rows of ``arr`` would copy
+    # the candidates on every query.
+    sims = (arr @ arr[qi])[cand] / (norms[cand] * qnorm)
     np.clip(sims, -1.0, 1.0, out=sims)
     # Stable sort on descending similarity: equal scores keep vocab order.
     order = np.argsort(-sims, kind="stable")[:k]

@@ -2,7 +2,11 @@
 
 Everything here is plain 64-bit Python floats and tuples: exact, immutable,
 and free of third-party dependencies. Throughput is a non-goal; the point
-is that each operation is small enough to verify by hand.
+is that each operation is small enough to verify by hand. ``Vector`` and
+``Matrix`` are the types the public API speaks; the operations are the
+reference for the attention stack, which runs on numpy arrays and which the
+tests replay through ``linear_apply`` and ``attention_weights`` (``dot``
+then ``softmax``) to 1e-12.
 """
 
 import math
@@ -43,7 +47,7 @@ class Vector:
         if isinstance(components, Vector):
             self._data = components._data
             return
-        data = tuple(float(x) for x in components)
+        data = tuple(map(float, components))
         if not data:
             raise EmptyInputError("a vector needs at least one component")
         _check_finite(data)
@@ -114,7 +118,7 @@ class Matrix:
         if isinstance(rows, Matrix):
             self._rows = rows._rows
             return
-        packed = tuple(tuple(float(x) for x in row) for row in rows)
+        packed = tuple(tuple(map(float, row)) for row in rows)
         if not packed or not packed[0]:
             raise EmptyInputError("a matrix needs at least one row and one column")
         width = len(packed[0])
@@ -128,7 +132,7 @@ class Matrix:
 
     @classmethod
     def from_flat(cls, rows, cols, entries):
-        entries = tuple(float(x) for x in entries)
+        entries = tuple(map(float, entries))
         if rows < 1 or cols < 1:
             raise EmptyInputError("a matrix needs at least one row and one column")
         if len(entries) != rows * cols:

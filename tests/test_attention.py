@@ -1,12 +1,14 @@
 """Tests for simplified multi-head self-attention."""
 
 import math
+import random
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from embgeom import attention
+from embgeom import attention, linalg
 from embgeom.attention import (
     AttentionHeadParams,
     AttentionLayerParams,
@@ -332,6 +334,98 @@ class TestStackForward:
             stack_forward([[1.0, 0.0]], config, params)
 
 
+def reference_head(seq, params, scale_scores=True):
+    """One head in pure Python: linear_apply projections, attention_weights."""
+    queries = [linalg.linear_apply(params.Wq, x) for x in seq]
+    keys = [linalg.linear_apply(params.Wk, x) for x in seq]
+    values = [linalg.linear_apply(params.Wv, x) for x in seq]
+    out = []
+    for q in queries:
+        w = attention_weights(q, keys, scale_scores=scale_scores)
+        acc = w[0] * values[0]
+        for j in range(1, len(values)):
+            acc = acc + w[j] * values[j]
+        out.append(acc)
+    return out
+
+
+def reference_multihead(seq, heads, Wo, scale_scores=True):
+    per_head = [reference_head(seq, h, scale_scores) for h in heads]
+    return [
+        linalg.linear_apply(Wo, linalg.concat([outs[i] for outs in per_head]))
+        for i in range(len(seq))
+    ]
+
+
+def reference_stack(seq, config, layer_params):
+    for lp in layer_params:
+        seq = reference_multihead(seq, lp.heads, lp.Wo, config.scale_scores)
+    return seq
+
+
+@pytest.fixture(scope="module")
+def stack768():
+    config = MultiHeadConfig(d=768, n=12, layers=1)
+    return config, random_stack_params(config, seed=4)
+
+
+class TestNumpyStackMatchesReference:
+    """The numpy stack replayed through the pure-Python reference ops."""
+
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_small_stack_with_repeated_token(self, scale):
+        rng = np.random.default_rng(33)
+        config = MultiHeadConfig(d=8, n=2, layers=2, scale_scores=scale)
+        params = random_stack_params(config, seed=12)
+        rows = rng.normal(size=(4, 8)).tolist()
+        seq = [Vector(r) for r in rows + [rows[1]]]  # position 4 repeats position 1
+        lp = params[0]
+        for h in lp.heads:
+            np.testing.assert_allclose(
+                as_array(head_forward(seq, h, scale_scores=scale)),
+                as_array(reference_head(seq, h, scale)), atol=1e-12, rtol=0,
+            )
+        np.testing.assert_allclose(
+            as_array(multihead_forward(seq, lp.heads, lp.Wo, scale_scores=scale)),
+            as_array(reference_multihead(seq, lp.heads, lp.Wo, scale)), atol=1e-12, rtol=0,
+        )
+        got = as_array(stack_forward(seq, config, params))
+        np.testing.assert_allclose(
+            got, as_array(reference_stack(seq, config, params)), atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(got[4], got[1], atol=1e-12, rtol=0)
+
+    def test_bert_sized_layer(self, stack768):
+        config, params = stack768
+        rng = np.random.default_rng(34)
+        seq = [Vector(r) for r in rng.normal(size=(5, 768)).tolist()]
+        lp = params[0]
+        np.testing.assert_allclose(
+            as_array(head_forward(seq, lp.heads[3])),
+            as_array(reference_head(seq, lp.heads[3])), atol=1e-12, rtol=0,
+        )
+        want = as_array(reference_stack(seq, config, params))
+        np.testing.assert_allclose(
+            as_array(multihead_forward(seq, lp.heads, lp.Wo)), want, atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(
+            as_array(stack_forward(seq, config, params)), want, atol=1e-12, rtol=0
+        )
+
+
+class TestStackBudget:
+    def test_d768_twelve_heads_sixteen_tokens_under_quarter_second(self, stack768):
+        # the numpy stack takes about 0.03 s here; per-element Python
+        # arithmetic takes about 1.25 s
+        config, params = stack768
+        seq = np.random.default_rng(35).normal(size=(16, 768)).tolist()
+        start = time.perf_counter()
+        out = stack_forward(seq, config, params)
+        elapsed = time.perf_counter() - start
+        assert len(out) == 16 and out[0].dim == 768
+        assert elapsed < 0.25, f"stack_forward took {elapsed:.2f} s"
+
+
 class TestMultiHeadConfig:
     def test_head_count_must_divide(self):
         with pytest.raises(HeadCountError):
@@ -455,6 +549,26 @@ class TestRandomStackParams:
             assert len(lp.heads) == 3
             assert all(h.Wq.shape == (2, 6) for h in lp.heads)
             assert lp.Wo.shape == (6, 6)
+
+    def test_weights_match_per_entry_uniform_draws(self):
+        config = MultiHeadConfig(d=6, n=3, layers=2)
+        rng = random.Random(8)
+        bound = 1.0 / math.sqrt(6)
+
+        def draw(rows, cols):
+            return Matrix(
+                [[rng.uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            )
+
+        expected = []
+        for _ in range(2):
+            heads = [
+                AttentionHeadParams(Wq=draw(2, 6), Wk=draw(2, 6), Wv=draw(2, 6))
+                for _ in range(3)
+            ]
+            expected.append(AttentionLayerParams(heads=heads, Wo=draw(6, 6)))
+        # Matrix equality compares the floats exactly
+        assert random_stack_params(config, seed=8) == tuple(expected)
 
 
 def head_matrices(layer, head, d_head, d):

@@ -295,6 +295,31 @@ class TestContextualize:
         # parameters persist as f32, so reloaded outputs agree to f32 precision
         assert first == pytest.approx(second, abs=1e-6)
 
+    def test_params_file_sets_heads_and_layers(self, capsys, table_file, tmp_path):
+        params = str(tmp_path / "p.att")
+        argv = ["contextualize", "--table", table_file, "--tokens", "horse cow",
+                "--format", "tsv"]
+        _, seeded, _ = run(capsys, argv + ["--heads", "2", "--layers", "2",
+                                           "--save-params", params])
+        code, loaded, _ = run(capsys, argv + ["--params", params])
+        assert code == 0
+        first = [float(x) for x in seeded.splitlines()[1].split("\t")[1].split()]
+        second = [float(x) for x in loaded.splitlines()[1].split("\t")[1].split()]
+        assert first == pytest.approx(second, abs=1e-6)
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--heads", "1", "HeadCountError"),
+        ("--layers", "1", "DimensionError"),
+    ])
+    def test_flag_disagreeing_with_params_file(self, capsys, table_file, tmp_path,
+                                               flag, value, error):
+        params = str(tmp_path / "p.att")
+        argv = ["contextualize", "--table", table_file, "--tokens", "horse cow"]
+        run(capsys, argv + ["--heads", "2", "--layers", "2", "--save-params", params])
+        code, _, err = run(capsys, argv + ["--params", params, flag, value])
+        assert code == 1
+        assert err.startswith(error)
+
     def test_bad_head_count_is_domain_error(self, capsys, table_file):
         code, _, err = run(
             capsys,

@@ -296,6 +296,25 @@ class TestNearestNeighbors:
         out = nearest_neighbors(t, "q", k=3, filter=f)
         assert out.tokens() == ["word"]
 
+    def test_filter_reapplied_per_rules_and_per_call(self):
+        t = make_table(
+            ["q", "##ing", "[CLS]", "word"],
+            [[1.0, 0.0], [1.0, 0.1], [1.0, 0.2], [0.0, 1.0]],
+        )
+        # the same table queried under different rule sets, and again
+        for rules, expected in (
+            (["drop-prefix:##"], ["[CLS]", "word"]),
+            (["drop-bracketed"], ["##ing", "word"]),
+            (["drop-prefix:##"], ["[CLS]", "word"]),
+        ):
+            assert nearest_neighbors(t, "q", k=3, filter=token_filter(rules)).tokens() == expected
+        # a plain callable is asked again on every query
+        dropped = {"##ing"}
+        keep = lambda tok: tok not in dropped
+        assert nearest_neighbors(t, "q", k=3, filter=keep).tokens() == ["[CLS]", "word"]
+        dropped.add("word")
+        assert nearest_neighbors(t, "q", k=3, filter=keep).tokens() == ["[CLS]"]
+
 
 class TestTokenFilter:
     def test_drop_prefix(self):
