@@ -207,14 +207,6 @@ def cmd_contextualize(args):
     return 0
 
 
-def _token_row(args, table_flag, word_flag):
-    path = getattr(args, table_flag)
-    word = getattr(args, word_flag)
-    if path is None or word is None:
-        return None
-    return _load_table(path).lookup(word)
-
-
 def cmd_centroid(args):
     inventories = sense_geometry.load_sense_tsv(_read(args.senses))
     if args.word is not None:

@@ -3,9 +3,12 @@
 Tables are immutable after construction. Storage and the exhaustive
 similarity scan sit on numpy so that a 30k x 768 table loads and scans in
 seconds; the public surface speaks :class:`~embgeom.linalg.Vector` and
-:class:`~embgeom.linalg.Matrix` like the rest of the package.
+:class:`~embgeom.linalg.Matrix` like the rest of the package. The text
+loader streams runs of whole lines (about 16 MB) into a preallocated
+table, so beyond its input it holds the table and one run.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,8 +39,11 @@ __all__ = [
 ]
 
 # Fixed or scientific decimal notation; deliberately narrower than float()
-# (no nan/inf, no underscores, no hex).
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+# (no nan/inf, no underscores, no hex, ASCII digits only).
+_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
+
+# The size of the runs of whole lines the text loader checks and parses.
+_CHUNK_BYTES = 16 << 20
 
 
 def token_index(vocab):
@@ -232,80 +238,113 @@ def load_embeddings_text(source, lowercase=False):
     Line 1 is ``<V> <D>``; then exactly V lines of ``<token> <x1> ... <xD>``
     with single-space separation and ``\\n`` line endings. ``lowercase``
     folds tokens at ingest (later duplicates of a folded token are rejected).
+    Rows stream through in runs of whole lines into a preallocated table.
 
-    Raises ParseError with a 1-based line number on any malformation.
+    Raises ParseError naming the first faulty line on any malformation.
     """
-    text = container.read_text(source)
-    if "\t" in text or "\r" in text:
-        bad = text.replace("\r", "\t").index("\t")
-        line_no = text.count("\n", 0, bad) + 1
-        raise ParseError("tab or carriage return is not a valid separator", line=line_no)
-
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final \n
-    first = lines[0] if lines else ""
+    raw = source if isinstance(source, str) else container.read_bytes(source)
+    if isinstance(raw, str):  # lone surrogates then fail the UTF-8 checks
+        raw = raw.encode("utf-8", "surrogatepass")
+    end = raw.find(b"\n") if b"\n" in raw else len(raw)
+    first = container.read_text(raw[:end])
     header = first.split(" ")
     if len(header) != 2 or not all(f.isascii() and f.isdigit() for f in header):
         raise ParseError(f"header must be '<V> <D>', got {first!r}", line=1)
-    V, D = int(header[0]), int(header[1])
+    V, D = (container.build(int, f, line=1) for f in header)
     if V < 1 or D < 1:
         raise ParseError(f"V and D must be positive, got {V} {D}", line=1)
 
-    body = lines[1:]
-    if len(body) != V:
-        raise ParseError(
-            f"expected {V} embedding rows, found {len(body)}",
-            line=min(len(body), V) + 2,
-        )
-
-    vocab = []
-    seen = {}
-    rests = []
-    for i, line in enumerate(body):
-        line_no = i + 2
-        token, sep, rest = line.partition(" ")
-        if not sep or not token:
-            raise ParseError("row must be '<token> <x1> ...'", line=line_no)
-        if lowercase:
-            token = token.lower()
-        if token in seen:
-            raise ParseError(f"duplicate token {token!r}", line=line_no)
-        if (
-            not rest
-            or rest[0] == " "
-            or rest[-1] == " "
-            or "  " in rest
-            or rest.count(" ") != D - 1
-        ):
-            found = 0 if not rest else rest.count(" ") + 1
-            raise ParseError(
-                f"expected {D} values for token {token!r}, found {found}",
-                line=line_no,
-            )
-        seen[token] = line_no
-        vocab.append(token)
-        rests.append(rest)
-
-    try:
-        arr = np.loadtxt(iter(rests), dtype=np.float64, ndmin=2, comments=None)
-    except ValueError:
-        # Re-parse slowly to attribute the malformed field to its line.
-        for i, rest in enumerate(rests):
-            for field in rest.split(" "):
-                if not _FLOAT_RE.match(field):
-                    raise ParseError(
-                        f"not a decimal float: {field!r}", line=i + 2
-                    ) from None
-        raise ParseError("malformed numeric row") from None
-    if arr.shape != (V, D):
-        raise ParseError(f"expected a {V} x {D} table, parsed {arr.shape}")
-    finite_rows = np.isfinite(arr).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
-        raise ParseError(f"non-finite value in row for {vocab[bad]!r}", line=bad + 2)
-
+    # A row takes at least 2D + 1 bytes: a header cannot make the table large.
+    arr = np.empty((min(V, (len(raw) - end) // (2 * D + 1)), D))
+    vocab, pos = {}, end + 1  # token -> row
+    while pos < len(raw):
+        stop = raw.find(b"\n", pos + _CHUNK_BYTES - 1) + 1 or len(raw)
+        # The final row may lack its newline.
+        chunk = raw[pos:stop] if raw[stop - 1] == 10 else raw[pos:] + b"\n"
+        _parse_rows(chunk, arr, V, D, vocab, lowercase)
+        pos = stop
+    if (n := len(vocab)) < V:
+        raise ParseError(f"expected {V} embedding rows, found {n}", line=n + 2)
     return container.build(EmbeddingTable, vocab, arr)
+
+
+def _parse_rows(chunk, arr, V, D, vocab, lowercase):
+    """Parse whole ``\\n``-ended rows into ``arr`` after those in ``vocab``.
+
+    Array scans, the token loop and ``np.loadtxt`` find the first faulty row;
+    ``_row_fault`` reads it field by field to word the ParseError.
+    """
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    low = np.flatnonzero(buf <= 32)  # spaces, newlines and control bytes
+    kind = buf[low]
+    nl = low[kind == 10]
+    sp = low[kind == 32]
+    starts = np.concatenate(([0], nl[:-1] + 1))
+    # Each line's first space; for a line without one, a later position.
+    first = np.append(sp, len(chunk))[np.searchsorted(sp, starts)]
+    bad = np.diff(np.searchsorted(sp, nl), prepend=0) != D  # spaces per line
+    bad |= buf[nl - 1] == 32  # np.loadtxt would skip the blank line "<token> "
+    # Control and non-ASCII bytes may sit in a token, never in a value.
+    odd = low[(kind != 10) & (kind != 32)]
+    if not chunk.isascii():
+        odd = np.concatenate((odd, np.flatnonzero(buf > 127)))
+    odd_line = np.searchsorted(nl, odd)
+    bad[odd_line[odd > first[odd_line]]] = True
+    line, room = len(vocab) + 2, V - len(vocab)
+    bad[room:] = True  # rows past V
+
+    stop = int(np.argmax(bad)) if bad.any() else len(nl)
+    s, f, e = starts.tolist(), first.tolist(), nl.tolist()
+    for i in range(stop):
+        try:
+            token = chunk[s[i] : f[i]].decode()
+        except UnicodeDecodeError:
+            token = ""
+        token = token.lower() if lowercase else token
+        if token.split() != [token] or token in vocab:
+            stop = i  # _row_fault words the fault
+            break
+        vocab[token] = line - 2 + i
+    if stop:
+        rests = [chunk[a + 1 : b].decode() for a, b in zip(f[:stop], e)]
+        try:
+            vals = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            vals = None
+        if vals is None or not np.isfinite(vals).all():
+            for i in range(stop):
+                if fault := _row_fault(chunk[s[i] : e[i]], D, line + i, (), lowercase):
+                    raise fault
+    if stop == room < len(nl):
+        raise ParseError(f"expected {V} embedding rows, found more", line=V + 2)
+    if stop < len(nl):
+        raise _row_fault(chunk[s[stop] : e[stop]], D, line + stop, vocab, lowercase)
+    arr[line - 2 : line - 2 + stop] = vals
+
+
+def _row_fault(row, D, line, vocab, lowercase):
+    """The ParseError for one row read field by field; None if it is sound."""
+    if b"\t" in row or b"\r" in row:
+        return ParseError("tab or carriage return is not a valid separator", line=line)
+    try:
+        token, sep, rest = row.decode().partition(" ")
+    except UnicodeDecodeError as exc:
+        return ParseError(f"not valid UTF-8: {exc.reason}", line=line)
+    if not sep or not token:
+        return ParseError("row must be '<token> <x1> ...'", line=line)
+    token = token.lower() if lowercase else token
+    if token.split() != [token]:
+        return ParseError(f"invalid token: {token!r}", line=line)
+    if token in vocab:
+        return ParseError(f"duplicate token {token!r}", line=line)
+    fields = rest.split(" ")
+    if len(fields) != D or "" in fields:
+        return ParseError(f"row {token!r} needs {D} single-spaced values", line=line)
+    for field in fields:
+        if not _FLOAT_RE.match(field):
+            return ParseError(f"not a decimal float: {field!r}", line=line)
+        if not math.isfinite(float(field)):
+            return ParseError(f"value out of range: {field!r}", line=line)
 
 
 def save_embeddings_text(table):

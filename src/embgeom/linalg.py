@@ -23,8 +23,6 @@ __all__ = [
     "softmax",
     "linear_apply",
     "mean_vector",
-    "concat",
-    "split",
 ]
 
 
@@ -164,19 +162,11 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    @property
-    def entries(self):
-        """Row-major flat tuple of all entries."""
-        return tuple(x for row in self._rows for x in row)
-
     def row(self, i):
         return Vector(self._rows[i])
 
     def row_tuples(self):
         return self._rows
-
-    def transpose(self):
-        return Matrix(zip(*self._rows))
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
@@ -254,25 +244,3 @@ def mean_vector(vectors):
             raise DimensionError(f"mixed dims in mean: {len(r)} != {width}")
     n = len(rows)
     return Vector(sum(col) / n for col in zip(*rows))
-
-
-def concat(vectors):
-    """Join vectors end to end, preserving order."""
-    rows = [_components(v) for v in vectors]
-    if not rows:
-        raise EmptyInputError("concat of an empty collection")
-    return Vector(x for row in rows for x in row)
-
-
-def split(v, dims):
-    """Inverse of concat: cut a vector into pieces of the given dims."""
-    xs = _components(v)
-    dims = list(dims)
-    if sum(dims) != len(xs):
-        raise DimensionError(f"cannot split dim {len(xs)} into pieces {dims}")
-    out = []
-    start = 0
-    for d in dims:
-        out.append(Vector(xs[start : start + d]))
-        start += d
-    return out

@@ -352,7 +352,7 @@ def reference_head(seq, params, scale_scores=True):
 def reference_multihead(seq, heads, Wo, scale_scores=True):
     per_head = [reference_head(seq, h, scale_scores) for h in heads]
     return [
-        linalg.linear_apply(Wo, linalg.concat([outs[i] for outs in per_head]))
+        linalg.linear_apply(Wo, Vector([x for outs in per_head for x in outs[i]]))
         for i in range(len(seq))
     ]
 
@@ -538,8 +538,8 @@ class TestRandomStackParams:
         bound = 1.0 / math.sqrt(16)
         for h in params[0].heads:
             for m in (h.Wq, h.Wk, h.Wv):
-                assert all(abs(x) <= bound for x in m.entries)
-        assert all(abs(x) <= bound for x in params[0].Wo.entries)
+                assert np.all(np.abs(m.row_tuples()) <= bound)
+        assert np.all(np.abs(params[0].Wo.row_tuples()) <= bound)
 
     def test_shapes(self):
         config = MultiHeadConfig(d=6, n=3, layers=2)
@@ -597,8 +597,12 @@ class TestParamPersistence:
             assert len(lb.heads) == len(lp.heads)
             for h, hb in zip(lp.heads, lb.heads):
                 for m, mb in zip((h.Wq, h.Wk, h.Wv), (hb.Wq, hb.Wk, hb.Wv)):
-                    np.testing.assert_allclose(mb.entries, m.entries, atol=1e-6)
-            np.testing.assert_allclose(lb.Wo.entries, lp.Wo.entries, atol=1e-6)
+                    np.testing.assert_allclose(
+                        mb.row_tuples(), m.row_tuples(), atol=1e-6
+                    )
+            np.testing.assert_allclose(
+                lb.Wo.row_tuples(), lp.Wo.row_tuples(), atol=1e-6
+            )
 
     def test_loaded_params_run_forward(self):
         config = MultiHeadConfig(d=4, n=2, layers=1)

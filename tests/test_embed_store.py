@@ -1,6 +1,8 @@
 """Tests for embedding table storage and nearest-neighbour search."""
 
 import io
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,56 @@ from embgeom.errors import (
 from embgeom.linalg import Matrix, Vector
 
 MINIMAL = b"2 2\na 1 0\nb 0 1\n"
+
+# The text loader's production chunk size, and one of a few bytes that puts
+# every row in a chunk of its own.
+CHUNK_SIZES = {"production": embed_store._CHUNK_BYTES, "few-bytes": 3}
+
+# One fault each, on a row past the first, so at a few bytes per chunk it
+# lands past a chunk boundary: (input, lowercase, the ParseError's message).
+MALFORMED = {
+    "extra-rows": (
+        b"2 2\na 1 0\nb 0 1\nc 1 1\n", False, "line 4: expected 2 embedding rows, found more"
+    ),
+    "missing-rows": (
+        b"3 2\na 1 0\nb 0 1\n", False, "line 4: expected 3 embedding rows, found 2"
+    ),
+    "wrong-field-count": (
+        b"2 2\na 1 0\nb 0 1 2\n", False, "line 3: row 'b' needs 2 single-spaced values"
+    ),
+    "double-space": (
+        b"2 2\na 1 0\nb 1  0\n", False, "line 3: row 'b' needs 2 single-spaced values"
+    ),
+    "lone-trailing-space": (b"2 1\na 1\nb \n", False, "line 3: row 'b' needs 1 single"),
+    "trailing-space": (
+        b"2 2\na 1 0\nb 1 0 \n", False, "line 3: row 'b' needs 2 single-spaced values"
+    ),
+    "empty-token": (b"2 1\na 1\n 1\n", False, "line 3: row must be '<token> <x1> ...'"),
+    "duplicate": (b"2 1\na 1\na 2\n", False, "line 3: duplicate token 'a'"),
+    "duplicate-lowercase": (
+        b"2 1\nApple 1\napple 2\n", True, "line 3: duplicate token 'apple'"
+    ),
+    "nan": (b"3 1\na 1\nb nan\nc 1\n", False, "line 3: not a decimal float: 'nan'"),
+    "inf": (b"3 1\na 1\nb -inf\nc 1\n", False, "line 3: not a decimal float: '-inf'"),
+    "overflow": (b"2 1\na 1\nb 1e999\n", False, "line 3: value out of range: '1e999'"),
+    "underscore": (b"2 1\na 1\nb 1_0\n", False, "line 3: not a decimal float: '1_0'"),
+    "hex": (b"2 1\na 1\nb 0x3\n", False, "line 3: not a decimal float: '0x3'"),
+    "carriage-return": (
+        b"2 2\na 1 0\r\nb 0 1\r\n", False, "line 2: tab or carriage return"
+    ),
+    "tab": (b"2 2\na 1 0\nb\t0 1\n", False, "line 3: tab or carriage return"),
+    "whitespace-in-token": (
+        b"2 1\na 1\nb\x0cc 1\n", False, "line 3: invalid token: 'b\\x0cc'"
+    ),
+    "form-feed-in-value": (
+        b"2 1\na 1\nb \x0c1\n", False, "line 3: not a decimal float: '\\x0c1'"
+    ),
+    "whitespace-in-value": (
+        b"2 1\na 1\nb 1\xc2\xa0\n", False, "line 3: not a decimal float: '1\\xa0'"
+    ),
+    "invalid-utf8": (b"2 1\na 1\n\xff 1\n", False, "line 3: not valid UTF-8"),
+    "lone-surrogate": ("2 1\na 1\n\ud800 1\n", False, "line 3: not valid UTF-8"),
+}
 
 
 def make_table(tokens, rows):
@@ -172,6 +224,81 @@ class TestTextFormat:
     def test_unicode_tokens(self):
         t = load_embeddings_text("2 1\ncafé 1\n日本 2\n".encode("utf-8"))
         assert t.lookup("日本") == Vector([2.0])
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES.values(), ids=CHUNK_SIZES)
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_fault_past_chunk_boundary(self, monkeypatch, case, chunk_bytes):
+        data, lowercase, message = MALFORMED[case]
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", chunk_bytes)
+        with pytest.raises(ParseError) as exc:
+            load_embeddings_text(data, lowercase=lowercase)
+        assert str(exc.value).startswith(message)
+
+    def test_mutants_load_alike_at_every_chunk_size(self, monkeypatch):
+        # Whatever the chunk size, a mutated file loads to the same table or
+        # fails with the same ParseError, which names its first faulty line.
+        def outcome(data):
+            try:
+                t = load_embeddings_text(data)
+            except ParseError as exc:
+                return str(exc)
+            return t.vocab, t._array.tobytes()
+
+        blob = "3 2\nriver 1 -0.5\n日本 0.25 3\n##s 0 1.5\n".encode("utf-8")
+        rng = random.Random(25)
+        for _ in range(300):
+            bad = blob
+            for _ in range(2):
+                i = rng.randrange(len(bad))
+                junk = bytes(rng.choice(b" \n\t\x0c\xa0\xff1.e-x") for _ in range(2))
+                bad = bad[:i] + junk[: rng.randint(0, 2)] + bad[i + rng.randint(0, 2) :]
+            seen = set()
+            for size in CHUNK_SIZES.values():
+                monkeypatch.setattr(embed_store, "_CHUNK_BYTES", size)
+                seen.add(repr(outcome(bad)))
+            assert len(seen) == 1, bad
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES.values(), ids=CHUNK_SIZES)
+    def test_no_final_newline_past_chunk_boundary(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", chunk_bytes)
+        t = load_embeddings_text("3 2\na 1 0\n日本 0 1\nc 3.0 -2".encode("utf-8"))
+        assert t.vocab == ("a", "日本", "c")
+        assert t.lookup("c") == Vector([3.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "chunk_bytes", [*CHUNK_SIZES.values(), 4096], ids=[*CHUNK_SIZES, "4-kib"]
+    )
+    def test_chunked_parse_equals_loadtxt(self, monkeypatch, chunk_bytes):
+        rng = np.random.default_rng(23)
+        rows = rng.normal(size=(300, 12)) * rng.choice(
+            [1e-300, 1e-6, 1.0, 1e6, 1e300], size=(300, 1)
+        )
+        vocab = [f"t{i}" for i in range(299)] + ["日本"]
+        t = make_table(vocab, rows)
+        blob = save_embeddings_text(t)
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", chunk_bytes)
+        back = load_embeddings_text(blob)
+        values = [line.partition(" ")[2] for line in blob.decode().split("\n")[1:-1]]
+        assert back == make_table(vocab, np.loadtxt(values, ndmin=2))
+        assert back == t  # f64 text round trips are exact
+
+
+class TestTextLoadMemory:
+    def test_peak_below_input_size(self, monkeypatch):
+        # About 15.5 MB of %.17g text for a 6 MB table; numpy registers its
+        # buffers with tracemalloc, so the peak counts the table too.
+        rng = np.random.default_rng(24)
+        t = make_table([f"t{i}" for i in range(1000)], rng.normal(size=(1000, 768)))
+        raw = save_embeddings_text(t)
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            back = load_embeddings_text(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == t
+        assert peak < len(raw)
 
 
 class TestBinaryFormat:

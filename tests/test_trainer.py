@@ -223,8 +223,8 @@ class TestLossAndGradients:
         )
         loss, grads = loss_and_gradients(m, TrainingExample(target=0, context={1}))
         assert loss < 1e-9
-        assert max(abs(g) for g in grads.dW_in.entries) < 1e-9
-        assert max(abs(g) for g in grads.dW_out.entries) < 1e-9
+        assert np.max(np.abs(grads.dW_in.row_tuples())) < 1e-9
+        assert np.max(np.abs(grads.dW_out.row_tuples())) < 1e-9
 
     def test_non_context_rows_have_zero_gradient(self):
         rng = np.random.default_rng(42)
@@ -297,7 +297,7 @@ class TestSgdStep:
         twice = sgd_step(sgd_step(m, grads, lr=0.1), grads, lr=0.1)
         once = sgd_step(m, grads, lr=0.2)
         np.testing.assert_allclose(
-            twice.W_in.entries, once.W_in.entries, atol=1e-12
+            twice.W_in.row_tuples(), once.W_in.row_tuples(), atol=1e-12
         )
 
     def test_shape_mismatch(self):
