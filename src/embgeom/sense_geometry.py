@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
+import numpy as np
+
 from . import container, linalg
 from .errors import (
     DegenerateClassError,
@@ -50,6 +52,10 @@ __all__ = [
 ]
 
 METRICS = ("cosine", "euclidean")
+
+# 2-means: the farthest pair plus seeded random pairs, each run to a fixpoint
+RESTARTS = 10
+MAX_ITER = 100
 
 
 def _check_metric(metric):
@@ -150,72 +156,50 @@ def contextual_shift(token_emb, ctx_emb, metric="cosine"):
     return _distance(token_emb, ctx_emb, metric)
 
 
-def _norm_tuple(x):
-    return math.sqrt(sum(map(mul, x, x)))
+def _row_norms(a):
+    return np.sqrt((a * a).sum(axis=1))
 
 
-def _point_distance(x, xnorm, c, cnorm, metric):
-    # distance between an occurrence and a centroid on raw tuples
+def _distances(x, xnorms, c, metric):
+    """Distances from each row of ``x`` (n x d) to each row of ``c`` (k x d), as n x k."""
     if metric == "euclidean":
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, c)))
-    if xnorm == 0.0 or cnorm == 0.0:
+        # from differences, one row of c at a time: no n x k x d intermediate
+        # and no cancellation from expanding |x - c|^2
+        return np.column_stack([_row_norms(x - row) for row in c])
+    cnorms = _row_norms(c)
+    if not (xnorms.all() and cnorms.all()):
         raise ZeroVectorError("cosine distance is undefined for zero-norm vectors")
-    return 1.0 - sum(map(mul, x, c)) / (xnorm * cnorm)
+    dist = x @ c.T
+    dist /= np.outer(xnorms, cnorms)
+    return np.subtract(1.0, dist, out=dist)
 
 
-def _mean_rows(points, members):
-    d = len(points[0])
-    acc = [0.0] * d
-    for i in members:
-        row = points[i]
-        for j in range(d):
-            acc[j] += row[j]
-    inv = 1.0 / len(members)
-    return tuple(a * inv for a in acc)
-
-
-def _lloyd(points, norms, init_pair, metric, max_iter):
+def _lloyd(x, norms, init_pair, metric):
     """Two-centroid k-means from one starting pair; returns (assign, centroids, cost)."""
-    n = len(points)
-    centroids = [points[init_pair[0]], points[init_pair[1]]]
-    assign = [-1] * n
-    for _ in range(max_iter):
-        cnorms = [_norm_tuple(c) for c in centroids]
-        changed = False
-        for i, x in enumerate(points):
-            d0 = _point_distance(x, norms[i], centroids[0], cnorms[0], metric)
-            d1 = _point_distance(x, norms[i], centroids[1], cnorms[1], metric)
-            best = 0 if d0 <= d1 else 1
-            if assign[i] != best:
-                assign[i] = best
-                changed = True
-        members = ([i for i in range(n) if assign[i] == 0],
-                   [i for i in range(n) if assign[i] == 1])
-        # an emptied cluster keeps its previous centroid
-        centroids = [
-            _mean_rows(points, members[k]) if members[k] else centroids[k]
-            for k in range(2)
-        ]
+    centroids = x[list(init_pair)]
+    assign = None
+    for _ in range(MAX_ITER):
+        dist = _distances(x, norms, centroids, metric)
+        new = np.where(dist[:, 0] <= dist[:, 1], 0, 1)
+        changed = assign is None or not np.array_equal(new, assign)
+        assign = new
+        for k in (0, 1):
+            members = x[assign == k]
+            # an emptied cluster keeps its previous centroid
+            if len(members):
+                centroids[k] = members.sum(axis=0) * (1.0 / len(members))
         if not changed:
             break
-    cnorms = [_norm_tuple(c) for c in centroids]
-    cost = sum(
-        _point_distance(x, norms[i], centroids[assign[i]], cnorms[assign[i]], metric)
-        for i, x in enumerate(points)
-    )
-    return assign, centroids, cost
+    dist = _distances(x, norms, centroids, metric)
+    return assign, centroids, float(dist[np.arange(len(x)), assign].sum())
 
 
-def _farthest_pair(points, norms, metric):
-    best = None
-    best_d = -1.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = _point_distance(points[i], norms[i], points[j], norms[j], metric)
-            if d > best_d:
-                best_d = d
-                best = (i, j)
-    return best
+def _farthest_pair(x, norms, metric):
+    # the first maximum in row-major i < j order: argmax scans row-major,
+    # and the masked diagonal and lower triangle can never be the maximum
+    dist = _distances(x, norms, x, metric)
+    dist[np.tri(len(x), dtype=bool)] = -np.inf
+    return divmod(int(np.argmax(dist)), len(x))
 
 
 def _purity(assign, gold_labels):
@@ -238,17 +222,18 @@ def _purity(assign, gold_labels):
 
 
 def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
-                       metric="cosine", restarts=10, max_iter=100):
+                       metric="cosine"):
     """Split a homonym's occurrence vectors into two sense clusters.
 
-    Runs k-means with k=2: the first restart initializes centroids at the
-    farthest occurrence pair, the remaining ``restarts - 1`` at seeded
-    random distinct pairs; the run with the lowest within-cluster distance
-    sum wins (first winner on ties). The report carries both centroids,
-    their distance, the token embedding's distance to each, purity against
-    ``gold_labels`` when given, and the betweenness flag: whether the token
-    embedding is at least as similar to each centroid as the centroids are
-    to each other.
+    Runs k-means with k=2: the first of ``RESTARTS`` restarts initializes
+    centroids at the farthest occurrence pair, the rest at seeded random
+    distinct pairs; each runs until an assignment pass changes nothing, for
+    at most ``MAX_ITER`` passes. The run with the lowest within-cluster
+    distance sum wins (first winner on ties). The report carries both
+    centroids, their distance, the token embedding's distance to each,
+    purity against ``gold_labels`` when given, and the betweenness flag:
+    whether the token embedding is at least as similar to each centroid as
+    the centroids are to each other.
     """
     _check_metric(metric)
     token = Vector(token_emb)
@@ -262,24 +247,27 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
             raise DimensionError(
                 f"occurrence dim {p.dim} does not match token dim {token.dim}"
             )
-    raw = [p.components for p in points]
-    norms = [_norm_tuple(x) for x in raw]
+    x = np.array([p.components for p in points], dtype=np.float64)
+    n = len(x)
 
     rng = random.Random(seed)
-    n = len(raw)
-    inits = [_farthest_pair(raw, norms, metric)]
-    while len(inits) < restarts:
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i != j:
-            inits.append((i, j))
-
-    best = None
-    for pair in inits:
-        assign, centroids, cost = _lloyd(raw, norms, pair, metric, max_iter)
-        if best is None or cost < best[2] - 1e-12:
-            best = (assign, centroids, cost)
-    assign, centroids, _ = best
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            norms = _row_norms(x)
+            inits = [_farthest_pair(x, norms, metric)]
+            while len(inits) < RESTARTS:
+                i = rng.randrange(n)
+                j = rng.randrange(n)
+                if i != j:
+                    inits.append((i, j))
+            best = None
+            for pair in inits:
+                assign, centroids, cost = _lloyd(x, norms, pair, metric)
+                if best is None or cost < best[2] - 1e-12:
+                    best = (assign, centroids, cost)
+    except FloatingPointError as exc:
+        raise ValueError(f"occurrence vectors too large for float64 distances: {exc}") from None
+    assign, centroids = best[0].tolist(), best[1].tolist()
 
     c0, c1 = Vector(centroids[0]), Vector(centroids[1])
     dist = _distance(c0, c1, metric)

@@ -433,6 +433,21 @@ class TestSenseSubcommands:
         )
         assert code == 1
 
+    def test_separate_zero_norm_occurrence_is_domain_error(self, capsys, tmp_path):
+        senses = tmp_path / "zero.tsv"
+        senses.write_text(SENSES_TSV + "bank\tmoney\t0 0\n", encoding="utf-8")
+        bank = tmp_path / "bank.vec"
+        bank.write_text("1 2\nbank 0.5 0.5\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["separate", "--senses", str(senses), "--word", "bank",
+             "--table", str(bank)],
+        )
+        assert code == 1
+        assert err.startswith("ZeroVectorError: ")
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestProbes:
     def test_train_then_eval(self, capsys, tmp_path):

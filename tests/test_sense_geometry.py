@@ -1,11 +1,16 @@
 """Tests for sense centroids, homonym clustering, and probing classifiers."""
 
 import math
+import random
 import struct
+import time
+import warnings
+from operator import mul
 
 import numpy as np
 import pytest
 
+from embgeom import sense_geometry
 from embgeom.errors import (
     DegenerateClassError,
     DegenerateClustersWarning,
@@ -38,6 +43,103 @@ from embgeom.sense_geometry import (
     sense_centroid,
     sense_distance,
 )
+
+
+# The pure-Python 2-means that homonym_separation ran before its array
+# kernel, kept as the reference the kernel is replayed against.
+
+
+def _norm_tuple(x):
+    return math.sqrt(sum(map(mul, x, x)))
+
+
+def _point_distance(x, xnorm, c, cnorm, metric):
+    if metric == "euclidean":
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, c)))
+    if xnorm == 0.0 or cnorm == 0.0:
+        raise ZeroVectorError("cosine distance is undefined for zero-norm vectors")
+    return 1.0 - sum(map(mul, x, c)) / (xnorm * cnorm)
+
+
+def _mean_rows(points, members):
+    d = len(points[0])
+    acc = [0.0] * d
+    for i in members:
+        row = points[i]
+        for j in range(d):
+            acc[j] += row[j]
+    inv = 1.0 / len(members)
+    return tuple(a * inv for a in acc)
+
+
+def reference_lloyd(points, norms, init_pair, metric):
+    n = len(points)
+    centroids = [points[init_pair[0]], points[init_pair[1]]]
+    assign = [-1] * n
+    for _ in range(sense_geometry.MAX_ITER):
+        cnorms = [_norm_tuple(c) for c in centroids]
+        changed = False
+        for i, x in enumerate(points):
+            d0 = _point_distance(x, norms[i], centroids[0], cnorms[0], metric)
+            d1 = _point_distance(x, norms[i], centroids[1], cnorms[1], metric)
+            best = 0 if d0 <= d1 else 1
+            if assign[i] != best:
+                assign[i] = best
+                changed = True
+        members = ([i for i in range(n) if assign[i] == 0],
+                   [i for i in range(n) if assign[i] == 1])
+        centroids = [
+            _mean_rows(points, members[k]) if members[k] else centroids[k]
+            for k in range(2)
+        ]
+        if not changed:
+            break
+    cnorms = [_norm_tuple(c) for c in centroids]
+    cost = sum(
+        _point_distance(x, norms[i], centroids[assign[i]], cnorms[assign[i]], metric)
+        for i, x in enumerate(points)
+    )
+    return assign, centroids, cost
+
+
+def reference_farthest_pair(points, norms, metric):
+    best = None
+    best_d = -1.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = _point_distance(points[i], norms[i], points[j], norms[j], metric)
+            if d > best_d:
+                best_d = d
+                best = (i, j)
+    return best
+
+
+def reference_separation(occurrences, seed, metric):
+    """Assignments and centroids of homonym_separation, replayed in pure Python."""
+    raw = [tuple(map(float, v)) for v in occurrences]
+    norms = [_norm_tuple(x) for x in raw]
+    rng = random.Random(seed)
+    inits = [reference_farthest_pair(raw, norms, metric)]
+    while len(inits) < sense_geometry.RESTARTS:
+        i = rng.randrange(len(raw))
+        j = rng.randrange(len(raw))
+        if i != j:
+            inits.append((i, j))
+    best = None
+    for pair in inits:
+        assign, centroids, cost = reference_lloyd(raw, norms, pair, metric)
+        if best is None or cost < best[2] - 1e-12:
+            best = (assign, centroids, cost)
+    return tuple(best[0]), best[1]
+
+
+def two_clusters(n, d, seed):
+    """n occurrences, each near one of two random directions, with clear margins."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(2, d))
+    labels = rng.integers(0, 2, size=n)
+    occ = centers[labels] + 0.1 * rng.normal(size=(n, d))
+    return occ.tolist(), rng.normal(size=d).tolist()
 
 
 class TestSenseCentroid:
@@ -202,6 +304,86 @@ class TestHomonymSeparation:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             homonym_separation([1.0, 0.0], [[1.0], [2.0], [3.0], [4.0]])
+
+    def test_equidistant_point_goes_to_cluster_0(self):
+        # farthest pair (0, 3) seeds centroids -1 and 1; the point at 0 is
+        # equidistant and joins cluster 0, whose mean -2/3 then holds it.
+        # The mirror split costs the same, so no restart replaces this one.
+        report = homonym_separation(
+            [0.5], [[-1.0], [-1.0], [0.0], [1.0], [1.0]], metric="euclidean"
+        )
+        assert report.assignments == (0, 0, 0, 1, 1)
+        assert report.centroids[0][0] == pytest.approx(-2 / 3, abs=1e-15)
+
+    def test_first_of_equally_far_pairs_seeds_first_restart(self):
+        # pairs (0, 1) and (1, 2) are both exactly 10 apart; (0, 1) comes
+        # first, so occurrence 0 seeds cluster 0. Seeding from (1, 2) would
+        # label the same optimal split the other way round.
+        occ = [[0.0, 0.0], [10.0, 0.0], [4.0, 8.0], [9.0, 1.0]]
+        report = homonym_separation([5.0, 2.0], occ, metric="euclidean")
+        assert report.assignments == (0, 1, 0, 1)
+
+    def test_zero_norm_occurrence(self):
+        occ = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
+        with pytest.raises(ZeroVectorError):
+            homonym_separation([1.0, 1.0], occ)
+        report = homonym_separation([1.0, 1.0], occ, metric="euclidean")
+        assert len(report.assignments) == 5
+
+    def test_centroid_averaging_to_zero(self):
+        # a restart seeded on two copies of one occurrence ties every
+        # occurrence to cluster 0, whose mean is the zero vector
+        occ = [[1.0, 0.0]] * 4 + [[-1.0, 0.0]] * 4
+        with pytest.raises(ZeroVectorError):
+            homonym_separation([1.0, 1.0], occ, seed=0)
+
+    def test_no_numpy_warning(self):
+        occ, token = two_clusters(30, 5, seed=60)
+        zero = [[0.0] * 5] + occ
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for metric in ("cosine", "euclidean"):
+                homonym_separation(token, occ, metric=metric)
+            homonym_separation(token, zero, metric="euclidean")
+            with pytest.raises(ZeroVectorError):
+                homonym_separation(token, zero)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_float64_overflow_is_value_error(self, metric):
+        occ = [[1e200, 0.0], [1e200, 1.0], [-1e200, 0.0], [-1e200, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large"):
+                homonym_separation([1.0, 1.0], occ, metric=metric)
+
+
+class TestSeparationMatchesReference:
+    @pytest.mark.parametrize("metric, n, d, seed", [
+        ("cosine", 150, 32, 61),
+        ("cosine", 24, 768, 62),
+        ("euclidean", 40, 4, 63),
+    ])
+    def test_replay(self, metric, n, d, seed):
+        occ, token = two_clusters(n, d, seed)
+        for split_seed in range(3):
+            report = homonym_separation(token, occ, seed=split_seed, metric=metric)
+            assign, centroids = reference_separation(occ, split_seed, metric)
+            assert report.assignments == assign
+            np.testing.assert_allclose(
+                [c.components for c in report.centroids], centroids, atol=1e-12, rtol=0
+            )
+
+
+class TestSeparationBudget:
+    def test_n400_d64_under_fifth_of_a_second(self):
+        # the array kernel takes about 0.03 s here; the pure-Python
+        # reference takes about 0.4 s, most of it in the farthest pair
+        occ, token = two_clusters(400, 64, seed=64)
+        start = time.perf_counter()
+        report = homonym_separation(token, occ)
+        elapsed = time.perf_counter() - start
+        assert len(report.assignments) == 400
+        assert elapsed < 0.2, f"homonym_separation took {elapsed:.2f} s"
 
 
 class TestInventoryReport:
