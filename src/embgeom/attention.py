@@ -53,13 +53,6 @@ DEFAULT_CONTEXT_WINDOW = 128
 _TINY = math.ulp(0.0)
 
 
-def _frozen_array(m):
-    """A read-only float64 copy of a Matrix, built once per parameter set."""
-    a = np.array(m.row_tuples(), dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class AttentionHeadParams:
     """Projection matrices for one head; all three map dim d to dim d_head."""
@@ -74,8 +67,6 @@ class AttentionHeadParams:
             raise DimensionError(
                 f"head projections disagree on shape: {sorted(shapes)}"
             )
-        # Not dataclass fields, so equality, hashing and repr see the Matrices.
-        object.__setattr__(self, "_qkv", tuple(map(_frozen_array, (self.Wq, self.Wk, self.Wv))))
 
     @property
     def d(self):
@@ -109,7 +100,6 @@ class AttentionLayerParams:
             )
         if self.Wo.shape != (d, d):
             raise DimensionError(f"Wo must be {d}x{d}, got {self.Wo.rows}x{self.Wo.cols}")
-        object.__setattr__(self, "_wo", _frozen_array(self.Wo))
 
     @property
     def d(self):
@@ -192,30 +182,6 @@ def attention_weights(query, keys, scale_scores=True):
     return linalg.softmax(scores)
 
 
-def _sequence_array(seq):
-    """``seq`` as an L x d float64 array with L, d >= 1 and finite entries.
-
-    Accepts a sequence of vectors or an array; rows of different dims raise
-    DimensionError, as they did when each row met a projection on its own.
-    """
-    if isinstance(seq, np.ndarray):
-        x = seq.astype(np.float64, copy=False)
-        if x.ndim != 2:
-            raise DimensionError(f"a sequence array must be L x d, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("sequence has a non-finite component")
-    else:
-        rows = [Vector(v).components for v in seq]
-        d = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != d:
-                raise DimensionError(f"mixed vector dims: {len(r)} != {d}")
-        x = np.array(rows, dtype=np.float64).reshape(len(rows), d)
-    if x.size == 0:
-        raise EmptyInputError("attention needs at least one position")
-    return x
-
-
 def head_forward(seq, params, scale_scores=True):
     """Run one attention head over a sequence of d-dim vectors.
 
@@ -223,10 +189,10 @@ def head_forward(seq, params, scale_scores=True):
     weights from position i's query against every position's key. Each
     output has dim d_head and lies in the convex hull of the values.
     """
-    x = _sequence_array(seq)
+    x = linalg.matrix_array(seq)
     if x.shape[1] != params.d:
         raise DimensionError(f"head expects input dim {params.d}, sequence has {x.shape[1]}")
-    wq, wk, wv = params._qkv
+    wq, wk, wv = params.Wq.array, params.Wk.array, params.Wv.array
     scores = (x @ wq.T) @ (x @ wk.T).T
     if scale_scores:
         scores /= math.sqrt(params.d_head)
@@ -240,10 +206,9 @@ def head_forward(seq, params, scale_scores=True):
 def multihead_forward(seq, heads, Wo, scale_scores=True):
     """Run every head, concatenate per position, project back to dim d.
 
-    ``Wo`` is a d x d Matrix or, as :func:`stack_forward` passes it, the
-    same weights as a float64 array.
+    ``Wo`` is the layer's d x d output projection Matrix.
     """
-    x = _sequence_array(seq)
+    x = linalg.matrix_array(seq)
     heads = list(heads)
     if not heads:
         raise EmptyInputError("attention needs at least one head")
@@ -260,12 +225,11 @@ def multihead_forward(seq, heads, Wo, scale_scores=True):
                 f"head emits dim {h.d_head}, expected d/n = {d_head}"
             )
     if Wo.shape != (d, d):
-        raise DimensionError(f"Wo must be {d}x{d}, got {Wo.shape[0]}x{Wo.shape[1]}")
-    wo = Wo if isinstance(Wo, np.ndarray) else np.array(Wo.row_tuples(), dtype=np.float64)
+        raise DimensionError(f"Wo must be {d}x{d}, got {Wo.rows}x{Wo.cols}")
 
     per_head = [head_forward(x, h, scale_scores=scale_scores) for h in heads]
     joined = np.hstack([[v.components for v in out] for out in per_head])
-    return [Vector(row) for row in (joined @ wo.T).tolist()]
+    return [Vector(row) for row in (joined @ Wo.array.T).tolist()]
 
 
 def stack_forward(seq, config, layer_params):
@@ -301,7 +265,7 @@ def stack_forward(seq, config, layer_params):
                 f"layer has {len(lp.heads)} heads, config expects {config.n}"
             )
         vectors = multihead_forward(
-            vectors, lp.heads, lp._wo, scale_scores=config.scale_scores
+            vectors, lp.heads, lp.Wo, scale_scores=config.scale_scores
         )
     return vectors
 
@@ -354,7 +318,7 @@ def _random_matrix(rows, cols, bound, rng):
     draw = rng.random
     u = np.array([draw() for _ in range(rows * cols)]).reshape(rows, cols)
     lo, hi = -bound, bound
-    return Matrix((lo + (hi - lo) * u).tolist())
+    return Matrix(lo + (hi - lo) * u)
 
 
 def random_stack_params(config, seed):
@@ -385,7 +349,7 @@ def save_named_matrices(named):
     parts = [container.ATT1, container.u64s(len(named))]
     for name, m in named.items():
         parts += (container.names([name]), container.u64s(m.rows, m.cols),
-                  container.floats(m.row_tuples(), "<f4"))
+                  container.floats(m.array, "<f4"))
     return b"".join(parts)
 
 
@@ -400,7 +364,7 @@ def load_named_matrices(source):
         entries = r.floats(rows * cols, "<f4", f"payload of matrix {name!r}")
         if name in out:
             raise ParseError(f"duplicate matrix name {name!r}")
-        out[name] = Matrix.from_flat(rows, cols, entries.tolist())
+        out[name] = Matrix(entries.reshape(rows, cols))
     r.end()
     return out
 

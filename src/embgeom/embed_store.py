@@ -78,10 +78,7 @@ class EmbeddingTable:
             raise EmptyInputError("a table needs at least one token")
         index = token_index(vocab)
 
-        if isinstance(rows, Matrix):
-            arr = np.array(rows.row_tuples(), dtype=np.float64)
-        else:
-            arr = np.asarray(rows, dtype=np.float64)
+        arr = np.asarray(rows.array if isinstance(rows, Matrix) else rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != len(vocab) or arr.shape[1] < 1:
             raise DimensionError(
                 f"need a {len(vocab)} x D matrix, got shape {arr.shape}"

@@ -1,22 +1,26 @@
 """Dense vector/matrix primitives used by every other module.
 
-Everything here is plain 64-bit Python floats and tuples: exact, immutable,
-and free of third-party dependencies. Throughput is a non-goal; the point
-is that each operation is small enough to verify by hand. ``Vector`` and
-``Matrix`` are the types the public API speaks; the operations are the
-reference for the attention stack, which runs on numpy arrays and which the
-tests replay through ``linear_apply`` and ``attention_weights`` (``dot``
-then ``softmax``) to 1e-12.
+A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
+read-only float64 numpy array, the same array the numpy code computes
+with. :func:`matrix_array` is the one validator for 2-D input. The
+operations here work on plain floats and tuples: exact, and each small
+enough to verify by hand. Throughput is a non-goal; they are the reference
+for the attention stack, which runs on numpy arrays and which the tests
+replay through ``linear_apply`` and ``attention_weights`` (``dot`` then
+``softmax``) to 1e-12.
 """
 
 import math
 from operator import mul
+
+import numpy as np
 
 from .errors import DimensionError, EmptyInputError, ZeroVectorError
 
 __all__ = [
     "Vector",
     "Matrix",
+    "matrix_array",
     "dot",
     "norm",
     "cosine",
@@ -107,37 +111,50 @@ def _components(v):
     return Vector(v).components
 
 
-class Matrix:
-    """An immutable rows x cols matrix of finite reals, stored row-major."""
+def matrix_array(rows):
+    """``rows`` as a validated rows x cols float64 array, rows, cols >= 1.
 
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        if isinstance(rows, Matrix):
-            self._rows = rows._rows
-            return
-        packed = tuple(tuple(map(float, row)) for row in rows)
+    Takes a Matrix, a numpy array or a sequence of rows of reals (Vectors
+    or any iterables). Empty input raises EmptyInputError, rows of
+    different lengths or an array that is not 2-D raise DimensionError,
+    and a non-finite entry raises ValueError. An array or Matrix argument
+    is returned without a copy when it is already float64.
+    """
+    if isinstance(rows, Matrix):
+        return rows.array
+    if isinstance(rows, np.ndarray):
+        a = rows.astype(np.float64, copy=False)
+        if a.ndim != 2:
+            raise DimensionError(f"need a 2-D array, got shape {a.shape}")
+    else:
+        packed = [r.components if isinstance(r, Vector) else tuple(map(float, r))
+                  for r in rows]
         if not packed or not packed[0]:
             raise EmptyInputError("a matrix needs at least one row and one column")
         width = len(packed[0])
         for i, row in enumerate(packed):
             if len(row) != width:
-                raise DimensionError(
-                    f"row {i} has {len(row)} entries, expected {width}"
-                )
-            _check_finite(row)
-        self._rows = packed
+                raise DimensionError(f"row {i} has {len(row)} entries, expected {width}")
+        a = np.array(packed, dtype=np.float64)
+    if a.size == 0:
+        raise EmptyInputError("a matrix needs at least one row and one column")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
+    return a
 
-    @classmethod
-    def from_flat(cls, rows, cols, entries):
-        entries = tuple(map(float, entries))
-        if rows < 1 or cols < 1:
-            raise EmptyInputError("a matrix needs at least one row and one column")
-        if len(entries) != rows * cols:
-            raise DimensionError(
-                f"{len(entries)} entries cannot fill a {rows}x{cols} matrix"
-            )
-        return cls(entries[i * cols : (i + 1) * cols] for i in range(rows))
+
+class Matrix:
+    """An immutable rows x cols matrix of finite reals: one read-only float64 array."""
+
+    __slots__ = ("_array",)
+
+    def __init__(self, rows):
+        if isinstance(rows, Matrix):
+            self._array = rows._array
+            return
+        a = np.array(matrix_array(rows))  # a copy the caller cannot write
+        a.flags.writeable = False
+        self._array = a
 
     @classmethod
     def identity(cls, n):
@@ -151,30 +168,41 @@ class Matrix:
         return cls(row for _ in range(rows))
 
     @property
+    def array(self):
+        """The entries as a read-only rows x cols float64 array."""
+        return self._array
+
+    @property
     def rows(self):
-        return len(self._rows)
+        return self._array.shape[0]
 
     @property
     def cols(self):
-        return len(self._rows[0])
+        return self._array.shape[1]
 
     @property
     def shape(self):
-        return (self.rows, self.cols)
+        return self._array.shape
 
     def row(self, i):
-        return Vector(self._rows[i])
+        return Vector(self._array[i].tolist())
 
     def row_tuples(self):
-        return self._rows
+        """The rows as tuples of Python floats, built on each call."""
+        return tuple(map(tuple, self._array.tolist()))
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
-            return self._rows == other._rows
+            return np.array_equal(self._array, other._array)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._rows)
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.shape, (self._array + 0.0).tobytes()))
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a pickled or deep-copied Matrix is frozen too
+        return (Matrix, (self._array,))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -175,22 +175,26 @@ def _distances(x, xnorms, c, metric):
 
 
 def _lloyd(x, norms, init_pair, metric):
-    """Two-centroid k-means from one starting pair; returns (assign, centroids, cost)."""
+    """Two-centroid k-means from one starting pair; returns (assign, centroids, cost).
+
+    A pass that changes no assignment ends the run: its centroids are the
+    means of those same members and its distances are the final ones.
+    """
     centroids = x[list(init_pair)]
     assign = None
     for _ in range(MAX_ITER):
         dist = _distances(x, norms, centroids, metric)
         new = np.where(dist[:, 0] <= dist[:, 1], 0, 1)
-        changed = assign is None or not np.array_equal(new, assign)
+        if assign is not None and np.array_equal(new, assign):
+            break
         assign = new
         for k in (0, 1):
             members = x[assign == k]
             # an emptied cluster keeps its previous centroid
             if len(members):
                 centroids[k] = members.sum(axis=0) * (1.0 / len(members))
-        if not changed:
-            break
-    dist = _distances(x, norms, centroids, metric)
+    else:
+        dist = _distances(x, norms, centroids, metric)
     return assign, centroids, float(dist[np.arange(len(x)), assign].sum())
 
 
@@ -237,18 +241,15 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
     """
     _check_metric(metric)
     token = Vector(token_emb)
-    points = [Vector(v) for v in occurrences]
+    points = list(occurrences)
     if len(points) < 4:
         raise InsufficientDataError(
             f"homonym separation needs at least 4 occurrences, got {len(points)}"
         )
-    for p in points:
-        if p.dim != token.dim:
-            raise DimensionError(
-                f"occurrence dim {p.dim} does not match token dim {token.dim}"
-            )
-    x = np.array([p.components for p in points], dtype=np.float64)
-    n = len(x)
+    x = linalg.matrix_array(points)
+    n, d = x.shape
+    if d != token.dim:
+        raise DimensionError(f"occurrence dim {d} does not match token dim {token.dim}")
 
     rng = random.Random(seed)
     try:

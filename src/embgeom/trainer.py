@@ -318,7 +318,7 @@ def train(corpus, config, on_epoch=None):
         if on_epoch is not None:
             mean = total / len(order) if order else 0.0
             on_epoch(epoch, mean)
-    return ToyLM(vocab=vocab, W_in=Matrix(w_in.tolist()), W_out=Matrix(w_out.tolist()))
+    return ToyLM(vocab=vocab, W_in=Matrix(w_in), W_out=Matrix(w_out))
 
 
 def extract_embeddings(m):
@@ -347,7 +347,7 @@ def save_model(m):
     """
     blob = container.TLM1 + container.u64s(m.V, m.d) + container.names(m.vocab)
     for matrix in (m.W_in, m.W_out):
-        blob += container.floats(matrix.row_tuples(), "<f8")
+        blob += container.floats(matrix.array, "<f8")
     return blob
 
 
@@ -357,8 +357,7 @@ def load_model(source):
     V, d = r.u64s(2, "V and d")
     vocab = r.names(V, "vocabulary")
     W_in, W_out = (
-        Matrix.from_flat(V, d, r.floats(V * d, "<f8", "weights").tolist())
-        for _ in range(2)
+        Matrix(r.floats(V * d, "<f8", "weights").reshape(V, d)) for _ in range(2)
     )
     r.end()
     return container.build(ToyLM, vocab=tuple(vocab), W_in=W_in, W_out=W_out)

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -570,10 +571,41 @@ class TestRandomStackParams:
         # Matrix equality compares the floats exactly
         assert random_stack_params(config, seed=8) == tuple(expected)
 
+    def test_weights_are_stored_once(self):
+        # one float64 array per Matrix: about 8 bytes per weight, not a
+        # Python float and a tuple slot beside an array copy
+        config = MultiHeadConfig(d=64, n=4, layers=2)
+        tracemalloc.start()
+        try:
+            params = random_stack_params(config, seed=4)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = sum(
+            m.rows * m.cols
+            for lp in params
+            for m in (lp.Wo, *(w for h in lp.heads for w in (h.Wq, h.Wk, h.Wv)))
+        )
+        assert weights == 2 * 4 * 64 * 64
+        assert retained / weights <= 10
+
+    def test_heads_compute_on_the_matrix_arrays(self):
+        config = MultiHeadConfig(d=4, n=2, layers=1)
+        (lp,) = random_stack_params(config, seed=5)
+        for m in (lp.Wo, *(w for h in lp.heads for w in (h.Wq, h.Wk, h.Wv))):
+            assert m.array.dtype == np.float64
+            assert not m.array.flags.writeable
+        x = np.random.default_rng(5).normal(size=(3, 4))
+        out = as_array(attention.multihead_forward(x, lp.heads, lp.Wo))
+        joined = np.hstack([
+            as_array(attention.head_forward(x, h)) for h in lp.heads
+        ])
+        np.testing.assert_array_equal(out, joined @ lp.Wo.array.T)
+
 
 def head_matrices(layer, head, d_head, d):
     """One head's projections under their ATT1 names, all d_head x d."""
-    m = Matrix.from_flat(d_head, d, [1.0] * (d_head * d))
+    m = Matrix(np.reshape([1.0] * (d_head * d), (d_head, d)))
     return {f"layer{layer}.head{head}.{w}": m for w in ("Wq", "Wk", "Wv")}
 
 

@@ -1,6 +1,8 @@
 """Tests for the dependency-free linear algebra core."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,15 +80,6 @@ class TestMatrix:
         with pytest.raises(EmptyInputError):
             Matrix([[]])
 
-    def test_from_flat_roundtrip(self):
-        m = Matrix.from_flat(2, 2, [1, 2, 3, 4])
-        assert m == Matrix([[1, 2], [3, 4]])
-        assert m.row_tuples() == ((1.0, 2.0), (3.0, 4.0))
-
-    def test_from_flat_wrong_count(self):
-        with pytest.raises(DimensionError):
-            Matrix.from_flat(2, 2, [1, 2, 3])
-
     def test_identity(self):
         assert Matrix.identity(2) == Matrix([[1, 0], [0, 1]])
 
@@ -96,6 +89,82 @@ class TestMatrix:
     def test_row(self):
         m = Matrix([[1, 2], [3, 4]])
         assert m.row(1) == Vector([3, 4])
+
+    def test_row_tuples_are_python_floats(self):
+        rows = Matrix(np.array([[1, 2], [3, 4]])).row_tuples()
+        assert rows == ((1.0, 2.0), (3.0, 4.0))
+        assert all(type(x) is float for row in rows for x in row)
+
+    def test_array_is_a_read_only_float64_copy(self):
+        source = np.array([[1, 2], [3, 4]], dtype=np.float64)
+        m = Matrix(source)
+        assert m.array.dtype == np.float64
+        assert not m.array.flags.writeable
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 9.0
+        source[0, 0] = 9.0
+        assert m.array[0, 0] == 1.0
+        assert m == Matrix([[1, 2], [3, 4]])
+
+    def test_integer_array_becomes_float64(self):
+        m = Matrix(np.arange(6).reshape(2, 3))
+        assert m.array.dtype == np.float64
+        assert m.row_tuples() == ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
+
+    def test_array_not_two_dimensional_rejected(self):
+        with pytest.raises(DimensionError):
+            Matrix(np.ones(3))
+        with pytest.raises(DimensionError):
+            Matrix(np.ones((2, 2, 2)))
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(EmptyInputError):
+            Matrix(np.ones((0, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            Matrix(np.array([[1.0, math.nan]]))
+        with pytest.raises(ValueError):
+            Matrix([[1.0], [math.inf]])
+
+    def test_signed_zeros_equal_with_equal_hashes(self):
+        assert Matrix([[0.0]]) == Matrix([[-0.0]])
+        assert hash(Matrix([[0.0]])) == hash(Matrix([[-0.0]]))
+
+    def test_copies_stay_read_only(self):
+        m = Matrix([[1.0, 2.0], [3.0, 4.0]])
+        for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert back == m
+            assert not back.array.flags.writeable
+
+    def test_equality_needs_equal_shapes(self):
+        assert Matrix([[1.0, 2.0]]) != Matrix([[1.0], [2.0]])
+        assert Matrix([[1.0, 2.0]]) != Matrix([[1.0, 3.0]])
+
+
+class TestMatrixArray:
+    def test_rows_of_vectors_and_sequences(self):
+        x = linalg.matrix_array([Vector([1, 2]), (3, 4), [5.0, 6.0]])
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x, [[1, 2], [3, 4], [5, 6]])
+
+    def test_float64_array_and_matrix_pass_through(self):
+        a = np.ones((2, 3))
+        assert linalg.matrix_array(a) is a
+        m = Matrix(a)
+        assert linalg.matrix_array(m) is m.array
+
+    def test_errors(self):
+        with pytest.raises(EmptyInputError):
+            linalg.matrix_array([])
+        with pytest.raises(EmptyInputError):
+            linalg.matrix_array(np.ones((2, 0)))
+        with pytest.raises(DimensionError):
+            linalg.matrix_array([[1.0, 2.0], [3.0]])
+        with pytest.raises(DimensionError):
+            linalg.matrix_array(np.ones(4))
+        with pytest.raises(ValueError):
+            linalg.matrix_array([[1.0], [math.nan]])
 
 
 class TestDot:

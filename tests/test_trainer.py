@@ -400,8 +400,8 @@ class TestTrain:
     def test_single_example_convergence(self):
         m = ToyLM(
             vocab=tuple("abcd"),
-            W_in=Matrix.from_flat(4, 8, [0.01 * i for i in range(32)]),
-            W_out=Matrix.from_flat(4, 8, [0.02 * (i % 7) for i in range(32)]),
+            W_in=Matrix(np.reshape([0.01 * i for i in range(32)], (4, 8))),
+            W_out=Matrix(np.reshape([0.02 * (i % 7) for i in range(32)], (4, 8))),
         )
         ex = TrainingExample(target=0, context={1, 2})
         loss = None
