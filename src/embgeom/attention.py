@@ -315,8 +315,7 @@ def embed_sequence(table, tokens, use_positional=False,
 def _random_matrix(rows, cols, bound, rng):
     # rng.uniform(a, b) is a + (b - a) * rng.random(); the same two float64
     # operations in numpy give weights bit-identical to per-entry draws.
-    draw = rng.random
-    u = np.array([draw() for _ in range(rows * cols)]).reshape(rows, cols)
+    u = linalg.random_array(rng, rows * cols).reshape(rows, cols)
     lo, hi = -bound, bound
     return Matrix(lo + (hi - lo) * u)
 

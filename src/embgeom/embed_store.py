@@ -67,24 +67,41 @@ class EmbeddingTable:
     vocab : sequence of str
         Unique tokens, no internal whitespace, insertion order preserved.
     rows : Matrix, numpy array, or nested sequence
-        V x D real matrix; row i embeds vocab[i].
+        V x D real matrix; row i embeds vocab[i]. The table keeps a
+        read-only float64 copy, so later writes to ``rows`` do not reach
+        it; a Matrix's array is read-only already and is shared.
     """
 
     __slots__ = ("_vocab", "_index", "_array", "_norms", "_filter_masks")
 
     def __init__(self, vocab, rows):
+        # a copy the caller cannot write; a Matrix's array is one already
+        arr = rows.array if isinstance(rows, Matrix) else np.array(rows, dtype=np.float64)
+        self._adopt(vocab, arr)
+
+    @classmethod
+    def _take(cls, vocab, arr):
+        """A table over ``arr`` itself, for a float64 array nothing else holds.
+
+        The loaders hand over the array they just filled: no table-sized
+        copy. ``arr`` becomes read-only.
+        """
+        table = cls.__new__(cls)
+        table._adopt(vocab, arr)
+        return table
+
+    def _adopt(self, vocab, arr):
         vocab = tuple(vocab)
         if not vocab:
             raise EmptyInputError("a table needs at least one token")
         index = token_index(vocab)
-
-        arr = np.asarray(rows.array if isinstance(rows, Matrix) else rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != len(vocab) or arr.shape[1] < 1:
             raise DimensionError(
                 f"need a {len(vocab)} x D matrix, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise ValueError("embedding rows must be finite")
+        arr.flags.writeable = False
 
         self._vocab = vocab
         self._index = index
@@ -262,7 +279,7 @@ def load_embeddings_text(source, lowercase=False):
         pos = stop
     if (n := len(vocab)) < V:
         raise ParseError(f"expected {V} embedding rows, found {n}", line=n + 2)
-    return container.build(EmbeddingTable, vocab, arr)
+    return container.build(EmbeddingTable._take, vocab, arr)
 
 
 def _parse_rows(chunk, arr, V, D, vocab, lowercase):
@@ -366,7 +383,7 @@ def load_embeddings_binary(source):
     vocab = r.names(V, "vocabulary")
     arr = r.floats(V * D, "<f4", "matrix data").astype(np.float64).reshape(V, D)
     r.end()
-    return container.build(EmbeddingTable, vocab, arr)
+    return container.build(EmbeddingTable._take, vocab, arr)
 
 
 def save_embeddings_binary(table):

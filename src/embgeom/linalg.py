@@ -30,6 +30,30 @@ __all__ = [
 ]
 
 
+# Values per getrandbits call in random_array: 128 KiB of generator output.
+_DRAW_CHUNK = 1 << 14
+
+
+def random_array(rng, m):
+    """``m`` successive ``rng.random()`` values as a float64 array, drawn in bulk.
+
+    Equal bit for bit to ``m`` calls of ``rng.random()``, and ``rng`` ends
+    in the same state. ``random()`` takes two 32-bit Mersenne Twister words
+    a, b and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``;
+    ``getrandbits(64 * c)`` returns the next 2c words, the first in its
+    lowest 32 bits, so its little-endian bytes hold the same a, b pairs.
+    """
+    out = np.empty(m)
+    for start in range(0, m, _DRAW_CHUNK):
+        c = min(_DRAW_CHUNK, m - start)
+        w = np.frombuffer(rng.getrandbits(64 * c).to_bytes(8 * c, "little"), dtype="<u4")
+        u = out[start : start + c]
+        np.multiply(w[0::2] >> 5, 67108864.0, out=u)
+        u += w[1::2] >> 6
+        u *= 1.0 / 9007199254740992.0
+    return out
+
+
 def _check_finite(values):
     # Fast path: a finite sum proves nothing is nan/inf unless the sum
     # itself overflowed, so only then inspect element by element.

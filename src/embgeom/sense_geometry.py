@@ -11,7 +11,6 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -345,8 +344,8 @@ class ProbeConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
 
@@ -404,9 +403,11 @@ def probe_train(examples, config=None):
     Classes are the sorted union of all labels; each classifier treats
     examples carrying its class as positives and everything else as
     negatives. Weights start at zero and follow seeded-shuffle SGD on the
-    log loss, so a fixed config yields a fixed model. A class with no
-    positives or no negatives is untrainable one-vs-rest and raises
-    DegenerateClassError.
+    log loss, so a fixed config yields a fixed model. Each step updates
+    every class at once: one ``k x d`` mat-vec gives the ``k`` scores and
+    one outer product moves the weights. A class with no positives or no
+    negatives is untrainable one-vs-rest and raises DegenerateClassError;
+    weights that leave float64 raise ValueError.
     """
     if config is None:
         config = ProbeConfig()
@@ -422,30 +423,33 @@ def probe_train(examples, config=None):
         if positives == n:
             raise DegenerateClassError(f"class {c!r} has no negative examples")
 
-    d = pairs[0][0].dim
-    xs = [v.components for v, _ in pairs]
-    ys = {c: [1.0 if c in labels else 0.0 for _, labels in pairs] for c in classes}
-    weights = {c: [0.0] * d for c in classes}
-    biases = {c: 0.0 for c in classes}
+    xs = list(np.array([v.components for v, _ in pairs]))
+    ys = [[1.0 if c in labels else 0.0 for c in classes] for _, labels in pairs]
+    weights = np.zeros((len(classes), pairs[0][0].dim))
+    biases = [0.0] * len(classes)
 
     rng = random.Random(config.seed)
     order = list(range(n))
     lr = config.learning_rate
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for k in order:
-            x = xs[k]
-            for c in classes:
-                w = weights[c]
-                g = _sigmoid(sum(map(mul, w, x)) + biases[c]) - ys[c][k]
-                if g:
-                    f = lr * g
-                    w[:] = [wj - f * xj for wj, xj in zip(w, x)]
-                    biases[c] -= f
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(config.epochs):
+                rng.shuffle(order)
+                for k in order:
+                    x = xs[k]
+                    # a saturated class has g == 0 and so moves by zero
+                    f = [
+                        lr * (_sigmoid(z + b) - y)
+                        for z, b, y in zip((weights @ x).tolist(), biases, ys[k])
+                    ]
+                    weights -= np.multiply.outer(f, x)
+                    biases = [b - fc for b, fc in zip(biases, f)]
+    except FloatingPointError as exc:
+        raise ValueError(f"probe weights left float64: {exc}") from None
     return ProbeModel(
         classes=tuple(classes),
-        weights=tuple(Vector(weights[c]) for c in classes),
-        biases=tuple(biases[c] for c in classes),
+        weights=tuple(map(Vector, weights.tolist())),
+        biases=tuple(biases),
     )
 
 

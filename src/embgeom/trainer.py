@@ -25,7 +25,7 @@ from .errors import (
     EmptyInputError,
     OutOfVocabularyError,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, random_array
 
 __all__ = [
     "ToyLM",
@@ -108,8 +108,8 @@ class TrainConfig:
             raise ValueError("embedding dim must be positive")
         if self.window < 1:
             raise ValueError("window must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
 
@@ -225,8 +225,8 @@ def loss_and_gradients(m, ex):
 
 def sgd_step(m, grads, lr):
     """One descent update: every weight moves by -lr times its gradient."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < lr < math.inf:
+        raise ValueError("learning rate must be positive and finite")
     if grads.dW_in.shape != m.W_in.shape or grads.dW_out.shape != m.W_out.shape:
         raise DimensionError(
             f"gradient shapes {grads.dW_in.shape}/{grads.dW_out.shape} do not "
@@ -300,10 +300,12 @@ def train(corpus, config, on_epoch=None):
 
     rng = random.Random(config.seed)
     d = config.d
-    bound = 0.5 / d
     V = len(vocab)
-    w_in = np.array([[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)])
-    w_out = np.array([[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)])
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), entry by entry
+    lo, hi = -0.5 / d, 0.5 / d
+    w_in, w_out = (
+        lo + (hi - lo) * random_array(rng, V * d).reshape(V, d) for _ in range(2)
+    )
     steps = [
         (ex.target, np.array(sorted(ex.context), dtype=np.intp), 1.0 / len(ex.context))
         for ex in examples

@@ -571,6 +571,17 @@ class TestRandomStackParams:
         # Matrix equality compares the floats exactly
         assert random_stack_params(config, seed=8) == tuple(expected)
 
+    def test_bulk_draw_crosses_chunks_bit_identically(self):
+        # 192 x 192 = 36,864 entries span three 2**14-value draws
+        bound = 1.0 / math.sqrt(192)
+        bulk, single = random.Random(9), random.Random(9)
+        got = attention._random_matrix(192, 192, bound, bulk)
+        want = Matrix(
+            [[single.uniform(-bound, bound) for _ in range(192)] for _ in range(192)]
+        )
+        assert got == want
+        assert bulk.getstate() == single.getstate()
+
     def test_weights_are_stored_once(self):
         # one float64 array per Matrix: about 8 bytes per weight, not a
         # Python float and a tuple slot beside an array copy

@@ -488,6 +488,26 @@ class TestProbes:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand, data, rate", [
+    ("train", "toy.txt", "inf"),
+    ("probe-train", "probe.tsv", "nan"),
+])
+def test_non_finite_learning_rate_fails_before_any_output(tmp_path, subcommand, data, rate):
+    (tmp_path / "toy.txt").write_text("the river bank flooded today\n", encoding="utf-8")
+    (tmp_path / "probe.tsv").write_text(PROBE_TSV, encoding="utf-8")
+    flag = "--corpus" if subcommand == "train" else "--data"
+    argv = [subcommand, flag, str(tmp_path / data), "--lr", rate]
+    if subcommand == "train":
+        argv += ["--dim", "4"]
+    result = subprocess.run(
+        [sys.executable, "-m", "embgeom", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    # one error line: no RuntimeWarning, no traceback
+    assert result.stderr == "ValueError: learning rate must be positive and finite\n"
+
+
 class TestSelfcheck:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, ["selfcheck"])

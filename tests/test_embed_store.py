@@ -105,6 +105,31 @@ class TestEmbeddingTable:
         t = make_table(["a", "b"], Matrix([[1, 2], [3, 4]]))
         assert t.lookup("b") == Vector([3.0, 4.0])
 
+    def test_caller_writes_do_not_reach_the_table(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        t = make_table(["a", "b", "c"], rows)
+        before = [nearest_neighbors(t, w, k=2).entries for w in t.vocab]
+        rows[0] = [0.0, 5.0]
+        assert t.lookup("a") == Vector([1.0, 0.0])
+        assert [nearest_neighbors(t, w, k=2).entries for w in t.vocab] == before
+        assert [s for _, s in before[0]] == pytest.approx([2 ** -0.5, 0.0])
+
+    def test_rows_are_read_only(self):
+        tables = [
+            make_table(["a"], [[1.0, 2.0]]),
+            make_table(["a"], np.array([[1.0, 2.0]])),
+            make_table(["a"], Matrix([[1.0, 2.0]])),
+            load_embeddings_text(MINIMAL),
+            load_embeddings_binary(save_embeddings_binary(load_embeddings_text(MINIMAL))),
+        ]
+        for t in tables:
+            assert not t._array.flags.writeable
+
+    def test_matrix_rows_are_shared(self):
+        # a Matrix's array is its own read-only copy: no second copy
+        m = Matrix([[1.0, 2.0], [3.0, 4.0]])
+        assert make_table(["a", "b"], m)._array is m.array
+
 
 class TestLookup:
     def test_minimal_table(self):

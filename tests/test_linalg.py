@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ class TestMatrixArray:
             linalg.matrix_array(np.ones(4))
         with pytest.raises(ValueError):
             linalg.matrix_array([[1.0], [math.nan]])
+
+
+class TestRandomArray:
+    @pytest.mark.parametrize("m", [0, 1, 2, (1 << 14) - 1, 1 << 14, 3 * (1 << 14) + 5])
+    def test_equals_per_call_draws_and_leaves_equal_state(self, m):
+        bulk, single = random.Random(m), random.Random(m)
+        got = linalg.random_array(bulk, m)
+        want = [single.random() for _ in range(m)]
+        assert got.dtype == np.float64 and got.shape == (m,)
+        assert got.tolist() == want  # bit for bit
+        assert bulk.getstate() == single.getstate()
 
 
 class TestDot:

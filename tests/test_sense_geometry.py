@@ -426,6 +426,62 @@ class TestSenseInventory:
             SenseInventory(word="w", senses={"a": [[1.0]], "b": [[1.0, 2.0]]})
 
 
+# The pure-Python SGD loop that probe_train ran before its array kernel,
+# one class at a time, kept as the reference the kernel is replayed against.
+
+
+def reference_probe_train(examples, config):
+    """(weights, biases, skipped) per sorted class; ``skipped`` counts g == 0 steps."""
+    pairs = [(tuple(map(float, v)), frozenset(labels)) for v, labels in examples]
+    classes = sorted(set().union(*(labels for _, labels in pairs)))
+    n, d = len(pairs), len(pairs[0][0])
+    xs = [v for v, _ in pairs]
+    ys = {c: [1.0 if c in labels else 0.0 for _, labels in pairs] for c in classes}
+    weights = {c: [0.0] * d for c in classes}
+    biases = {c: 0.0 for c in classes}
+    skipped = 0
+
+    rng = random.Random(config.seed)
+    order = list(range(n))
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for k in order:
+            x = xs[k]
+            for c in classes:
+                w = weights[c]
+                g = sense_geometry._sigmoid(sum(map(mul, w, x)) + biases[c]) - ys[c][k]
+                if g:
+                    f = lr * g
+                    w[:] = [wj - f * xj for wj, xj in zip(w, x)]
+                    biases[c] -= f
+                else:
+                    skipped += 1
+    return [weights[c] for c in classes], [biases[c] for c in classes], skipped
+
+
+def probe_clusters(n, d, seed, label_sets):
+    """n probe examples cycling through ``label_sets``, separable one-vs-rest.
+
+    Each class owns one of a set of random orthonormal directions; an
+    example sits at the sum of its classes' directions (the origin for an
+    empty set) plus noise of norm about 0.1.
+    """
+    rng = np.random.default_rng(seed)
+    classes = sorted(set().union(*label_sets))
+    axes = np.linalg.qr(rng.normal(size=(d, len(classes))))[0].T
+    examples = []
+    for i in range(n):
+        labels = label_sets[i % len(label_sets)]
+        point = sum((axes[classes.index(c)] for c in labels), np.zeros(d))
+        point += rng.normal(size=d) * (0.1 / math.sqrt(d))
+        examples.append((point.tolist(), set(labels)))
+    return examples
+
+
+MULTI_LABEL = ({"A"}, {"B"}, {"C"}, {"A", "B"}, set())
+
+
 def separable_points(rng, n=100, noise=0.1):
     a = rng.normal(size=(n, 2)) * noise + np.array([1.0, 0.0])
     b = rng.normal(size=(n, 2)) * noise + np.array([0.0, 1.0])
@@ -481,6 +537,67 @@ class TestProbeTrain:
             ProbeConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             ProbeConfig(epochs=0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ProbeConfig(learning_rate=rate)
+
+
+class TestProbeMatchesReference:
+    @pytest.mark.parametrize("n, d, label_sets, seed", [
+        (8, 768, ({"A"}, {"B"}), 71),
+        (150, 32, ({"A"}, {"B"}), 72),
+        (15, 16, MULTI_LABEL, 73),
+    ])
+    def test_replay(self, n, d, label_sets, seed):
+        examples = probe_clusters(n, d, seed, label_sets)
+        config = ProbeConfig(seed=seed)
+        model = probe_train(examples, config)
+        weights, biases, _ = reference_probe_train(examples, config)
+        assert model.classes == tuple(sorted(set().union(*label_sets)))
+        np.testing.assert_allclose(
+            [w.components for w in model.weights], weights, atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(model.biases, biases, atol=1e-12, rtol=0)
+
+    def test_saturated_class_is_not_moved(self):
+        # positives at +-50 push their class score past 37, where _sigmoid
+        # rounds to exactly 1.0: g == 0 and the reference skips the update
+        examples = [([50.0, -3.0], {"A"}), ([-50.0, 3.0], {"B"})]
+        config = ProbeConfig(epochs=20)
+        model = probe_train(examples, config)
+        weights, biases, skipped = reference_probe_train(examples, config)
+        assert skipped > 0
+        np.testing.assert_allclose(
+            [w.components for w in model.weights], weights, atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(model.biases, biases, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("examples, rate", [
+        ([([1e300, 1e300], {"A"}), ([-1e300, 1e300], {"B"})], 0.5),
+        ([([10.0], {"A"}), ([-10.0], {"B"})], 1e308),
+    ])
+    def test_float64_overflow_is_value_error(self, examples, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="left float64"):
+                probe_train(examples, ProbeConfig(learning_rate=rate))
+
+
+class TestProbeBudget:
+    def test_n24_d768_three_classes_under_three_tenths_of_a_second(self):
+        # the array kernel takes about 0.08 s here; the pure-Python
+        # reference takes about 1 s
+        examples = probe_clusters(24, 768, 74, MULTI_LABEL)
+        config = ProbeConfig(epochs=200)
+        elapsed = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            model = probe_train(examples, config)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        assert model.classes == ("A", "B", "C")
+        assert elapsed < 0.3, f"probe_train took {elapsed:.2f} s"
 
 
 class TestProbePredict:

@@ -95,6 +95,14 @@ class TestTypes:
         with pytest.raises(EmptyInputError):
             TrainingExample(target=0, context=set())
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainConfig(d=8, learning_rate=rate)
+        grads = Gradients(dW_in=Matrix.zeros(2, 1), dW_out=Matrix.zeros(2, 1))
+        with pytest.raises(ValueError, match="positive and finite"):
+            sgd_step(tiny_model(), grads, lr=rate)
+
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             TrainConfig(d=8, epochs=0)
@@ -396,6 +404,18 @@ class TestTrain:
             np.testing.assert_allclose(
                 np.array(got.row_tuples()), np.array(want.row_tuples()), atol=1e-12
             )
+
+    def test_init_matches_per_entry_uniform_draws(self):
+        # one-token sentences give no examples, so the weights stay at their
+        # init; 120 x 192 = 23,040 entries per matrix cross a 2**14 chunk
+        corpus = [[f"w{i}"] for i in range(120)]
+        config = TrainConfig(d=192, epochs=1, seed=6)
+        m = train(corpus, config)
+        rng = random.Random(config.seed)
+        bound = 0.5 / config.d
+        for got in (m.W_in, m.W_out):
+            want = [[rng.uniform(-bound, bound) for _ in range(192)] for _ in range(120)]
+            assert got == Matrix(want)
 
     def test_single_example_convergence(self):
         m = ToyLM(
