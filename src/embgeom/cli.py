@@ -504,7 +504,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except (EmbgeomError, ValueError, TypeError, OSError) as exc:
+    # RuntimeError: a text-table worker process died (BrokenProcessPool).
+    except (EmbgeomError, ValueError, TypeError, OSError, RuntimeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,14 @@ similarity scan sit on numpy so that a 30k x 768 table loads and scans in
 seconds; the public surface speaks :class:`~embgeom.linalg.Vector` and
 :class:`~embgeom.linalg.Matrix` like the rest of the package. The text
 loader streams runs of whole lines (about 16 MB) into a preallocated
-table, so beyond its input it holds the table and one run.
+table, so beyond its input it holds the table and one run. It checks the
+runs' layout and tokens in file order itself; when there are several runs
+and several usable CPUs, forked worker processes parse their values into
+the table, which then sits in shared anonymous memory.
 """
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,7 +256,8 @@ def load_embeddings_text(source, lowercase=False):
     Line 1 is ``<V> <D>``; then exactly V lines of ``<token> <x1> ... <xD>``
     with single-space separation and ``\\n`` line endings. ``lowercase``
     folds tokens at ingest (later duplicates of a folded token are rejected).
-    Rows stream through in runs of whole lines into a preallocated table.
+    Rows stream through in runs of whole lines into a preallocated table;
+    when there is more than one run, forked workers parse their values.
 
     Raises ParseError naming the first faulty line on any malformation.
     """
@@ -268,25 +273,108 @@ def load_embeddings_text(source, lowercase=False):
     if V < 1 or D < 1:
         raise ParseError(f"V and D must be positive, got {V} {D}", line=1)
 
-    # A row takes at least 2D + 1 bytes: a header cannot make the table large.
-    arr = np.empty((min(V, (len(raw) - end) // (2 * D + 1)), D))
-    vocab, pos = {}, end + 1  # token -> row
+    bounds, pos = [], end + 1  # runs of whole lines
     while pos < len(raw):
         stop = raw.find(b"\n", pos + _CHUNK_BYTES - 1) + 1 or len(raw)
-        # The final row may lack its newline.
-        chunk = raw[pos:stop] if raw[stop - 1] == 10 else raw[pos:] + b"\n"
-        _parse_rows(chunk, arr, V, D, vocab, lowercase)
+        bounds.append((pos, stop))
         pos = stop
+    # A row takes at least 2D + 1 bytes: a header cannot make the table large.
+    rows = min(V, (len(raw) - end) // (2 * D + 1))
+    arr, pool = _table_and_pool(raw, (rows, D), len(bounds))
+    # token -> row; each run's value parse, in file order; the fault that
+    # stopped the scan
+    vocab, jobs, fault = {}, [], None
+    try:
+        for pos, stop in bounds:
+            # The final row may lack its newline.
+            chunk = raw[pos:stop] if raw[stop - 1] == 10 else raw[pos:] + b"\n"
+            line = len(vocab) + 2
+            n, e, fault = _scan_rows(chunk, V, D, vocab, lowercase)
+            if n:
+                job = (pos, pos + e, line - 2)
+                if pool is None:
+                    ok = _parse_values(raw, arr, *job)
+                else:
+                    ok = pool.submit(_parse_inherited, *job)
+                jobs.append((line, job, ok))
+            # A failed value parse puts the first fault at or before its chunk.
+            if fault is not None or any(_failed(ok) for *_, ok in jobs):
+                break
+        # The first faulty line wins: a value fault comes before the row
+        # that stopped the scan.
+        for line, (a, b, _), ok in jobs:
+            if ok is False or (ok is not True and not ok.result()):
+                raise _value_fault(raw[a:b], D, line, lowercase)
+        if fault is not None:
+            raise fault
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if (n := len(vocab)) < V:
         raise ParseError(f"expected {V} embedding rows, found {n}", line=n + 2)
     return container.build(EmbeddingTable._take, vocab, arr)
 
 
-def _parse_rows(chunk, arr, V, D, vocab, lowercase):
-    """Parse whole ``\\n``-ended rows into ``arr`` after those in ``vocab``.
+def _failed(ok):
+    """Whether a value parse is known to have failed: ``ok`` is its outcome
+    inline, or the future of a worker that may not be done yet."""
+    return ok is False or (ok is not True and ok.done() and not ok.result())
 
-    Array scans, the token loop and ``np.loadtxt`` find the first faulty row;
-    ``_row_fault`` reads it field by field to word the ParseError.
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _table_and_pool(raw, shape, chunks):
+    """The table to fill, and the worker pool to fill it or None to parse inline.
+
+    One worker per usable CPU, at most one per chunk. The workers are forked,
+    so they inherit ``raw`` and the table, which sits in shared anonymous
+    memory, instead of receiving copies.
+    """
+    workers = min(_usable_cpus(), chunks)
+    if workers > 1:
+        import mmap
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            size = max(8 * shape[0] * shape[1], 1)  # mmap refuses a length of 0
+            arr = np.ndarray(shape, buffer=mmap.mmap(-1, size))
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_inherit,
+                initargs=(raw, arr),
+            )
+            return arr, pool
+    return np.empty(shape), None
+
+
+_inherited = None  # (raw, table) in a worker
+
+
+def _inherit(raw, arr):
+    global _inherited
+    _inherited = raw, arr
+
+
+def _parse_inherited(a, b, row):
+    return _parse_values(*_inherited, a, b, row)
+
+
+def _scan_rows(chunk, V, D, vocab, lowercase):
+    """Check whole ``\\n``-ended rows in order, adding their tokens to ``vocab``.
+
+    Array scans and the token loop find the leading rows whose layout and
+    token are sound; ``_parse_values`` parses their values. Returns the
+    number of those rows, the offset of the newline ending the last of
+    them, and the ParseError of the row after them (None if there is none).
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     low = np.flatnonzero(buf <= 32)  # spaces, newlines and control bytes
@@ -319,21 +407,38 @@ def _parse_rows(chunk, arr, V, D, vocab, lowercase):
             stop = i  # _row_fault words the fault
             break
         vocab[token] = line - 2 + i
-    if stop:
-        rests = [chunk[a + 1 : b].decode() for a, b in zip(f[:stop], e)]
-        try:
-            vals = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
-        except ValueError:
-            vals = None
-        if vals is None or not np.isfinite(vals).all():
-            for i in range(stop):
-                if fault := _row_fault(chunk[s[i] : e[i]], D, line + i, (), lowercase):
-                    raise fault
     if stop == room < len(nl):
-        raise ParseError(f"expected {V} embedding rows, found more", line=V + 2)
-    if stop < len(nl):
-        raise _row_fault(chunk[s[stop] : e[stop]], D, line + stop, vocab, lowercase)
-    arr[line - 2 : line - 2 + stop] = vals
+        fault = ParseError(f"expected {V} embedding rows, found more", line=V + 2)
+    elif stop < len(nl):
+        fault = _row_fault(chunk[s[stop] : e[stop]], D, line + stop, vocab, lowercase)
+    else:
+        fault = None
+    return stop, e[stop - 1] if stop else 0, fault
+
+
+def _parse_values(raw, arr, a, b, row):
+    """Parse the values of the rows ``raw[a:b]`` into ``arr`` from ``row`` on.
+
+    The rows passed ``_scan_rows`` and are joined by ``\\n``. Returns
+    whether every value parsed and is finite; if not, nothing is written.
+    """
+    rests = [r.partition(b" ")[2].decode() for r in raw[a:b].split(b"\n")]
+    try:
+        vals = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return False
+    if not np.isfinite(vals).all():
+        return False
+    arr[row : row + len(vals)] = vals
+    return True
+
+
+def _value_fault(rows, D, line, lowercase):
+    """The ParseError of the first of ``rows`` whose values are faulty."""
+    for i, row in enumerate(rows.split(b"\n"), line):
+        if fault := _row_fault(row, D, i, (), lowercase):
+            return fault
+    return ParseError("values do not parse", line=line)
 
 
 def _row_fault(row, D, line, vocab, lowercase):

@@ -208,6 +208,26 @@ class TestImport:
         assert "tokens\t4" in out
         assert "dim\t2" in out
 
+    def test_dead_worker_is_one_error_line(self, table_file, tmp_path):
+        # Force the worker path, then kill each worker as it starts a chunk.
+        script = (
+            "import os, sys\n"
+            "from embgeom import cli, embed_store\n"
+            "embed_store._CHUNK_BYTES = 3\n"
+            "embed_store._usable_cpus = lambda: 2\n"
+            "embed_store._parse_values = lambda *args: os._exit(1)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, "import", "--input", table_file,
+             "--output", str(tmp_path / "x.emb")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("BrokenProcessPool: ")
+        assert result.stderr.count("\n") == 1  # no traceback
+
 
 class TestTrain:
     def test_same_seed_gives_byte_identical_tables(self, capsys, corpus_file, tmp_path):
@@ -532,3 +552,17 @@ def test_module_entry_point(table_file):
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "Neighbour  Similarity"
     assert result.stdout.splitlines()[2] == "horses 0.99"
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # The text loader imports its process pool only when it forks workers;
+    # every CLI start and every one-chunk load would pay for it otherwise.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, embgeom.cli; "
+         "embgeom.cli.embed_store.load_embeddings_text(b'2 1\\na 1\\nb 2\\n'); "
+         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,8 +1,12 @@
 """Tests for embedding table storage and nearest-neighbour search."""
 
 import io
+import mmap
+import multiprocessing
+import os
 import random
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -79,6 +83,12 @@ MALFORMED = {
 
 def make_table(tokens, rows):
     return EmbeddingTable(tokens, rows)
+
+
+def use_cpus(monkeypatch, n):
+    """Make the text loader see ``n`` usable CPUs: 1 parses inline, 2 forks
+    two workers whenever the input has two chunks or more."""
+    monkeypatch.setattr(embed_store, "_usable_cpus", lambda: n)
 
 
 class TestEmbeddingTable:
@@ -308,6 +318,108 @@ class TestTextFormat:
         assert back == t  # f64 text round trips are exact
 
 
+class TestTextWorkers:
+    """The worker path against the inline one, forced either way."""
+
+    BLOB = "4 2\nRiver 1 -0.5\n日本 0.25 3e-300\n##s 0 1.5\nBANK -2.5 1e300".encode()
+
+    def load_both(self, monkeypatch, data, **kwargs):
+        tables = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            tables.append(load_embeddings_text(data, **kwargs))
+        return tables
+
+    @pytest.mark.parametrize(
+        "chunk_bytes", [3, 4096, embed_store._CHUNK_BYTES],
+        ids=["few-bytes", "4-kib", "production"],
+    )
+    def test_workers_load_what_inline_loads(self, monkeypatch, chunk_bytes):
+        # lowercase, a CJK token and no final newline
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", chunk_bytes)
+        inline, forked = self.load_both(monkeypatch, self.BLOB, lowercase=True)
+        assert forked.vocab == inline.vocab == ("river", "日本", "##s", "bank")
+        assert np.array_equal(forked._array, inline._array)
+        # one chunk parses inline; more fill a table in shared memory
+        assert isinstance(forked._array.base, mmap.mmap) == (chunk_bytes == 3)
+
+    def test_workers_load_a_large_table_as_inline(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        rows = rng.normal(size=(300, 12)) * rng.choice([1e-6, 1.0, 1e6], size=(300, 1))
+        t = make_table([f"t{i}" for i in range(299)] + ["日本"], rows)
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 4096)
+        inline, forked = self.load_both(monkeypatch, save_embeddings_text(t))
+        assert isinstance(forked._array.base, mmap.mmap)
+        assert forked == inline == t
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_workers_word_faults_as_inline(self, monkeypatch, case):
+        data, lowercase, message = MALFORMED[case]
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ParseError) as exc:
+            load_embeddings_text(data, lowercase=lowercase)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a value fault in chunk 1 before a layout fault in chunk 3
+            (b"4 2\na 1 0\nb 1_0 0\nc 0 1\nd 1  0\n", "line 3: not a decimal float: '1_0'"),
+            # a value fault in an early chunk before a late duplicate
+            (b"4 1\na 1\nb nan\nc 1\na 2\n", "line 3: not a decimal float: 'nan'"),
+            # two value faults: the earlier one wins
+            (b"4 1\na 1\nb 2\nc 1e999\nd 0x1\n", "line 4: value out of range: '1e999'"),
+        ],
+        ids=["value-before-double-space", "nan-before-duplicate", "two-value-faults"],
+    )
+    def test_earliest_fault_wins_across_workers(self, monkeypatch, data, message):
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ParseError) as exc:
+            load_embeddings_text(data)
+        assert str(exc.value).startswith(message)
+
+    def test_mutants_load_alike_inline_and_forked(self, monkeypatch):
+        def outcome(data):
+            try:
+                t = load_embeddings_text(data)
+            except ParseError as exc:
+                return str(exc)
+            return t.vocab, t._array.tobytes()
+
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        rng = random.Random(27)
+        for _ in range(40):
+            bad = self.BLOB
+            for _ in range(2):
+                i = rng.randrange(len(bad))
+                junk = bytes(rng.choice(b" \n\x0c\xff1.e-x") for _ in range(2))
+                bad = bad[:i] + junk[: rng.randint(0, 2)] + bad[i + rng.randint(0, 2) :]
+            seen = set()
+            for cpus in (1, 2):
+                use_cpus(monkeypatch, cpus)
+                seen.add(repr(outcome(bad)))
+            assert len(seen) == 1, bad
+
+    def test_no_worker_outlives_a_load(self, monkeypatch):
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        use_cpus(monkeypatch, 2)
+        load_embeddings_text(self.BLOB)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ParseError):
+            load_embeddings_text(b"3 1\na 1\nb 2\nc nan\n")
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_is_an_error_not_a_hang(self, monkeypatch):
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        monkeypatch.setattr(embed_store, "_parse_values", lambda *args: os._exit(1))
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(BrokenProcessPool):
+            load_embeddings_text(self.BLOB)
+        assert multiprocessing.active_children() == []
+
+
 class TestTextLoadMemory:
     def test_peak_below_input_size(self, monkeypatch):
         # About 15.5 MB of %.17g text for a 6 MB table; numpy registers its
@@ -322,6 +434,24 @@ class TestTextLoadMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert back == t
+        assert peak < len(raw)
+
+    def test_inline_peak_below_input_size(self, monkeypatch):
+        # The forked workers and their shared table are out of tracemalloc's
+        # sight; inline, it sees every buffer the loader makes.
+        rng = np.random.default_rng(24)
+        t = make_table([f"t{i}" for i in range(1000)], rng.normal(size=(1000, 768)))
+        raw = save_embeddings_text(t)
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 1 << 20)
+        use_cpus(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            back = load_embeddings_text(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(back._array.base, mmap.mmap)
         assert back == t
         assert peak < len(raw)
 
