@@ -8,7 +8,12 @@ loader streams runs of whole lines (about 16 MB) into a preallocated
 table, so beyond its input it holds the table and one run. It checks the
 runs' layout and tokens in file order itself; when there are several runs
 and several usable CPUs, forked worker processes parse their values into
-the table, which then sits in shared anonymous memory.
+the table, which then sits in shared anonymous memory. EMB1 tables keep
+their float32 rows, which float32 holds exactly.
+
+A neighbour query screens every row in float32, cuts the rows whose
+screened cosine cannot reach the top ``k``, and ranks the rest exactly in
+float64 (see :func:`nearest_neighbors`).
 """
 
 import math
@@ -49,6 +54,13 @@ _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 # The size of the runs of whole lines the text loader checks and parses.
 _CHUNK_BYTES = 16 << 20
 
+# Rows widened to float64 at a time while a table's query state is built.
+_BLOCK_ROWS = 1024
+
+# A row's sum of squares at or above this, and at or below its inverse, lost
+# nothing that matters to under- or overflow.
+_SAFE_SQUARES = 2.0**-960
+
 
 def token_index(vocab):
     """Map each token to its position; reject empty, spaced or repeated tokens."""
@@ -71,24 +83,32 @@ class EmbeddingTable:
     vocab : sequence of str
         Unique tokens, no internal whitespace, insertion order preserved.
     rows : Matrix, numpy array, or nested sequence
-        V x D real matrix; row i embeds vocab[i]. The table keeps a
+        V x D finite real matrix; row i embeds vocab[i]. The table keeps a
         read-only float64 copy, so later writes to ``rows`` do not reach
         it; a Matrix's array is read-only already and is shared.
+
+    The loaders hand their array over without a copy: float64 from text,
+    float32 from EMB1. The state neighbour queries need is built on the
+    first query and kept.
     """
 
-    __slots__ = ("_vocab", "_index", "_array", "_norms", "_filter_masks")
+    __slots__ = ("_vocab", "_index", "_array", "_screen", "_candidate_bias")
 
     def __init__(self, vocab, rows):
         # a copy the caller cannot write; a Matrix's array is one already
         arr = rows.array if isinstance(rows, Matrix) else np.array(rows, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError("embedding rows must be finite")
         self._adopt(vocab, arr)
 
     @classmethod
     def _take(cls, vocab, arr):
-        """A table over ``arr`` itself, for a float64 array nothing else holds.
+        """A table over ``arr`` itself, for a finite float array nothing else
+        writes.
 
-        The loaders hand over the array they just filled: no table-sized
-        copy. ``arr`` becomes read-only.
+        The loaders hand over the array they just filled and checked: no
+        table-sized copy, no second finiteness pass. ``arr`` becomes
+        read-only.
         """
         table = cls.__new__(cls)
         table._adopt(vocab, arr)
@@ -103,15 +123,13 @@ class EmbeddingTable:
             raise DimensionError(
                 f"need a {len(vocab)} x D matrix, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise ValueError("embedding rows must be finite")
         arr.flags.writeable = False
 
         self._vocab = vocab
         self._index = index
         self._array = arr
-        self._norms = None
-        self._filter_masks = {}
+        self._screen = None
+        self._candidate_bias = {}
 
     @property
     def vocab(self):
@@ -141,25 +159,71 @@ class EmbeddingTable:
         """Return the embedding row for ``token`` as a Vector."""
         return Vector(self._array[self.index_of(token)].tolist())
 
-    def _row_norms(self):
-        if self._norms is None:
-            self._norms = np.linalg.norm(self._array, axis=1)
-        return self._norms
+    def _query_state(self):
+        """The float32 unit rows, each row's power-of-two scale (None when
+        every scale is 1) and the float64 norm of its scaled row, and the
+        screen's error bound.
 
-    def _keep_mask(self, filter):
-        """Boolean mask of the tokens ``filter`` keeps.
-
-        A TokenFilter's mask is built once per rule tuple and cached; any
-        other callable is asked about every token on every call.
+        Built on the first query, in blocks of rows widened to float64, so
+        the norms are the same bits whether the rows are stored as float32
+        or float64. A row whose sum of squares would over- or underflow is
+        first scaled by 2**-e, e the exponent of its largest |x|; that is
+        exact. Every other row keeps scale 1, as every float32 row does. A
+        zero row keeps a zero unit row and norm 0.
         """
-        if type(filter) is not TokenFilter:
-            return np.fromiter(map(filter, self._vocab), dtype=bool, count=self.V)
-        mask = self._filter_masks.get(filter.rules)
-        if mask is None:
-            mask = np.fromiter(map(filter, self._vocab), dtype=bool, count=self.V)
-            mask.flags.writeable = False
-            self._filter_masks[filter.rules] = mask
-        return mask
+        if self._screen is None:
+            arr = self._array
+            V, D = arr.shape
+            unit = np.empty((V, D), dtype=np.float32)
+            scale, norms = np.ones(V), np.empty(V)
+            buf = np.empty((min(V, _BLOCK_ROWS), D))
+            with np.errstate(under="ignore"):  # squares far below the row's largest
+                for a in range(0, V, _BLOCK_ROWS):
+                    b = min(a + _BLOCK_ROWS, V)
+                    rows = buf[: b - a]
+                    np.copyto(rows, arr[a:b])
+                    ss = np.einsum("ij,ij->i", rows, rows)
+                    odd = np.flatnonzero(~(ss >= _SAFE_SQUARES) | (ss > 1.0 / _SAFE_SQUARES))
+                    if odd.size:
+                        top = np.abs(rows[odd]).max(axis=1)
+                        s = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
+                        rows[odd] *= s[:, None]
+                        ss[odd] = np.einsum("ij,ij->i", rows[odd], rows[odd])
+                        scale[a + odd] = s
+                    n = np.sqrt(ss)
+                    rows *= (1.0 / np.where(n > 0.0, n, 1.0))[:, None]
+                    # Each entry to a multiple of 2**-63, so a product of two
+                    # nonzero ones stays a normal float32.
+                    rows += 2.0**-10
+                    rows -= 2.0**-10
+                    unit[a:b], norms[a:b] = rows, n
+            unit.flags.writeable = False
+            if (scale == 1.0).all():
+                scale = None
+            self._screen = unit, scale, norms, _screen_error(D)
+        return self._screen
+
+    def _candidates(self, filter):
+        """A read-only float32 row of 0 for each row a query may return and
+        -inf for the others (zero rows and the rows ``filter`` drops), and
+        the number of 0s.
+
+        Cached per TokenFilter rule tuple, no filter counting as no rules;
+        any other callable is asked about every token on every call.
+        """
+        cached = filter is None or type(filter) is TokenFilter
+        key = filter.rules if cached and filter is not None else ()
+        if cached and key in self._candidate_bias:
+            return self._candidate_bias[key]
+        dead = self._query_state()[2] == 0.0
+        if filter is not None:
+            dead |= ~np.fromiter(map(filter, self._vocab), dtype=bool, count=self.V)
+        bias = np.where(dead, np.float32(-np.inf), np.float32(0.0))
+        bias.flags.writeable = False
+        got = bias, self.V - int(np.count_nonzero(dead))
+        if cached:
+            self._candidate_bias[key] = got
+        return got
 
     def __eq__(self, other):
         if isinstance(other, EmbeddingTable):
@@ -475,7 +539,7 @@ def save_embeddings_text(table):
     out = [f"{table.V} {table.D}"]
     arr = table._array
     for i, token in enumerate(table.vocab):
-        row = " ".join(f"{x:.17g}" for x in arr[i])
+        row = " ".join(f"{x:.17g}" for x in arr[i].tolist())
         out.append(f"{token} {row}")
     out.append("")
     return "\n".join(out).encode("utf-8")
@@ -486,7 +550,8 @@ def load_embeddings_binary(source):
     r = container.Reader(source, container.EMB1)
     V, D = r.u64s(2, "V and D")
     vocab = r.names(V, "vocabulary")
-    arr = r.floats(V * D, "<f4", "matrix data").astype(np.float64).reshape(V, D)
+    # float32 holds these values exactly: the table keeps the read-only view.
+    arr = r.floats(V * D, "<f4", "matrix data").reshape(V, D)
     r.end()
     return container.build(EmbeddingTable._take, vocab, arr)
 
@@ -501,6 +566,21 @@ def save_embeddings_binary(table):
     return head + container.names(table.vocab) + container.floats(table._array, "<f4")
 
 
+def _screen_error(D):
+    """The bound eps on |screened - ranked cosine| of one row, at dimension D.
+
+    With u = 2**-24: each stored unit-row entry is within a relative 1.01u
+    of the exact unit vector's, or within 2**-63 of it. The float32 dot
+    product of two such rows adds at most gamma_D = D*u / (1 - D*u) times
+    the product of their norms (Higham 2002, section 3.1), and the float64
+    score the ranking uses lies within (2D + 7) * 2**-53 of the exact
+    cosine. While D*u <= 1/4 the sum stays below (D + 4)u / (1 - D*u);
+    past that, 2D covers any difference, so no row is cut.
+    """
+    u = 2.0**-24
+    return (D + 4) * u / (1 - D * u) if D * u <= 0.25 else 2.0 * D
+
+
 def nearest_neighbors(table, token, k, filter=None):
     """Top-k vocabulary tokens by cosine similarity to ``token``'s row.
 
@@ -508,32 +588,45 @@ def nearest_neighbors(table, token, k, filter=None):
     to candidates before ranking. Ties break by vocabulary insertion order.
     Candidate rows with zero norm have no direction and are skipped; a
     zero-norm query raises ZeroVectorError.
+
+    One float32 mat-vec over the table's unit rows screens every candidate.
+    A screened cosine is within eps (``_screen_error``) of the ranked one,
+    so each row of the top k screens at least sigma_k - 2 eps, sigma_k
+    being the k-th highest screened cosine. Only those rows are scored
+    again in float64, each from its own exact row and norm, then clipped
+    to [-1, 1] and sorted: the result is that of scoring every row so.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     qi = table.index_of(token)
-    arr = table._array
-    norms = table._row_norms()
-    qnorm = norms[qi]
-    if qnorm == 0.0:
+    unit, scale, norms, eps = table._query_state()
+    if norms[qi] == 0.0:
         raise ZeroVectorError(f"query token {token!r} has a zero-norm row")
-
-    keep = norms > 0.0
-    if filter is not None:
-        keep &= table._keep_mask(filter)
-    keep[qi] = False
-
-    (cand,) = np.nonzero(keep)
-    if cand.size == 0:
+    bias, live = table._candidates(filter)
+    live -= bias[qi] == 0.0  # the query is never its own neighbour
+    if live == 0:
         return NeighborList(query=token, entries=())
 
-    # One mat-vec over the whole table; gathering rows of ``arr`` would copy
-    # the candidates on every query.
-    sims = (arr @ arr[qi])[cand] / (norms[cand] * qnorm)
-    np.clip(sims, -1.0, 1.0, out=sims)
+    screened = unit @ unit[qi]
+    screened += bias
+    screened[qi] = -np.inf
+    m = min(k, live)
+    # The comparison rounds the cut to float32: by at most 2**-24.
+    cut = float(np.partition(screened, -m)[-m]) - 2.0 * eps - 2.0**-24
+    (cand,) = (screened >= cut).nonzero()
+
+    # Scaling by a power of two is exact, and add.reduce sums each row on its
+    # own: a row's score does not depend on which other rows survived.
+    arr = table._array
+    rows = arr[cand] if scale is None else arr[cand] * scale[cand, None]
+    q = (arr[qi] if scale is None else arr[qi] * scale[qi]) / norms[qi]
+    sims = np.add.reduce(rows * q, axis=1)
+    sims /= norms[cand]
+    np.minimum(sims, 1.0, out=sims)  # clip to [-1, 1]
+    np.maximum(sims, -1.0, out=sims)
     # Stable sort on descending similarity: equal scores keep vocab order.
-    order = np.argsort(-sims, kind="stable")[:k]
-    entries = tuple(
-        Neighbor(table.vocab[int(cand[j])], float(sims[j])) for j in order
-    )
+    order = np.argsort(-sims, kind="stable")[:k].tolist()
+    c, s = cand.tolist(), sims.tolist()
+    vocab = table.vocab
+    entries = tuple(Neighbor(vocab[c[j]], s[j]) for j in order)
     return NeighborList(query=token, entries=entries)

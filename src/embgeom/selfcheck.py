@@ -9,7 +9,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import attention, linalg, sense_geometry, trainer
+import numpy as np
+
+from . import attention, embed_store, linalg, sense_geometry, trainer
 from .linalg import Matrix, Vector
 
 __all__ = ["CheckResult", "run_all"]
@@ -200,6 +202,72 @@ def _check_centroid_identity(rng):
     return CheckResult("centroid identity", True, "60 randomized identities hold")
 
 
+def _planted_table(nrng, V, D, k):
+    """A seeded table whose rows around row 0's k-th neighbour nearly tie.
+
+    Rows are noise, of cosine about 0 with row 0, but for 2k planted rows
+    of random lengths whose cosines with row 0 step by 2**-26 around 0.8:
+    a quarter of a float32 ulp, well inside the screen's error. The k-th
+    highest of them has an exact copy, so a tie straddles the k-th place,
+    and two other rows are copies of each other. Every third planted token
+    and every tenth other token start with ``##``. Returns (vocab, rows).
+    """
+    rows = nrng.normal(size=(V, D))
+    q = rows[0] / np.linalg.norm(rows[0])
+    *planted, copy, other = nrng.choice(np.arange(1, V), size=2 * k + 2, replace=False)
+    for j, i in enumerate(planted):  # the top k are planted[k:]
+        c = 0.8 + (j - k) * 2.0**-26
+        w = nrng.normal(size=D)
+        w -= (w @ q) * q
+        rows[i] = nrng.uniform(0.5, 2.0) * (c * q + math.sqrt(1 - c * c) * w / np.linalg.norm(w))
+    rows[copy] = rows[planted[k]]
+    rows[other] = rows[planted[0]]
+    prefixed = set(planted[::3]) | set(range(5, V, 10))
+    vocab = [f"##t{i}" if i in prefixed else f"t{i}" for i in range(V)]
+    return vocab, rows
+
+
+def _ranked_by_brute_force(vocab, rows, qi, k, keep=None):
+    """Every row's float64 cosine with row ``qi``, ranked by a stable sort:
+    the top ``k`` (token, similarity) pairs among nonzero rows ``keep``s."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    live = norms > 0.0 if keep is None else (norms > 0.0) & keep
+    live[qi] = False
+    (cand,) = np.nonzero(live)
+    sims = np.clip(rows[cand] @ rows[qi] / (norms[cand] * norms[qi]), -1.0, 1.0)
+    order = np.argsort(-sims, kind="stable")[:k]
+    return [(vocab[cand[j]], float(sims[j])) for j in order]
+
+
+def _check_neighbour_ranking(rng):
+    nrng = np.random.default_rng(rng.randrange(2**32))
+    V, D, k = 1500, 64, 10
+    drop = embed_store.token_filter(["drop-prefix:##"])
+    worst = 0.0
+    for f32 in (False, True):
+        vocab, rows = _planted_table(nrng, V, D, k)
+        table = embed_store.EmbeddingTable(vocab, rows)
+        if f32:  # an EMB1 table keeps float32 rows
+            table = embed_store.load_embeddings_binary(embed_store.save_embeddings_binary(table))
+            rows = rows.astype(np.float32)
+        keep = np.array([drop(t) for t in vocab])
+        for qi in (0, *nrng.integers(1, V, size=3).tolist()):
+            for filter, kk in ((None, k), (drop, k), (None, V), (drop, V)):
+                got = list(embed_store.nearest_neighbors(table, vocab[qi], kk, filter=filter))
+                want = _ranked_by_brute_force(vocab, rows, qi, kk, None if filter is None else keep)
+                if [t for t, _ in got] != [t for t, _ in want]:
+                    return CheckResult(
+                        "neighbour ranking", False,
+                        f"top {kk} of {vocab[qi]!r} differs from the float64 ranking",
+                    )
+                worst = max([worst] + [abs(a - b) for (_, a), (_, b) in zip(got, want)])
+    passed = worst <= 1e-12
+    return CheckResult(
+        "neighbour ranking", passed, f"max |similarity - float64 ranking| = {worst:.2e}"
+    )
+
+
 _CHECKS = (
     _check_softmax_normalization,
     _check_attention_row_sums,
@@ -207,6 +275,7 @@ _CHECKS = (
     _check_concat_dimensionality,
     _check_gradients,
     _check_centroid_identity,
+    _check_neighbour_ranking,
 )
 
 

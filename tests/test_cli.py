@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from embgeom import attention, cli, embed_store, trainer
@@ -533,14 +534,39 @@ class TestSelfcheck:
         code, out, _ = run(capsys, ["selfcheck"])
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
 
     def test_tsv_format(self, capsys):
         code, out, _ = run(capsys, ["selfcheck", "--format", "tsv"])
         assert code == 0
         checks = [l for l in out.splitlines() if l.startswith("check\t")]
-        assert len(checks) == 6
+        assert len(checks) == 7
         assert all(l.split("\t")[2] == "pass" for l in checks)
+
+
+class TestNeighborsOutput:
+    def test_text_table_and_its_emb1_import_print_the_same_bytes(self, capsys, tmp_path):
+        # f32-exact values: the text table keeps float64 rows, the EMB1
+        # table float32 ones; the TSV is the same, from run to run.
+        rng = np.random.default_rng(31)
+        V, D = 300, 24
+        rows = rng.normal(size=(V, D)).astype(np.float32).astype(np.float64)
+        rows[17] = rows[4]  # an exact tie
+        vocab = [f"##w{i}" if i % 5 == 0 else f"w{i}" for i in range(V)]
+        txt, emb = tmp_path / "t.vec", tmp_path / "t.emb"
+        txt.write_bytes(embed_store.save_embeddings_text(embed_store.EmbeddingTable(vocab, rows)))
+        run(capsys, ["import", "--input", str(txt), "--output", str(emb), "--to", "binary"])
+        for word in ("w4", "w1", "w299"):
+            for extra in ([], ["--filter", "subwords"], ["--k", str(V)]):
+                outs = set()
+                for table in (txt, emb, txt, emb):
+                    code, out, _ = run(capsys, [
+                        "neighbors", "--table", str(table), "--word", word,
+                        "--format", "tsv", *extra,
+                    ])
+                    assert code == 0
+                    outs.add(out)
+                assert len(outs) == 1
 
 
 def test_module_entry_point(table_file):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -27,6 +28,7 @@ from embgeom.errors import (
     ZeroVectorError,
 )
 from embgeom.linalg import Matrix, Vector
+from embgeom.selfcheck import _planted_table, _ranked_by_brute_force
 
 MINIMAL = b"2 2\na 1 0\nb 0 1\n"
 
@@ -456,6 +458,36 @@ class TestTextLoadMemory:
         assert peak < len(raw)
 
 
+class TestFiniteCheck:
+    """Each load checks its values for finiteness once; the constructor too."""
+
+    @pytest.fixture
+    def isfinite_calls(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        return calls
+
+    def test_binary_load(self, isfinite_calls):
+        blob = save_embeddings_binary(make_table(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]))
+        isfinite_calls.clear()
+        load_embeddings_binary(blob)
+        assert len(isfinite_calls) == 1
+
+    def test_text_load(self, isfinite_calls):
+        load_embeddings_text(MINIMAL)
+        assert len(isfinite_calls) == 1
+
+    def test_constructor(self, isfinite_calls):
+        make_table(["a"], [[1.0, 2.0]])
+        assert len(isfinite_calls) == 1
+
+
 class TestBinaryFormat:
     def test_round_trip_vocab_exact(self):
         rng = np.random.default_rng(12)
@@ -483,6 +515,144 @@ class TestBinaryFormat:
         blob = save_embeddings_binary(make_table(["a"], [[1.0]]))
         t = load_embeddings_binary(io.BytesIO(blob))
         assert t.lookup("a") == Vector([1.0])
+
+    def test_rows_stay_float32_and_read_as_float64(self):
+        rng = np.random.default_rng(21)
+        rows = rng.normal(size=(6, 5)).astype(np.float32).astype(np.float64)
+        wide = make_table([f"t{i}" for i in range(6)], rows)
+        blob = save_embeddings_binary(wide)
+        t = load_embeddings_binary(blob)
+        assert t._array.dtype == np.float32
+        for i, tok in enumerate(t.vocab):
+            assert t.lookup(tok) == Vector(rows[i].tolist())
+        assert t == wide
+        assert save_embeddings_binary(t) == blob
+        assert save_embeddings_text(t) == save_embeddings_text(wide)
+
+
+def brute_force(table_rows, vocab, token, k, filter=None):
+    keep = None if filter is None else np.array([filter(t) for t in vocab])
+    return _ranked_by_brute_force(vocab, table_rows, vocab.index(token), k, keep)
+
+
+def assert_ranked_like(got, want):
+    assert got.tokens() == [t for t, _ in want]
+    for (_, s), (_, w) in zip(got, want):
+        assert abs(s - w) <= 1e-12
+
+
+class TestNeighbourScreen:
+    """The float32 screen and its cut leave the exact float64 ranking."""
+
+    @pytest.fixture
+    def rescored(self, monkeypatch):
+        """The number of rows each query scores again in float64 and sorts."""
+        counts = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            counts.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return counts
+
+    @pytest.mark.parametrize("f32", [False, True], ids=["float64", "emb1-float32"])
+    def test_cut_prunes_and_keeps_the_exact_ranking(self, rescored, f32):
+        V, D, k = 4096, 768, 10
+        nrng = np.random.default_rng(22)
+        vocab, rows = _planted_table(nrng, V, D, k)
+        t = make_table(vocab, rows)
+        if f32:
+            t = load_embeddings_binary(save_embeddings_binary(t))
+            rows = rows.astype(np.float32)
+        drop = token_filter(["drop-prefix:##"])
+        queries = [vocab[0]] + [vocab[i] for i in nrng.integers(1, V, size=3)]
+        for token in queries:
+            for f in (None, drop):
+                rescored.clear()
+                got = nearest_neighbors(t, token, k, filter=f)
+                assert_ranked_like(got, brute_force(rows, vocab, token, k, f))
+                assert k <= rescored[0] <= 64  # of 4096 rows
+                # k at or past the live candidates: every one is scored
+                got = nearest_neighbors(t, token, V, filter=f)
+                assert_ranked_like(got, brute_force(rows, vocab, token, V, f))
+                assert len(got) == rescored[-1]
+
+    def test_planted_ties_sit_inside_the_cut(self):
+        # The planted cosines lie closer together than the screen can tell
+        # apart, and the k-th place is an exact tie broken by vocabulary order.
+        V, D, k = 4096, 768, 10
+        vocab, rows = _planted_table(np.random.default_rng(22), V, D, k)
+        want = brute_force(rows, vocab, vocab[0], k + 1)
+        sims = [s for _, s in want]
+        assert sims[0] - sims[k - 2] < 2 * embed_store._screen_error(D)
+        assert sims[k - 1] == sims[k]
+        assert vocab.index(want[k - 1][0]) < vocab.index(want[k][0])
+
+    def test_extreme_magnitudes_in_a_float64_table(self):
+        rng = np.random.default_rng(23)
+        V, D = 300, 16
+        base = rng.normal(size=(V, D))
+        base[7] = 0.0
+        base[250, ::2] *= 1e-40  # unit-row entries far below float32's range
+        rows = base.copy()
+        rows[:100] *= 1e300
+        rows[100:200] *= 1e-300
+        rows[260] *= 1e-310  # float64 subnormals only
+        vocab = [f"t{i}" for i in range(V)]
+        t = load_embeddings_text(save_embeddings_text(make_table(vocab, rows)))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for token in ("t3", "t150", "t250", "t260"):
+                for f in (None, token_filter(["drop-prefix:t1"])):
+                    got = nearest_neighbors(t, token, 20, filter=f)
+                    assert_ranked_like(got, brute_force(base, vocab, token, 20, f))
+                    assert "t7" not in got.tokens()
+            with pytest.raises(ZeroVectorError):
+                nearest_neighbors(t, "t7", 5)
+        unit, scale, norms, _ = t._query_state()
+        assert np.isfinite(unit).all() and np.isfinite(norms).all()
+
+    def test_subnormal_row_in_an_emb1_table(self):
+        rng = np.random.default_rng(24)
+        V, D = 200, 12
+        rows = rng.normal(size=(V, D)).astype(np.float32)
+        rows[3] = (rng.normal(size=D) * 1e-40).astype(np.float32)  # float32 subnormals
+        rows[9] = 0.0
+        assert 0 < np.abs(rows[3]).max() < np.finfo(np.float32).tiny
+        vocab = [f"t{i}" for i in range(V)]
+        t = load_embeddings_binary(save_embeddings_binary(make_table(vocab, rows)))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for token in ("t3", "t4"):
+                got = nearest_neighbors(t, token, V)
+                assert_ranked_like(got, brute_force(rows, vocab, token, V))
+                assert "t9" not in got.tokens()
+            with pytest.raises(ZeroVectorError):
+                nearest_neighbors(t, "t9", 5)
+
+    def test_text_and_emb1_tables_answer_alike(self):
+        # f32-exact values: the text table stores float64, its EMB1 import
+        # float32; every query answers bit for bit the same.
+        V, D, k = 1200, 48, 10
+        vocab, rows = _planted_table(np.random.default_rng(25), V, D, k)
+        rows = rows.astype(np.float32).astype(np.float64)
+        text = load_embeddings_text(save_embeddings_text(make_table(vocab, rows)))
+        emb1 = load_embeddings_binary(save_embeddings_binary(text))
+        assert text._array.dtype == np.float64 and emb1._array.dtype == np.float32
+        drop = token_filter(["drop-prefix:##"])
+        for token in vocab[:40]:
+            for f in (None, drop):
+                assert nearest_neighbors(text, token, k, f) == nearest_neighbors(emb1, token, k, f)
+        assert np.array_equal(text._query_state()[2], emb1._query_state()[2])
+
+    def test_query_state_waits_for_the_first_query(self):
+        t = load_embeddings_binary(save_embeddings_binary(load_embeddings_text(MINIMAL)))
+        assert t._screen is None and not t._candidate_bias
+        nearest_neighbors(t, "a", 1)
+        assert t._screen is not None
+        assert not t._query_state()[0].flags.writeable
 
 
 class TestNearestNeighbors:
