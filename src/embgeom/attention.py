@@ -8,9 +8,12 @@ weights; the output is the weight-averaged sum of values. Head outputs are
 concatenated and mapped back to model dimensionality by ``Wo``.
 
 The stack runs on numpy float64 arrays: one head is three matmuls, a
-row-wise softmax and one more matmul over the whole sequence. The
-pure-Python :func:`attention_weights` (on ``linalg.dot`` and
-``linalg.softmax``) stays as the reference the tests replay the stack
+row-wise softmax and one more matmul over the whole sequence. Heads,
+layers and the stack return a :class:`~embgeom.linalg.Matrix`, the
+read-only array itself, which passes from head to layer to layer without
+a copy; it is a sequence of row Vectors, each built only when a caller
+asks for it. The pure-Python :func:`attention_weights` (on ``linalg.dot``
+and ``linalg.softmax``) stays as the reference the tests replay the stack
 against.
 """
 
@@ -185,9 +188,10 @@ def attention_weights(query, keys, scale_scores=True):
 def head_forward(seq, params, scale_scores=True):
     """Run one attention head over a sequence of d-dim vectors.
 
-    Output i is the attention-weighted sum of projected values, with
-    weights from position i's query against every position's key. Each
-    output has dim d_head and lies in the convex hull of the values.
+    Returns an L x d_head Matrix. Row i is the attention-weighted sum of
+    projected values, with weights from position i's query against every
+    position's key, so it lies in the convex hull of the values. A
+    non-finite output entry raises ValueError.
     """
     x = linalg.matrix_array(seq)
     if x.shape[1] != params.d:
@@ -200,13 +204,14 @@ def head_forward(seq, params, scale_scores=True):
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=1, keepdims=True)
     np.maximum(scores, _TINY, out=scores)  # same underflow floor as linalg.softmax
-    return [Vector(row) for row in (scores @ (x @ wv.T)).tolist()]
+    return Matrix._take(scores @ (x @ wv.T))
 
 
 def multihead_forward(seq, heads, Wo, scale_scores=True):
     """Run every head, concatenate per position, project back to dim d.
 
-    ``Wo`` is the layer's d x d output projection Matrix.
+    ``Wo`` is the layer's d x d output projection Matrix. Returns an
+    L x d Matrix.
     """
     x = linalg.matrix_array(seq)
     heads = list(heads)
@@ -228,32 +233,30 @@ def multihead_forward(seq, heads, Wo, scale_scores=True):
         raise DimensionError(f"Wo must be {d}x{d}, got {Wo.rows}x{Wo.cols}")
 
     per_head = [head_forward(x, h, scale_scores=scale_scores) for h in heads]
-    joined = np.hstack([[v.components for v in out] for out in per_head])
-    return [Vector(row) for row in (joined @ Wo.array.T).tolist()]
+    return Matrix._take(np.hstack([m.array for m in per_head]) @ Wo.array.T)
 
 
 def stack_forward(seq, config, layer_params):
-    """Apply every configured layer in order; returns contextualized vectors.
+    """Apply every configured layer in order; returns an L x d Matrix.
 
-    ``seq`` may be a SequenceEmbedding or a bare list of vectors. The
-    output of layer k feeds layer k+1 unchanged (no residuals), so every
-    layer boundary carries vectors of dim d exactly.
+    ``seq`` may be a SequenceEmbedding, a bare list of vectors or a 2-D
+    array; it is validated once. The output Matrix of layer k feeds layer
+    k+1 unchanged (no residuals), so every layer boundary carries vectors
+    of dim d exactly. Row i of the result is position i's contextualized
+    vector.
     """
-    if isinstance(seq, SequenceEmbedding):
-        vectors = list(seq.vectors)
-    else:
-        vectors = [Vector(v) for v in seq]
-    if not vectors:
-        raise EmptyInputError("attention needs at least one position")
-    if len(vectors) > config.context_window:
+    try:
+        x = linalg.matrix_array(seq.vectors if isinstance(seq, SequenceEmbedding) else seq)
+    except EmptyInputError:
+        raise EmptyInputError("attention needs at least one position") from None
+    length, dim = x.shape
+    if length > config.context_window:
         raise ContextWindowExceededError(
-            f"sequence length {len(vectors)} exceeds context window "
+            f"sequence length {length} exceeds context window "
             f"{config.context_window}"
         )
-    if vectors[0].dim != config.d:
-        raise DimensionError(
-            f"sequence has dim {vectors[0].dim}, config expects {config.d}"
-        )
+    if dim != config.d:
+        raise DimensionError(f"sequence has dim {dim}, config expects {config.d}")
     layer_params = list(layer_params)
     if len(layer_params) != config.layers:
         raise DimensionError(
@@ -264,10 +267,8 @@ def stack_forward(seq, config, layer_params):
             raise HeadCountError(
                 f"layer has {len(lp.heads)} heads, config expects {config.n}"
             )
-        vectors = multihead_forward(
-            vectors, lp.heads, lp.Wo, scale_scores=config.scale_scores
-        )
-    return vectors
+        x = multihead_forward(x, lp.heads, lp.Wo, scale_scores=config.scale_scores)
+    return x
 
 
 def positional_encoding(position, d):

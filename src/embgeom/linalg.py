@@ -2,7 +2,8 @@
 
 A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
 read-only float64 numpy array, the same array the numpy code computes
-with. :func:`matrix_array` is the one validator for 2-D input. The
+with, and a read-only sequence of its rows, each a Vector built when it is
+read. :func:`matrix_array` is the one validator for 2-D input. The
 operations here work on plain floats and tuples: exact, and each small
 enough to verify by hand. Throughput is a non-goal; they are the reference
 for the attention stack, which runs on numpy arrays and which the tests
@@ -11,7 +12,7 @@ replay through ``linear_apply`` and ``attention_weights`` (``dot`` then
 """
 
 import math
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -78,6 +79,13 @@ class Vector:
             raise EmptyInputError("a vector needs at least one component")
         _check_finite(data)
         self._data = data
+
+    @classmethod
+    def _of(cls, data):
+        # ``data`` is a nonempty tuple of finite floats, checked by the caller
+        v = cls.__new__(cls)
+        v._data = data
+        return v
 
     @property
     def components(self):
@@ -168,7 +176,12 @@ def matrix_array(rows):
 
 
 class Matrix:
-    """An immutable rows x cols matrix of finite reals: one read-only float64 array."""
+    """An immutable rows x cols matrix of finite reals: one read-only float64 array.
+
+    A Matrix is also a read-only sequence of its rows: ``len``, indexing
+    (negative too) and iteration give each row as a Vector, built when it
+    is asked for.
+    """
 
     __slots__ = ("_array",)
 
@@ -179,6 +192,20 @@ class Matrix:
         a = np.array(matrix_array(rows))  # a copy the caller cannot write
         a.flags.writeable = False
         self._array = a
+
+    @classmethod
+    def _take(cls, arr):
+        """A Matrix over the 2-D float64 ``arr`` itself, not a copy.
+
+        The caller gives ``arr`` up: it becomes read-only. One finiteness
+        check covers every entry, so rows need no check of their own.
+        """
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has a non-finite entry")
+        arr.flags.writeable = False
+        m = cls.__new__(cls)
+        m._array = arr
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -209,7 +236,15 @@ class Matrix:
         return self._array.shape
 
     def row(self, i):
-        return Vector(self._array[i].tolist())
+        return Vector._of(tuple(self._array[index(i)].tolist()))
+
+    __getitem__ = row
+
+    def __len__(self):
+        return self._array.shape[0]
+
+    def __iter__(self):
+        return map(Vector._of, map(tuple, self._array.tolist()))
 
     def row_tuples(self):
         """The rows as tuples of Python floats, built on each call."""

@@ -46,18 +46,23 @@ def _check_softmax_normalization(rng):
 
 
 def _check_attention_row_sums(rng):
+    # With X = I_L, d = d_head = L and Wv = I, head_forward's output rows
+    # are the attention weights themselves.
     worst = 0.0
     for _ in range(50):
-        d = rng.randint(1, 8)
         L = rng.randint(1, 8)
-        q = _random_vector(rng, d, 3.0)
-        keys = [_random_vector(rng, d, 3.0) for _ in range(L)]
-        w = attention.attention_weights(q, keys, scale_scores=rng.random() < 0.5)
-        worst = max(worst, abs(sum(w) - 1.0))
-        if any(p <= 0.0 for p in w):
-            return CheckResult(
-                "attention row sums", False, "non-positive attention weight"
-            )
+        head = attention.AttentionHeadParams(
+            Wq=Matrix([_random_vector(rng, L, 3.0) for _ in range(L)]),
+            Wk=Matrix([_random_vector(rng, L, 3.0) for _ in range(L)]),
+            Wv=Matrix.identity(L),
+        )
+        out = attention.head_forward(Matrix.identity(L), head, scale_scores=rng.random() < 0.5)
+        for w in out:
+            worst = max(worst, abs(sum(w) - 1.0))
+            if any(p <= 0.0 for p in w):
+                return CheckResult(
+                    "attention row sums", False, "non-positive attention weight"
+                )
     passed = worst <= 1e-9
     return CheckResult("attention row sums", passed, f"max |sum-1| = {worst:.2e}")
 

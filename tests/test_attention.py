@@ -5,6 +5,7 @@ import random
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestHeadForward:
             got = as_array(head_forward(X.tolist(), params, scale_scores=True))
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
+    def test_overflowing_output_raises_value_error(self):
+        # numpy's own overflow warnings are silenced, so only the output's
+        # finiteness check can stop the call; it must raise, not warn
+        head = AttentionHeadParams(
+            Wq=Matrix.zeros(1, 2), Wk=Matrix.zeros(1, 2), Wv=Matrix([[1e308, 1e308]])
+        )
+        seq = [[1.0, 1.0], [1.0, 0.5]]  # values 2e308 and 1.5e308: both overflow
+        big_wo = Matrix([[1.5e308, 1.5e308], [1.5e308, 1.5e308]])  # rows sum past 2e308
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                head_forward(seq, head)
+            with pytest.raises(ValueError):
+                multihead_forward(seq, [identity_head(2)], big_wo)
+
     def test_head_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             AttentionHeadParams(
@@ -321,6 +337,30 @@ class TestStackForward:
         layer = AttentionLayerParams(heads=(identity_head(2),), Wo=eye)
         out = stack_forward(seq, config, [layer])
         np.testing.assert_allclose(out[0].components, [0.73106, 0.26894], atol=1e-5)
+
+    def test_every_level_returns_a_read_only_matrix(self):
+        config = MultiHeadConfig(d=4, n=2, layers=2)
+        params = random_stack_params(config, seed=2)
+        seq = np.random.default_rng(33).normal(size=(3, 4))
+        lp = params[0]
+        for out in (
+            head_forward(seq, lp.heads[0]),
+            multihead_forward(seq, lp.heads, lp.Wo),
+            stack_forward(seq, config, params),
+        ):
+            assert isinstance(out, Matrix) and len(out) == 3
+            assert not out.array.flags.writeable
+        assert seq.flags.writeable  # the caller's input stays its own
+
+    def test_input_errors_keep_their_messages(self):
+        config = MultiHeadConfig(d=2, n=1, layers=1)
+        params = random_stack_params(config, seed=1)
+        with pytest.raises(EmptyInputError, match="at least one position"):
+            stack_forward([], config, params)
+        with pytest.raises(DimensionError, match="sequence has dim 3, config expects 2"):
+            stack_forward([[1.0, 0.0, 0.0]], config, params)
+        with pytest.raises(ValueError):
+            stack_forward([[1.0, math.nan]], config, params)
 
     def test_context_window_enforced(self):
         config = MultiHeadConfig(d=2, n=1, layers=1, context_window=2)

@@ -1,0 +1,65 @@
+"""The names the traced benchmark run patches, and the calls it times.
+
+``perfbench/session.py::instrument`` wraps or counts functions by their
+module attribute, and the per-layer attention metrics are read from the
+spans of ``attention.multihead_forward`` (one per layer) and
+``attention.head_forward`` (one per head). A name that goes missing, or a
+layer that reaches its heads by another route, fails the traced run.
+"""
+
+import os
+import sys
+
+import numpy as np
+
+import embgeom
+import embgeom.cli  # noqa: F401  (imports every module instrument patches)
+from embgeom import attention
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import session
+    import tracing
+finally:
+    sys.path.remove(PERFBENCH)
+
+
+def test_every_instrumented_name_is_a_module_attribute():
+    tracer = tracing.Tracer()
+    try:
+        session.instrument(tracer, embgeom)  # getattr raises on a missing name
+        patched = {f"{m.__name__}.{attr}" for m, attr, _ in tracer._patches}
+    finally:
+        tracer.restore()
+    assert {
+        "embgeom.attention.stack_forward",
+        "embgeom.attention.multihead_forward",
+        "embgeom.attention.head_forward",
+        "embgeom.linalg.linear_apply",
+        "embgeom.linalg.dot",
+        "embgeom.linalg.softmax",
+    } <= patched
+
+
+def test_stack_reaches_layers_and_heads_through_module_attributes(monkeypatch):
+    calls = {"multihead_forward": 0, "head_forward": 0}
+
+    def counting(name):
+        orig = getattr(attention, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(attention, name, counting(name))
+    for d, n, layers in ((8, 2, 3), (32, 4, 2), (6, 1, 1)):
+        config = attention.MultiHeadConfig(d=d, n=n, layers=layers)
+        params = attention.random_stack_params(config, seed=d)
+        for name in calls:
+            calls[name] = 0
+        attention.stack_forward(np.ones((5, d)), config, params)
+        assert calls == {"multihead_forward": layers, "head_forward": n * layers}

@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from embgeom import attention, cli, embed_store, trainer
+from embgeom import attention, cli, embed_store, selfcheck, trainer
 from embgeom.linalg import Matrix
 
 MINI_TABLE = (
@@ -542,6 +543,17 @@ class TestSelfcheck:
         checks = [l for l in out.splitlines() if l.startswith("check\t")]
         assert len(checks) == 7
         assert all(l.split("\t")[2] == "pass" for l in checks)
+
+    def test_row_sum_check_runs_the_shipped_head(self, monkeypatch):
+        assert selfcheck._check_attention_row_sums(random.Random(0)).passed
+        shipped = attention.head_forward
+        monkeypatch.setattr(
+            attention, "head_forward",
+            lambda seq, params, scale_scores=True: Matrix(
+                1.5 * shipped(seq, params, scale_scores=scale_scores).array
+            ),
+        )
+        assert not selfcheck._check_attention_row_sums(random.Random(0)).passed
 
 
 class TestNeighborsOutput:

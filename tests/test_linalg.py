@@ -91,6 +91,28 @@ class TestMatrix:
         m = Matrix([[1, 2], [3, 4]])
         assert m.row(1) == Vector([3, 4])
 
+    def test_rows_as_a_sequence(self):
+        m = Matrix([[1, 2], [3, 4], [5, 6]])
+        assert len(m) == 3
+        assert m[-1] == Vector([5, 6]) and m[-3] == m[0] == Vector([1, 2])
+        assert list(m) == [m.row(i) for i in range(3)]
+        assert all(type(x) is float for row in m for x in row.components)
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                m[i]
+
+    def test_take_adopts_the_array(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = Matrix._take(a)
+        assert m.array is a and linalg.matrix_array(m) is a
+        assert not a.flags.writeable
+        assert m == Matrix([[1, 2], [3, 4]])
+
+    def test_take_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Matrix._take(np.array([[1.0, bad], [0.0, 0.0]]))
+
     def test_row_tuples_are_python_floats(self):
         rows = Matrix(np.array([[1, 2], [3, 4]])).row_tuples()
         assert rows == ((1.0, 2.0), (3.0, 4.0))
