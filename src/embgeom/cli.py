@@ -7,6 +7,7 @@ on stderr, or 2 on a usage error.
 """
 
 import argparse
+import io
 import sys
 
 from . import attention, container, embed_store, selfcheck, sense_geometry, trainer
@@ -46,10 +47,19 @@ def _write(path, blob):
 
 
 def _load_table(path, lowercase=False):
-    blob = _read(path)
-    if blob[:4] == container.EMB1:
-        return embed_store.load_embeddings_binary(blob)
-    return embed_store.load_embeddings_text(blob, lowercase=lowercase)
+    """An EMB1 table read from its open file, or a text table from its bytes.
+
+    The file is opened unbuffered: a buffered file's ``read()`` joins the
+    bytes it read ahead to the rest, a second copy of a text table. A pipe
+    cannot seek back to its start, so it is read whole.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(4)
+        src = fh if fh.seekable() else io.BytesIO(head + fh.read())  # a pipe
+        src.seek(0)
+        if head == container.EMB1:
+            return embed_store.load_embeddings_binary(src)
+        return embed_store.load_embeddings_text(src.read(), lowercase=lowercase)
 
 
 def _emit_seed(args):

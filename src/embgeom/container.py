@@ -21,6 +21,9 @@ PRB1 = b"PRB1"
 
 _U32 = struct.Struct("<I")
 
+# Bytes read at a time ahead of the header and name fields of a file source.
+_READ_AHEAD = 1 << 16
+
 
 def read_bytes(source):
     """The content of ``source``: bytes-like, or a binary file object."""
@@ -55,18 +58,45 @@ def build(constructor, *args, line=None, **kwargs):
 
 
 class Reader:
-    """A cursor over one container's bytes, starting after its magic."""
+    """A cursor over one container, starting after its magic.
+
+    ``source`` is bytes-like or a binary file object. A seekable file that
+    can ``readinto`` is read in pieces: the header and names as the fields
+    need them, each float payload with ``readinto`` straight into a fresh
+    array. Any other file is read whole first. A payload read from bytes is
+    a zero-copy view when it sits at an aligned offset and an aligned copy
+    when not; numpy runs no BLAS kernel on an unaligned array. Either way
+    :meth:`floats` returns an aligned, read-only array.
+    """
 
     def __init__(self, source, magic):
-        self.raw = read_bytes(source)
-        if self.raw[:4] != magic:
-            raise ParseError(f"bad magic: {self.raw[:4]!r}, expected {magic!r}")
+        self.raw, self.pos, self._file = b"", 0, None
+        if _seekable_file(source):
+            self._file = source
+        else:
+            self.raw = read_bytes(source)
+        self._fill(4)
+        got = self.raw[:4]
+        if got != magic:
+            raise ParseError(f"bad magic: {got!r}, expected {magic!r}")
         self.pos = 4
 
+    def _fill(self, n):
+        """Whether ``n`` bytes follow the cursor, reading ahead from a file
+        source until they do or it ends."""
+        short = n - (len(self.raw) - self.pos)
+        if short > 0 and self._file is not None:
+            parts = [self.raw[self.pos :]]
+            while short > 0 and (part := self._file.read(max(short, _READ_AHEAD))):
+                parts.append(part)
+                short -= len(part)
+            self.raw, self.pos = b"".join(parts), 0
+        return short <= 0
+
     def _take(self, n, what):
-        start = self.pos
-        if n > len(self.raw) - start:
+        if not self._fill(n):
             raise ParseError(f"truncated {what}")
+        start = self.pos
         self.pos += n
         return start
 
@@ -88,11 +118,11 @@ class Reader:
         out = []
         for _ in range(count):
             if pos + 4 > end:
-                raise ParseError(f"truncated {what}")
+                raw, pos, end = self._refill(pos, 4, what)
             (n,) = unpack(raw, pos)
+            if pos + 4 + n > end:
+                raw, pos, end = self._refill(pos, 4 + n, what)
             pos += 4
-            if pos + n > end:
-                raise ParseError(f"truncated {what}")
             try:
                 out.append(raw[pos : pos + n].decode("utf-8"))
             except UnicodeDecodeError as exc:
@@ -101,17 +131,63 @@ class Reader:
         self.pos = pos
         return out
 
+    def _refill(self, pos, n, what):
+        """:meth:`names`' cursor moved to ``pos`` with ``n`` bytes after it."""
+        self.pos = pos
+        if not self._fill(n):
+            raise ParseError(f"truncated {what}")
+        return self.raw, self.pos, len(self.raw)
+
     def floats(self, count, dtype, what):
-        """``count`` finite ``dtype`` floats (``"<f4"`` or ``"<f8"``) as an array."""
-        start = self._take(count * np.dtype(dtype).itemsize, what)
-        arr = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
+        """``count`` finite ``dtype`` floats (``"<f4"`` or ``"<f8"``) as an
+        aligned, read-only array."""
+        size = count * np.dtype(dtype).itemsize
+        if self._file is None:
+            start = self._take(size, what)
+            arr = np.frombuffer(self.raw, dtype, count, start)
+            if not arr.flags.aligned:
+                arr = arr.copy()
+        else:
+            arr = self._read_into(count, dtype, size, what)
         if not np.isfinite(arr).all():
             raise ParseError(f"non-finite value in {what}")
+        arr.flags.writeable = False
+        return arr
+
+    def _read_into(self, count, dtype, size, what):
+        """A fresh array of ``size`` bytes filled from the bytes read ahead,
+        then from the file itself."""
+        ahead = len(self.raw) - self.pos
+        here = self._file.tell()
+        if size > ahead + self._file.seek(0, 2) - here:  # before allocating
+            raise ParseError(f"truncated {what}")
+        self._file.seek(here)
+        arr = np.empty(count, dtype)
+        view = memoryview(arr).cast("B")
+        got = min(ahead, size)
+        view[:got] = self.raw[self.pos : self.pos + got]
+        self.pos += got
+        while got < size:
+            n = self._file.readinto(view[got:])
+            if not n:
+                raise ParseError(f"truncated {what}")
+            got += n
         return arr
 
     def end(self):
-        if self.pos != len(self.raw):
-            raise ParseError(f"{len(self.raw) - self.pos} trailing bytes")
+        extra = len(self.raw) - self.pos
+        if self._file is not None:
+            extra += len(self._file.read())
+        if extra:
+            raise ParseError(f"{extra} trailing bytes")
+
+
+def _seekable_file(source):
+    """Whether ``source`` is a file object :class:`Reader` can read in pieces."""
+    try:
+        return source.seekable() and hasattr(source, "readinto")
+    except (AttributeError, ValueError):  # bytes or another non-file, or a closed file
+        return False
 
 
 def u64s(*values):

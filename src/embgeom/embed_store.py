@@ -54,8 +54,19 @@ _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 # The size of the runs of whole lines the text loader checks and parses.
 _CHUNK_BYTES = 16 << 20
 
+# Whitespace in a token: \s matches exactly the characters str.isspace() does.
+_SPACE_RE = re.compile(r"\s")
+
 # Rows widened to float64 at a time while a table's query state is built.
 _BLOCK_ROWS = 1024
+
+# A float32 table of more entries than this screens its stored rows when
+# every nonzero row's norm lies in the range below (see _screen_error), and
+# unit rows otherwise. A smaller table's unit rows take at most 256 KiB and
+# 0.3 ms to build, and save each query about 5 us of a 50 us query (194 x 32):
+# the query row's rounding, the weighting and the error-state switch.
+_UNIT_ROWS_UP_TO = 1 << 16
+_STORED_NORMS = (2.0**-60, 2.0**60)
 
 # A row's sum of squares at or above this, and at or below its inverse, lost
 # nothing that matters to under- or overflow.
@@ -64,9 +75,13 @@ _SAFE_SQUARES = 2.0**-960
 
 def token_index(vocab):
     """Map each token to its position; reject empty, spaced or repeated tokens."""
-    for t in vocab:
-        if not isinstance(t, str) or not t or any(map(str.isspace, t)):
-            raise ValueError(f"invalid token: {t!r}")
+    try:
+        joined = "".join(vocab)  # one search for whitespace, not one per token
+    except TypeError:  # a token that is not a str
+        joined = None
+    if joined is None or not all(vocab) or _SPACE_RE.search(joined):
+        bad = next(t for t in vocab if not isinstance(t, str) or not t or _SPACE_RE.search(t))
+        raise ValueError(f"invalid token: {bad!r}")
     index = {t: i for i, t in enumerate(vocab)}
     if len(index) != len(vocab):
         seen = set()
@@ -160,47 +175,33 @@ class EmbeddingTable:
         return Vector(self._array[self.index_of(token)].tolist())
 
     def _query_state(self):
-        """The float32 unit rows, each row's power-of-two scale (None when
-        every scale is 1) and the float64 norm of its scaled row, and the
-        screen's error bound.
+        """The rows the screen multiplies and their float32 weight per row
+        (None for unit rows), each row's power-of-two scale (None when every
+        scale is 1) and the float64 norm of its scaled row, and the screen's
+        error bound.
 
-        Built on the first query, in blocks of rows widened to float64, so
-        the norms are the same bits whether the rows are stored as float32
-        or float64. A row whose sum of squares would over- or underflow is
-        first scaled by 2**-e, e the exponent of its largest |x|; that is
-        exact. Every other row keeps scale 1, as every float32 row does. A
-        zero row keeps a zero unit row and norm 0.
+        Built on the first query. A float32 table of more than
+        ``_UNIT_ROWS_UP_TO`` entries whose nonzero rows all have norms in
+        ``_STORED_NORMS`` screens its stored rows themselves, each weighted by
+        1/norm in float32 (0 for a zero row): no V x D copy is made. Any other
+        table screens read-only float32 unit rows, a zero row keeping a zero
+        unit row; see :func:`_row_norms` for the norms and scales.
         """
         if self._screen is None:
             arr = self._array
-            V, D = arr.shape
-            unit = np.empty((V, D), dtype=np.float32)
-            scale, norms = np.ones(V), np.empty(V)
-            buf = np.empty((min(V, _BLOCK_ROWS), D))
-            with np.errstate(under="ignore"):  # squares far below the row's largest
-                for a in range(0, V, _BLOCK_ROWS):
-                    b = min(a + _BLOCK_ROWS, V)
-                    rows = buf[: b - a]
-                    np.copyto(rows, arr[a:b])
-                    ss = np.einsum("ij,ij->i", rows, rows)
-                    odd = np.flatnonzero(~(ss >= _SAFE_SQUARES) | (ss > 1.0 / _SAFE_SQUARES))
-                    if odd.size:
-                        top = np.abs(rows[odd]).max(axis=1)
-                        s = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
-                        rows[odd] *= s[:, None]
-                        ss[odd] = np.einsum("ij,ij->i", rows[odd], rows[odd])
-                        scale[a + odd] = s
-                    n = np.sqrt(ss)
-                    rows *= (1.0 / np.where(n > 0.0, n, 1.0))[:, None]
-                    # Each entry to a multiple of 2**-63, so a product of two
-                    # nonzero ones stays a normal float32.
-                    rows += 2.0**-10
-                    rows -= 2.0**-10
-                    unit[a:b], norms[a:b] = rows, n
-            unit.flags.writeable = False
-            if (scale == 1.0).all():
-                scale = None
-            self._screen = unit, scale, norms, _screen_error(D)
+            big32 = arr.dtype == np.float32 and arr.size > _UNIT_ROWS_UP_TO
+            scale, norms, unit = _row_norms(arr, unit_rows=not big32)
+            nonzero = norms[norms > 0.0]
+            lo, hi = _STORED_NORMS
+            if big32 and (not nonzero.size or lo <= nonzero.min() and nonzero.max() <= hi):
+                screen = arr
+                weight = (1.0 / np.where(norms > 0.0, norms, np.inf)).astype(np.float32)
+                weight.flags.writeable = False
+            else:
+                if unit is None:
+                    scale, norms, unit = _row_norms(arr, unit_rows=True)
+                screen, weight = unit, None
+            self._screen = screen, weight, scale, norms, _screen_error(arr.shape[1])
         return self._screen
 
     def _candidates(self, filter):
@@ -215,7 +216,7 @@ class EmbeddingTable:
         key = filter.rules if cached and filter is not None else ()
         if cached and key in self._candidate_bias:
             return self._candidate_bias[key]
-        dead = self._query_state()[2] == 0.0
+        dead = self._query_state()[3] == 0.0
         if filter is not None:
             dead |= ~np.fromiter(map(filter, self._vocab), dtype=bool, count=self.V)
         bias = np.where(dead, np.float32(-np.inf), np.float32(0.0))
@@ -546,11 +547,15 @@ def save_embeddings_text(table):
 
 
 def load_embeddings_binary(source):
-    """Parse the EMB1 binary embedding format into an EmbeddingTable."""
+    """Parse the EMB1 binary embedding format into an EmbeddingTable.
+
+    ``source`` is bytes or a binary file object; a seekable file's rows are
+    read straight into the table's array (see :class:`container.Reader`).
+    """
     r = container.Reader(source, container.EMB1)
     V, D = r.u64s(2, "V and D")
     vocab = r.names(V, "vocabulary")
-    # float32 holds these values exactly: the table keeps the read-only view.
+    # float32 holds these values exactly: the table keeps the aligned array.
     arr = r.floats(V * D, "<f4", "matrix data").reshape(V, D)
     r.end()
     return container.build(EmbeddingTable._take, vocab, arr)
@@ -566,16 +571,75 @@ def save_embeddings_binary(table):
     return head + container.names(table.vocab) + container.floats(table._array, "<f4")
 
 
+def _row_norms(arr, unit_rows):
+    """Each row's power-of-two scale (None when every scale is 1) and the
+    float64 norm of its scaled row, and with ``unit_rows`` the read-only
+    float32 unit rows (else None).
+
+    The rows are widened to float64 in blocks, so the norms are the same bits
+    whether they are stored as float32 or float64. A row whose sum of squares
+    would over- or underflow is first scaled by 2**-e, e the exponent of its
+    largest |x|; that is exact. Every other row keeps scale 1, as every
+    float32 row does. A zero row has norm 0 and a zero unit row.
+    """
+    V, D = arr.shape
+    unit = np.empty((V, D), dtype=np.float32) if unit_rows else None
+    scale, norms = np.ones(V), np.empty(V)
+    buf = np.empty((min(V, _BLOCK_ROWS), D))
+    with np.errstate(under="ignore"):  # squares far below the row's largest
+        for a in range(0, V, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, V)
+            rows = buf[: b - a]
+            np.copyto(rows, arr[a:b])
+            ss = np.einsum("ij,ij->i", rows, rows)
+            odd = np.flatnonzero(~(ss >= _SAFE_SQUARES) | (ss > 1.0 / _SAFE_SQUARES))
+            if odd.size:
+                top = np.abs(rows[odd]).max(axis=1)
+                s = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
+                rows[odd] *= s[:, None]
+                ss[odd] = np.einsum("ij,ij->i", rows[odd], rows[odd])
+                scale[a + odd] = s
+            norms[a:b] = n = np.sqrt(ss)
+            if unit is not None:
+                rows *= (1.0 / np.where(n > 0.0, n, 1.0))[:, None]
+                # Each entry to a multiple of 2**-63, so a product of two
+                # nonzero ones stays a normal float32.
+                rows += 2.0**-10
+                rows -= 2.0**-10
+                unit[a:b] = rows
+    if unit is not None:
+        unit.flags.writeable = False
+    return (None if (scale == 1.0).all() else scale), norms, unit
+
+
 def _screen_error(D):
     """The bound eps on |screened - ranked cosine| of one row, at dimension D.
 
-    With u = 2**-24: each stored unit-row entry is within a relative 1.01u
-    of the exact unit vector's, or within 2**-63 of it. The float32 dot
-    product of two such rows adds at most gamma_D = D*u / (1 - D*u) times
-    the product of their norms (Higham 2002, section 3.1), and the float64
-    score the ranking uses lies within (2D + 7) * 2**-53 of the exact
-    cosine. While D*u <= 1/4 the sum stays below (D + 4)u / (1 - D*u);
-    past that, 2D covers any difference, so no row is cut.
+    With u = 2**-24, a float32 dot product of length D errs by at most
+    gamma_D = D*u / (1 - D*u) times the dot of the two rows' absolute values
+    (Higham 2002, section 3.1), so by gamma_D times the product of their
+    norms. The float64 score the ranking uses lies within (2D + 7) * 2**-53
+    of the exact cosine.
+
+    Unit rows: each stored unit-row entry is within a relative 1.01u of the
+    exact unit vector's, or within 2**-63 of it, and their dot adds gamma_D.
+    While D*u <= 1/4 the sum stays below (D + 4)u / (1 - D*u).
+
+    Stored float32 rows: the screen is fl(fl(x . q) * w), x a stored row of
+    norm n, q the float32 unit query row and w the float32 1/n. Rounding q
+    costs u (by Cauchy-Schwarz), the dot gamma_D, and w and the product u
+    each on a value within 1 + gamma_D + u of the cosine: together
+    gamma_D + 3u + 3u*gamma_D, and (D + 4)u / (1 - D*u) exceeds that by
+    u / (1 - D*u). That margin covers what is left while D*u <= 1/4: the
+    ranking's error, the float64 norms' (about D * 2**-53 each), entries of
+    q that round below float32's normal range (by at most 2**-150 each), and
+    products and sums below that range, rounded or flushed to zero, which
+    move the dot by less than D * 2**-125, at most D * 2**-65 of n for
+    n >= 2**-60. With n <= 2**60 no product or sum overflows and w is a
+    normal float32; a table with a row outside that range
+    (``_STORED_NORMS``) screens unit rows.
+
+    Past D*u = 1/4, 2D covers any difference, so no row is cut.
     """
     u = 2.0**-24
     return (D + 4) * u / (1 - D * u) if D * u <= 0.25 else 2.0 * D
@@ -589,8 +653,10 @@ def nearest_neighbors(table, token, k, filter=None):
     Candidate rows with zero norm have no direction and are skipped; a
     zero-norm query raises ZeroVectorError.
 
-    One float32 mat-vec over the table's unit rows screens every candidate.
-    A screened cosine is within eps (``_screen_error``) of the ranked one,
+    One float32 mat-vec screens every candidate: over the stored rows of a
+    float32 table, each product then weighted by its row's float32 1/norm,
+    or over cached unit rows (see ``EmbeddingTable._query_state``). A
+    screened cosine is within eps (``_screen_error``) of the ranked one,
     so each row of the top k screens at least sigma_k - 2 eps, sigma_k
     being the k-th highest screened cosine. Only those rows are scored
     again in float64, each from its own exact row and norm, then clipped
@@ -599,7 +665,7 @@ def nearest_neighbors(table, token, k, filter=None):
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     qi = table.index_of(token)
-    unit, scale, norms, eps = table._query_state()
+    screen, weight, scale, norms, eps = table._query_state()
     if norms[qi] == 0.0:
         raise ZeroVectorError(f"query token {token!r} has a zero-norm row")
     bias, live = table._candidates(filter)
@@ -607,7 +673,16 @@ def nearest_neighbors(table, token, k, filter=None):
     if live == 0:
         return NeighborList(query=token, entries=())
 
-    screened = unit @ unit[qi]
+    # The query row over its norm: rounded to float32 it is the unit query
+    # row a stored-row screen multiplies; the exact ranking uses it as it is.
+    arr = table._array
+    q = (arr[qi] if scale is None else arr[qi] * scale[qi]) / norms[qi]
+    if weight is None:
+        screened = screen @ screen[qi]
+    else:
+        with np.errstate(under="ignore"):  # products below float32's normal range
+            screened = screen @ q.astype(np.float32)
+            screened *= weight
     screened += bias
     screened[qi] = -np.inf
     m = min(k, live)
@@ -617,9 +692,7 @@ def nearest_neighbors(table, token, k, filter=None):
 
     # Scaling by a power of two is exact, and add.reduce sums each row on its
     # own: a row's score does not depend on which other rows survived.
-    arr = table._array
     rows = arr[cand] if scale is None else arr[cand] * scale[cand, None]
-    q = (arr[qi] if scale is None else arr[qi] * scale[qi]) / norms[qi]
     sims = np.add.reduce(rows * q, axis=1)
     sims /= norms[cand]
     np.minimum(sims, 1.0, out=sims)  # clip to [-1, 1]

@@ -4,7 +4,9 @@
 module attribute, and the per-layer attention metrics are read from the
 spans of ``attention.multihead_forward`` (one per layer) and
 ``attention.head_forward`` (one per head). A name that goes missing, or a
-layer that reaches its heads by another route, fails the traced run.
+layer that reaches its heads by another route, fails the traced run. So
+does a loader call the tracer's tag cannot read: the text-load span's tag
+is the length of its first argument.
 """
 
 import os
@@ -14,7 +16,7 @@ import numpy as np
 
 import embgeom
 import embgeom.cli  # noqa: F401  (imports every module instrument patches)
-from embgeom import attention
+from embgeom import attention, embed_store
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -63,3 +65,23 @@ def test_stack_reaches_layers_and_heads_through_module_attributes(monkeypatch):
             calls[name] = 0
         attention.stack_forward(np.ones((5, d)), config, params)
         assert calls == {"multihead_forward": layers, "head_forward": n * layers}
+
+
+def test_traced_neighbors_loads_emb1_and_text_tables(tmp_path, capsys):
+    # The traced run calls cli.main in-process with the real tracer's wrappers.
+    rows = np.random.default_rng(28).normal(size=(5, 4))
+    table = embed_store.EmbeddingTable(["a", "b", "c", "d", "e"], rows)
+    emb, vec = tmp_path / "t.emb", tmp_path / "t.vec"
+    emb.write_bytes(embed_store.save_embeddings_binary(table))
+    vec.write_bytes(embed_store.save_embeddings_text(table))
+    tracer = tracing.Tracer()
+    try:
+        session.instrument(tracer, embgeom)
+        argv = ["neighbors", "--word", "a", "--k", "3", "--format", "tsv", "--table"]
+        codes = [embgeom.cli.main(argv + [str(path)]) for path in (emb, vec)]
+    finally:
+        tracer.restore()
+    assert codes == [0, 0], capsys.readouterr().err
+    tags = {name: tag for _, name, _, _, _, tag in tracer.spans}
+    assert "embed_store.load_embeddings_binary" in tags
+    assert tags["embed_store.load_embeddings_text"] == vec.stat().st_size

@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import os
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +212,44 @@ class TestImport:
         )
         assert "tokens\t4" in out
         assert "dim\t2" in out
+
+    def test_text_table_is_read_in_one_copy(self, tmp_path, monkeypatch):
+        # A buffered read() would join its read-ahead to the rest: two copies.
+        rows = "\n".join(f"t{i} {i}.5 -1.25" for i in range(40000))
+        blob = f"40000 2\n{rows}\n".encode()
+        path = tmp_path / "big.vec"
+        path.write_bytes(blob)
+        seen = []
+
+        def loader(raw, lowercase=False):
+            seen.append((raw == blob, tracemalloc.get_traced_memory()[1]))
+            return "table"
+
+        monkeypatch.setattr(embed_store, "load_embeddings_text", loader)
+        tracemalloc.start()
+        try:
+            assert cli._load_table(str(path)) == "table"
+        finally:
+            tracemalloc.stop()
+        (same, peak), = seen
+        assert same and peak < 1.5 * len(blob)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "emb1"])
+    def test_tables_load_from_a_pipe(self, tmp_path, binary):
+        table = embed_store.load_embeddings_text(MINI_TABLE.encode())
+        save = embed_store.save_embeddings_binary if binary else embed_store.save_embeddings_text
+        blob = save(table)
+        fifo = tmp_path / "table.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,))
+        writer.start()
+        try:
+            got = cli._load_table(str(fifo))
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert got == (embed_store.load_embeddings_binary(blob) if binary else table)
 
     def test_dead_worker_is_one_error_line(self, table_file, tmp_path):
         # Force the worker path, then kill each worker as it starts a chunk.

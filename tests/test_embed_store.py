@@ -5,6 +5,8 @@ import mmap
 import multiprocessing
 import os
 import random
+import re
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -108,6 +110,22 @@ class TestEmbeddingTable:
             make_table(["a b"], [[1.0]])
         with pytest.raises(ValueError):
             make_table([""], [[1.0]])
+
+    def test_first_invalid_token_is_named(self):
+        for bad in ("b c", "b\u2028c", "", 7, None):
+            with pytest.raises(ValueError, match=re.escape(f"invalid token: {bad!r}")):
+                embed_store.token_index(["a", bad, "x y"])
+        assert embed_store.token_index(("a", "\u00e9t\u00e9", "##s")) == {
+            "a": 0, "\u00e9t\u00e9": 1, "##s": 2
+        }
+
+    def test_space_pattern_matches_isspace_on_every_code_point(self):
+        # token_index searches the joined vocabulary for \s instead of
+        # asking str.isspace of every character
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        found = embed_store._SPACE_RE.findall(every)
+        assert found == [c for c in every if c.isspace()]
+        assert len(found) > 20  # Unicode spaces, not just ASCII ones
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -530,6 +548,40 @@ class TestBinaryFormat:
         assert save_embeddings_text(t) == save_embeddings_text(wide)
 
 
+def emb1_sources(blob, tmp_path):
+    """``blob`` as bytes, as an in-memory file and as a real file."""
+    path = tmp_path / "table.emb"
+    path.write_bytes(blob)
+    yield "bytes", blob
+    yield "BytesIO", io.BytesIO(blob)
+    with open(path, "rb") as fh:
+        yield "file", fh
+
+
+class TestAlignedPayload:
+    """Wherever the names leave the payload, the rows load aligned."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3])
+    def test_every_payload_offset_loads_aligned(self, tmp_path, offset):
+        rows = np.random.default_rng(26).normal(size=(3, 5)).astype(np.float32)
+        # EMB1 header 20 bytes, then (4 + len) per name
+        vocab = ["a" * (1 + (offset + 1) % 4), "b", "c"]
+        blob = save_embeddings_binary(make_table(vocab, rows))
+        start = 20 + sum(4 + len(t) for t in vocab)
+        assert start % 4 == offset and len(blob) == start + rows.nbytes
+        blob_at = np.frombuffer(blob, np.uint8).ctypes.data
+        for kind, source in emb1_sources(blob, tmp_path):
+            t = load_embeddings_binary(source)
+            arr = t._array
+            assert arr.dtype == np.float32 and arr.flags.aligned, kind
+            assert arr.ctypes.data % 4 == 0 and not arr.flags.writeable
+            assert np.array_equal(arr, rows)
+            assert save_embeddings_binary(t) == blob
+            # bytes keep the zero-copy view where the payload is aligned
+            in_blob = blob_at <= arr.ctypes.data < blob_at + len(blob)
+            assert in_blob == (kind == "bytes" and (blob_at + start) % 4 == 0)
+
+
 def brute_force(table_rows, vocab, token, k, filter=None):
     keep = None if filter is None else np.array([filter(t) for t in vocab])
     return _ranked_by_brute_force(vocab, table_rows, vocab.index(token), k, keep)
@@ -611,7 +663,7 @@ class TestNeighbourScreen:
                     assert "t7" not in got.tokens()
             with pytest.raises(ZeroVectorError):
                 nearest_neighbors(t, "t7", 5)
-        unit, scale, norms, _ = t._query_state()
+        unit, _, scale, norms, _ = t._query_state()
         assert np.isfinite(unit).all() and np.isfinite(norms).all()
 
     def test_subnormal_row_in_an_emb1_table(self):
@@ -632,6 +684,46 @@ class TestNeighbourScreen:
             with pytest.raises(ZeroVectorError):
                 nearest_neighbors(t, "t9", 5)
 
+    # How each kind changes rows 0-39 of a normal table, and whether the
+    # table still screens its stored rows.
+    F32_EXTREMES = {
+        "near-float32-max": (lambda r: r / np.abs(r).max(1, keepdims=True) * 3e38, False),
+        "tiny-norms": (lambda r: r * 1e-30, False),
+        "subnormal": (lambda r: r * 1e-40, False),
+        "zero": (lambda r: r * 0.0, True),
+        # in range, but every second entry is subnormal: products and sums
+        # fall below float32's normal range
+        "subnormal-entries": (lambda r: r * np.resize([1.0, 1e-40], r.shape[1]), True),
+        "norms-at-the-range-ends": (
+            lambda r: r / np.linalg.norm(r, axis=1, keepdims=True)
+            * np.resize([2.0**-59, 2.0**59], (len(r), 1)),
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(F32_EXTREMES))
+    def test_stored_rows_at_float32_extremes(self, kind):
+        V, D = 1100, 64  # past _UNIT_ROWS_UP_TO entries: stored rows, when in range
+        assert V * D > embed_store._UNIT_ROWS_UP_TO
+        rng = np.random.default_rng(27)
+        rows = rng.normal(size=(V, D))
+        change, stored = self.F32_EXTREMES[kind]
+        rows[:40] = change(rows[:40])
+        rows = rows.astype(np.float32)
+        assert np.isfinite(rows).all()
+        vocab = [f"##t{i}" if i % 3 == 0 else f"t{i}" for i in range(V)]
+        t = load_embeddings_binary(save_embeddings_binary(make_table(vocab, rows)))
+        drop = token_filter(["drop-prefix:##"])
+        live = [vocab[i] for i in (1, 2, 5, 40, 41, 700) if rows[i].any()]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for token in live:
+                for f in (None, drop):
+                    for k in (10, V):
+                        got = nearest_neighbors(t, token, k, filter=f)
+                        assert_ranked_like(got, brute_force(rows, vocab, token, k, f))
+        assert (t._query_state()[1] is not None) == stored
+
     def test_text_and_emb1_tables_answer_alike(self):
         # f32-exact values: the text table stores float64, its EMB1 import
         # float32; every query answers bit for bit the same.
@@ -645,7 +737,7 @@ class TestNeighbourScreen:
         for token in vocab[:40]:
             for f in (None, drop):
                 assert nearest_neighbors(text, token, k, f) == nearest_neighbors(emb1, token, k, f)
-        assert np.array_equal(text._query_state()[2], emb1._query_state()[2])
+        assert np.array_equal(text._query_state()[3], emb1._query_state()[3])
 
     def test_query_state_waits_for_the_first_query(self):
         t = load_embeddings_binary(save_embeddings_binary(load_embeddings_text(MINIMAL)))

@@ -6,6 +6,7 @@ tests mutate valid inputs of all eight loaders and require that every
 rejection is a ParseError.
 """
 
+import io
 import math
 import random
 import re
@@ -13,6 +14,7 @@ import struct
 
 import pytest
 
+from embgeom import cli
 from embgeom.attention import (
     AttentionHeadParams,
     AttentionLayerParams,
@@ -171,6 +173,9 @@ def _valid_inputs():
     return {
         "text_table": (load_embeddings_text, save_embeddings_text(table), None),
         "emb1": (load_embeddings_binary, save_embeddings_binary(table), 4),
+        "emb1_file_object": (
+            lambda blob: load_embeddings_binary(io.BytesIO(blob)), save_embeddings_binary(table), 4
+        ),
         "named_matrices": (load_named_matrices, save_named_matrices(named), 4),
         "attention_params": (load_attention_params, save_attention_params(stack), 4),
         "tlm1": (load_model, save_model(model), 8),
@@ -232,3 +237,62 @@ def test_f32_savers_refuse_values_beyond_float32():
         save_embeddings_binary(EmbeddingTable(["a"], [[1e39]]))
     with pytest.raises(ValueError, match="float32"):
         save_named_matrices({"m": Matrix([[-1e39]])})
+
+
+def _emb1(V=2, D=2, names=(b"ab", b"c"), values=(1.0, 2.0, 3.0, 4.0), magic=b"EMB1"):
+    return (
+        magic + u64(V) + u64(D) + b"".join(u32(len(n)) + n for n in names)
+        + struct.pack(f"<{len(values)}f", *values)
+    )
+
+
+GOOD_EMB1 = _emb1()  # header 0-19, names 20-30, payload 31-46
+
+# One fault each: (blob, the loader's ParseError message)
+MALFORMED_EMB1 = {
+    "bad-magic": (_emb1(magic=b"EMB2"), "bad magic: b'EMB2', expected b'EMB1'"),
+    "empty": (b"", "bad magic: b'', expected b'EMB1'"),
+    "zero-V": (_emb1(V=0, names=(), values=()), "V and D must be at least 1, got (0, 2)"),
+    "zero-D": (_emb1(D=0, values=()), "V and D must be at least 1, got (2, 0)"),
+    "short-header": (GOOD_EMB1[:12], "truncated V and D"),
+    "short-name-length": (GOOD_EMB1[:28], "truncated vocabulary"),
+    "short-name": (GOOD_EMB1[:25], "truncated vocabulary"),
+    "short-payload": (GOOD_EMB1[:-3], "truncated matrix data"),
+    "payload-past-the-end": (_emb1(D=2**40), "truncated matrix data"),
+    "non-utf8-name": (
+        _emb1(names=(b"a\xff", b"c")),
+        "vocabulary is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 1: "
+        "invalid start byte",
+    ),
+    "nan": (_emb1(values=(1.0, math.nan, 3.0, 4.0)), "non-finite value in matrix data"),
+    "inf": (_emb1(values=(1.0, 2.0, 3.0, -math.inf)), "non-finite value in matrix data"),
+    "trailing-bytes": (GOOD_EMB1 + b"xyz", "3 trailing bytes"),
+}
+
+
+class TestMalformedEmb1:
+    """Bytes, an in-memory file and a real file fail alike, and so does the CLI."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EMB1))
+    def test_every_source_raises_the_same_parse_error(self, tmp_path, case):
+        blob, message = MALFORMED_EMB1[case]
+        path = tmp_path / "bad.emb"
+        path.write_bytes(blob)
+        with open(path, "rb") as fh:
+            for source in (blob, io.BytesIO(blob), fh):
+                with pytest.raises(ParseError) as info:
+                    load_embeddings_binary(source)
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EMB1))
+    def test_neighbors_exits_one_naming_the_fault(self, tmp_path, capsys, case):
+        blob, message = MALFORMED_EMB1[case]
+        if not blob.startswith(b"EMB1"):  # the CLI reads any other file as text
+            with pytest.raises(ParseError) as info:
+                load_embeddings_text(blob)
+            message = str(info.value)
+        path = tmp_path / "bad.emb"
+        path.write_bytes(blob)
+        code = cli.main(["neighbors", "--table", str(path), "--word", "ab"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"ParseError: {message}\n")
