@@ -3,7 +3,8 @@
 The package is organised around a handful of small modules:
 
 ``linalg``
-    Dependency-free vectors, matrices, softmax, and cosine similarity.
+    Plain-Python vectors, softmax, and cosine similarity; read-only
+    numpy-backed matrices.
 ``embed_store``
     Loading, saving, and nearest-neighbour scans over embedding tables.
 ``attention``

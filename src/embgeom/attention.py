@@ -8,13 +8,12 @@ weights; the output is the weight-averaged sum of values. Head outputs are
 concatenated and mapped back to model dimensionality by ``Wo``.
 
 The stack runs on numpy float64 arrays: one head is three matmuls, a
-row-wise softmax and one more matmul over the whole sequence. Heads,
-layers and the stack return a :class:`~embgeom.linalg.Matrix`, the
-read-only array itself, which passes from head to layer to layer without
-a copy; it is a sequence of row Vectors, each built only when a caller
-asks for it. The pure-Python :func:`attention_weights` (on ``linalg.dot``
-and ``linalg.softmax``) stays as the reference the tests replay the stack
-against.
+row-wise softmax and one more matmul over the whole sequence. The weights
+come from one kernel, which :func:`head_forward` and the public
+:func:`attention_weights` share. Heads, layers and the stack return a
+:class:`~embgeom.linalg.Matrix`, the read-only array itself, which passes
+from head to layer to layer without a copy; it is a sequence of row
+Vectors, each built only when a caller asks for it.
 """
 
 import math
@@ -168,21 +167,42 @@ class SequenceEmbedding:
         return self.vectors[0].dim
 
 
-def attention_weights(query, keys, scale_scores=True):
-    """Softmax-normalized dot-product scores of one query against all keys.
+def _weights(q, k, scale_scores):
+    """Row-softmax of the scores ``q @ k.T``: one row of weights per query.
 
-    With ``scale_scores`` the raw scores are divided by sqrt(d_head) first,
-    which keeps the softmax out of its saturated regime at realistic
-    dimensionalities; disable it to follow the bare dot-product procedure.
+    With ``scale_scores`` the scores are divided by sqrt(q.shape[1]) first.
+    Each row is shifted by its maximum before ``exp`` so no score
+    overflows, and entries that underflow are floored at the smallest
+    subnormal, as in ``linalg.softmax``. The inputs are not validated.
     """
-    keys = list(keys)
-    if not keys:
-        raise EmptyInputError("attention needs at least one key")
-    scores = [linalg.dot(query, k) for k in keys]
+    w = q @ k.T
     if scale_scores:
-        denom = math.sqrt(len(Vector(query)))
-        scores = [s / denom for s in scores]
-    return linalg.softmax(scores)
+        w /= math.sqrt(q.shape[1])
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    np.maximum(w, _TINY, out=w)
+    return w
+
+
+def attention_weights(queries, keys, scale_scores=True):
+    """Softmax-normalized dot-product scores of each query against all keys.
+
+    ``queries`` and ``keys`` are sequences of rows (or 2-D arrays) of one
+    dimensionality. Returns a rows(queries) x rows(keys) Matrix whose
+    rows are strictly positive and sum to 1. With ``scale_scores`` the raw
+    scores are divided by sqrt(d) first, which keeps the softmax out of its
+    saturated regime at realistic dimensionalities; disable it to follow
+    the bare dot-product procedure.
+    """
+    q = linalg.matrix_array(queries)
+    try:
+        k = linalg.matrix_array(keys)
+    except EmptyInputError:
+        raise EmptyInputError("attention needs at least one key") from None
+    if q.shape[1] != k.shape[1]:
+        raise DimensionError(f"queries of dim {q.shape[1]} against keys of dim {k.shape[1]}")
+    return Matrix._take(_weights(q, k, scale_scores))
 
 
 def head_forward(seq, params, scale_scores=True):
@@ -197,14 +217,8 @@ def head_forward(seq, params, scale_scores=True):
     if x.shape[1] != params.d:
         raise DimensionError(f"head expects input dim {params.d}, sequence has {x.shape[1]}")
     wq, wk, wv = params.Wq.array, params.Wk.array, params.Wv.array
-    scores = (x @ wq.T) @ (x @ wk.T).T
-    if scale_scores:
-        scores /= math.sqrt(params.d_head)
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    np.maximum(scores, _TINY, out=scores)  # same underflow floor as linalg.softmax
-    return Matrix._take(scores @ (x @ wv.T))
+    w = _weights(x @ wq.T, x @ wk.T, scale_scores)
+    return Matrix._take(w @ (x @ wv.T))
 
 
 def multihead_forward(seq, heads, Wo, scale_scores=True):

@@ -159,11 +159,7 @@ def cmd_attend(args):
         table, tokens, use_positional=args.positional, context_window=args.window
     )
     _emit_seed(args)
-    scale = not args.no_scale
-    rows = [
-        attention.attention_weights(v, seq.vectors, scale_scores=scale)
-        for v in seq.vectors
-    ]
+    rows = attention.attention_weights(seq.vectors, seq.vectors, scale_scores=not args.no_scale)
     if args.format == "tsv":
         print("token\t" + "\t".join(seq.tokens))
         for token, row in zip(seq.tokens, rows):

@@ -253,9 +253,6 @@ class NeighborList:
     query: str
     entries: tuple
 
-    def tokens(self):
-        return [t for t, _ in self.entries]
-
     def __iter__(self):
         return iter(self.entries)
 

@@ -4,11 +4,10 @@ A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
 read-only float64 numpy array, the same array the numpy code computes
 with, and a read-only sequence of its rows, each a Vector built when it is
 read. :func:`matrix_array` is the one validator for 2-D input. The
-operations here work on plain floats and tuples: exact, and each small
-enough to verify by hand. Throughput is a non-goal; they are the reference
-for the attention stack, which runs on numpy arrays and which the tests
-replay through ``linear_apply`` and ``attention_weights`` (``dot`` then
-``softmax``) to 1e-12.
+vector operations here work on plain floats and tuples: exact, and each
+small enough to verify by hand. Throughput is a non-goal. The attention
+stack runs on numpy arrays, and the tests replay it through
+``linear_apply``, ``dot`` and ``softmax`` to 1e-12.
 """
 
 import math

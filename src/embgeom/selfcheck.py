@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, embed_store, linalg, sense_geometry, trainer
+from . import attention, embed_store, sense_geometry, trainer
 from .linalg import Matrix, Vector
 
 __all__ = ["CheckResult", "run_all"]
@@ -29,13 +29,16 @@ def _random_vector(rng, d, scale=1.0):
 
 
 def _check_softmax_normalization(rng):
+    # The shipped attention kernel with keys = I: its scores q @ I.T are
+    # the row q itself, so it returns the softmax of q.
     worst = 0.0
     for _ in range(200):
         d = rng.randint(1, 12)
         scale = rng.choice([1.0, 10.0, 1e2, 1e4])
-        out = linalg.softmax(_random_vector(rng, d, scale))
-        worst = max(worst, abs(sum(out) - 1.0))
-        if any(p <= 0.0 for p in out):
+        q = np.array([_random_vector(rng, d, scale)])
+        out = attention._weights(q, np.eye(d), False)[0]
+        worst = max(worst, abs(out.sum() - 1.0))
+        if (out <= 0.0).any():
             return CheckResult(
                 "softmax normalization", False, "non-positive probability"
             )
@@ -140,40 +143,41 @@ def _check_concat_dimensionality(rng):
     )
 
 
+def _shipped_loss_and_gradients(w_in, w_out, target, ctx):
+    """The training step at learning rate 1, run on copies of the weights.
+
+    Returns the loss, which the step computes before its update, and the
+    gradients of ``w_in`` and ``w_out``: the weights before minus after.
+    """
+    a, b = w_in.copy(), w_out.copy()
+    loss = trainer._sgd_step_arrays(a, b, target, ctx, 1.0 / len(ctx), 1.0)
+    return loss, (w_in - a, w_out - b)
+
+
 def _check_gradients(rng):
     step = 1e-5
     worst = 0.0
     for _ in range(20):
         V = rng.randint(2, 6)
         d = rng.randint(1, 4)
-        w_in = [[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(V)]
-        w_out = [[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(V)]
+        w_in = np.array([[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(V)])
+        w_out = np.array([[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(V)])
         indices = list(range(V))
         rng.shuffle(indices)
         k = rng.randint(1, V - 1)
-        target, context = indices[0], set(indices[1 : k + 1])
-        ex = trainer.TrainingExample(target=target, context=context)
-
-        def model_of(win, wout):
-            return trainer.ToyLM(
-                vocab=tuple(f"w{i}" for i in range(V)),
-                W_in=Matrix(win),
-                W_out=Matrix(wout),
-            )
-
-        _, grads = trainer.loss_and_gradients(model_of(w_in, w_out), ex)
-        for which, analytic in (("in", grads.dW_in), ("out", grads.dW_out)):
-            w = w_in if which == "in" else w_out
+        target, ctx = indices[0], np.array(sorted(indices[1 : k + 1]), dtype=np.intp)
+        _, grads = _shipped_loss_and_gradients(w_in, w_out, target, ctx)
+        for w, analytic in zip((w_in, w_out), grads):
             for i in range(V):
                 for j in range(d):
-                    orig = w[i][j]
-                    w[i][j] = orig + step
-                    hi, _ = trainer.loss_and_gradients(model_of(w_in, w_out), ex)
-                    w[i][j] = orig - step
-                    lo, _ = trainer.loss_and_gradients(model_of(w_in, w_out), ex)
-                    w[i][j] = orig
+                    orig = w[i, j]
+                    w[i, j] = orig + step
+                    hi, _ = _shipped_loss_and_gradients(w_in, w_out, target, ctx)
+                    w[i, j] = orig - step
+                    lo, _ = _shipped_loss_and_gradients(w_in, w_out, target, ctx)
+                    w[i, j] = orig
                     fd = (hi - lo) / (2 * step)
-                    a = float(analytic.array[i, j])
+                    a = float(analytic[i, j])
                     rel = abs(a - fd) / max(abs(a), abs(fd), 1e-2)
                     worst = max(worst, rel)
     passed = worst < 1e-4

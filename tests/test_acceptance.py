@@ -13,6 +13,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from embgeom import attention, embed_store, selfcheck, sense_geometry, trainer
@@ -195,42 +196,38 @@ def test_criterion_05_permutation_equivariance():
     )
 
 
-def test_criterion_06_gradient_check():
-    start = time.perf_counter()
-    rng = random.Random(4242)
-    h = 1e-5
+def _criterion_06_worst_error(rng, h=1e-5):
+    """Max relative error of the shipped training step's gradient (the
+    change of its weights at learning rate 1) against central differences
+    of its loss, over 20 random models."""
+    step = selfcheck._shipped_loss_and_gradients
     worst = 0.0
     for _ in range(20):
         v = rng.randint(3, 7)
         d = rng.randint(2, 5)
-        vocab = tuple(f"w{i}" for i in range(v))
-        w_in = [[rng.uniform(-1, 1) for _ in range(d)] for _ in range(v)]
-        w_out = [[rng.uniform(-1, 1) for _ in range(d)] for _ in range(v)]
+        w_in = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(v)])
+        w_out = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(v)])
         target = rng.randrange(v)
         others = [i for i in range(v) if i != target]
-        context = frozenset(rng.sample(others, rng.randint(1, len(others))))
-        ex = trainer.TrainingExample(target=target, context=context)
+        ctx = np.array(sorted(rng.sample(others, rng.randint(1, len(others)))), dtype=np.intp)
+        _, grads = step(w_in, w_out, target, ctx)
+        for w, analytic in zip((w_in, w_out), grads):
+            for i, j in np.ndindex(w.shape):
+                keep = w[i, j]
+                w[i, j] = keep + h
+                up, _ = step(w_in, w_out, target, ctx)
+                w[i, j] = keep - h
+                down, _ = step(w_in, w_out, target, ctx)
+                w[i, j] = keep
+                fd = (up - down) / (2 * h)
+                a = analytic[i, j]
+                worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-2))
+    return worst
 
-        model = trainer.ToyLM(vocab, Matrix(w_in), Matrix(w_out))
-        _, grads = trainer.loss_and_gradients(model, ex)
 
-        def loss_at(w_in_rows, w_out_rows):
-            m = trainer.ToyLM(vocab, Matrix(w_in_rows), Matrix(w_out_rows))
-            return trainer.loss_and_gradients(m, ex)[0]
-
-        for rows, analytic in ((w_in, grads.dW_in), (w_out, grads.dW_out)):
-            for i in range(v):
-                for j in range(d):
-                    keep = rows[i][j]
-                    rows[i][j] = keep + h
-                    up = loss_at(w_in, w_out)
-                    rows[i][j] = keep - h
-                    down = loss_at(w_in, w_out)
-                    rows[i][j] = keep
-                    fd = (up - down) / (2 * h)
-                    a = analytic.row(i)[j]
-                    rel = abs(a - fd) / max(abs(a), abs(fd), 1e-2)
-                    worst = max(worst, rel)
+def test_criterion_06_gradient_check():
+    start = time.perf_counter()
+    worst = _criterion_06_worst_error(random.Random(4242))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 10.0
     _report(
@@ -238,6 +235,15 @@ def test_criterion_06_gradient_check():
         f"20 models, max relative gradient error {worst:.2e} "
         f"(limit 1e-4), {elapsed:.1f}s (limit 10s)",
     )
+
+
+def test_criterion_06_checks_the_shipped_step(monkeypatch):
+    shipped = trainer._sgd_step_arrays
+    monkeypatch.setattr(
+        trainer, "_sgd_step_arrays",
+        lambda w_in, w_out, target, ctx, inv, lr: shipped(w_in, w_out, target, ctx, inv, 1.5 * lr),
+    )
+    assert _criterion_06_worst_error(random.Random(4242)) > 0.1
 
 
 def _cluster_margin(table, cluster_a, cluster_b):

@@ -49,50 +49,70 @@ def as_array(vectors):
     return np.array([v.components for v in vectors])
 
 
+def reference_weights(query, keys, scale_scores=True):
+    """One query's weights in pure Python: linalg.dot scores, linalg.softmax."""
+    scores = [linalg.dot(query, k) for k in keys]
+    if scale_scores:
+        scores = [x / math.sqrt(len(query)) for x in scores]
+    return linalg.softmax(scores)
+
+
 class TestAttentionWeights:
     def test_hand_value_unscaled(self):
-        w = attention_weights([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], scale_scores=False)
-        assert w[0] == pytest.approx(0.73106, abs=1e-5)
-        assert w[1] == pytest.approx(0.26894, abs=1e-5)
+        w = attention_weights([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], scale_scores=False)
+        assert w.shape == (1, 2)
+        assert w[0][0] == pytest.approx(0.73106, abs=1e-5)
+        assert w[0][1] == pytest.approx(0.26894, abs=1e-5)
 
     def test_identical_keys_uniform(self):
         keys = [[0.3, -1.0]] * 5
-        w = attention_weights([2.0, 1.0], keys, scale_scores=True)
-        for p in w:
-            assert p == pytest.approx(0.2, abs=1e-12)
+        w = attention_weights([[2.0, 1.0], [-1.0, 0.5]], keys, scale_scores=True)
+        np.testing.assert_allclose(w.array, 0.2, atol=1e-12, rtol=0)
 
     def test_single_key(self):
-        w = attention_weights([1.0, 2.0], [[3.0, 4.0]], scale_scores=False)
-        assert w == Vector([1.0])
+        w = attention_weights([[1.0, 2.0]], [[3.0, 4.0]], scale_scores=False)
+        assert w == Matrix([[1.0]])
 
     def test_scaling_divides_by_sqrt_dim(self):
-        q = [2.0, 0.0, 0.0, 0.0]
+        q = [[2.0, 0.0, 0.0, 0.0]]
         keys = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
         unscaled = attention_weights(q, keys, scale_scores=False)
         scaled = attention_weights(q, keys, scale_scores=True)
         # scores [2, 0] scaled by 1/sqrt(4) become [1, 0]
-        assert scaled[0] == pytest.approx(0.73106, abs=1e-5)
-        assert unscaled[0] == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-9)
+        assert scaled[0][0] == pytest.approx(0.73106, abs=1e-5)
+        assert unscaled[0][0] == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-9)
 
     def test_sums_to_one_and_positive(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             L = int(rng.integers(1, 9))
             d = int(rng.integers(1, 7))
-            q = rng.normal(size=d) * 3
+            queries = rng.normal(size=(int(rng.integers(1, 4)), d)) * 3
             keys = rng.normal(size=(L, d)) * 3
             for flag in (False, True):
-                w = attention_weights(q, keys, scale_scores=flag)
-                assert sum(w) == pytest.approx(1.0, abs=1e-9)
-                assert all(p > 0.0 for p in w)
+                w = attention_weights(queries, keys, scale_scores=flag).array
+                np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9, rtol=0)
+                assert (w > 0.0).all()
 
     def test_empty_keys_rejected(self):
-        with pytest.raises(EmptyInputError):
-            attention_weights([1.0], [])
+        with pytest.raises(EmptyInputError, match="at least one key"):
+            attention_weights([[1.0]], [])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            attention_weights([1.0, 0.0], [[1.0]])
+            attention_weights([[1.0, 0.0]], [[1.0]])
+
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_matches_the_reference(self, scale):
+        # BLAS orders the sums differently from the Python reference, so the
+        # last digits may differ, by far less than 1e-13
+        rng = np.random.default_rng(24)
+        for d in (1, 2, 8, 64, 300, 768):
+            for sigma in (0.1, 1.0, 3.0):
+                x = rng.normal(size=(int(rng.integers(1, 17)), d)) * sigma
+                got = attention_weights(x, x, scale_scores=scale).array
+                want = [reference_weights(q, x.tolist(), scale).components for q in x.tolist()]
+                np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)
 
 
 class TestHeadForward:
@@ -376,13 +396,13 @@ class TestStackForward:
 
 
 def reference_head(seq, params, scale_scores=True):
-    """One head in pure Python: linear_apply projections, attention_weights."""
+    """One head in pure Python: linear_apply projections, reference_weights."""
     queries = [linalg.linear_apply(params.Wq, x) for x in seq]
     keys = [linalg.linear_apply(params.Wk, x) for x in seq]
     values = [linalg.linear_apply(params.Wv, x) for x in seq]
     out = []
     for q in queries:
-        w = attention_weights(q, keys, scale_scores=scale_scores)
+        w = reference_weights(q, keys, scale_scores=scale_scores)
         acc = w[0] * values[0]
         for j in range(1, len(values)):
             acc = acc + w[j] * values[j]

@@ -329,6 +329,40 @@ class TestAttend:
             weights = [float(x) for x in row.split("\t")[1:]]
             assert abs(sum(weights) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("flags, tsv, pretty", [
+        ([], [
+            "horse\t0.37966226330701114\t0.26659447568179984\t0.3537432610111891",
+            "cow\t0.3333333333333333\t0.3333333333333333\t0.3333333333333333",
+            "horses\t0.3705570177519849\t0.27926596700502815\t0.3501770152429869",
+        ], ["horse   0.38  0.27   0.35", "cow     0.33  0.33   0.33", "horses  0.37  0.28   0.35"]),
+        (["--no-scale"], [
+            "horse\t0.3981893410449361\t0.24151404371452387\t0.36029661524054013",
+            "cow\t0.3333333333333333\t0.3333333333333333\t0.3333333333333333",
+            "horses\t0.38558878980872086\t0.2584678953354082\t0.3559433148558709",
+        ], ["horse   0.40  0.24   0.36", "cow     0.33  0.33   0.33", "horses  0.39  0.26   0.36"]),
+        (["--positional"], [
+            "horse\t0.332369388380096\t0.4353722658744548\t0.2322583457454491",
+            "cow\t0.30840921380321534\t0.43921142716033557\t0.25237935903644904",
+            "horses\t0.15838965814415396\t0.24296445484403364\t0.5986458870118124",
+        ], ["horse   0.33  0.44   0.23", "cow     0.31  0.44   0.25", "horses  0.16  0.24   0.60"]),
+    ], ids=["scaled", "no-scale", "positional"])
+    def test_frozen_output(self, capsys, table_file, flags, tsv, pretty):
+        argv = ["attend", "--table", table_file, "--tokens", "horse cow horses", *flags]
+        _, out, _ = run(capsys, argv + ["--format", "tsv"])
+        assert out.splitlines() == ["# seed=42", "token\thorse\tcow\thorses", *tsv]
+        _, out, _ = run(capsys, argv)
+        assert out.splitlines() == ["# seed=42", "       horse   cow horses", *pretty]
+
+    def test_weights_come_from_the_shipped_kernel(self, capsys, table_file, monkeypatch):
+        shipped = attention._weights
+        monkeypatch.setattr(attention, "_weights", lambda q, k, scale: 1.5 * shipped(q, k, scale))
+        _, out, _ = run(
+            capsys,
+            ["attend", "--table", table_file, "--tokens", "horse cow", "--format", "tsv"],
+        )
+        for row in out.splitlines()[2:]:
+            assert sum(float(x) for x in row.split("\t")[1:]) == pytest.approx(1.5)
+
     def test_unknown_token_is_domain_error(self, capsys, table_file):
         code, _, err = run(
             capsys, ["attend", "--table", table_file, "--tokens", "horse zebra"]
@@ -595,6 +629,21 @@ class TestSelfcheck:
             ),
         )
         assert not selfcheck._check_attention_row_sums(random.Random(0)).passed
+
+    def test_softmax_check_runs_the_shipped_kernel(self, monkeypatch):
+        assert selfcheck._check_softmax_normalization(random.Random(0)).passed
+        shipped = attention._weights
+        monkeypatch.setattr(attention, "_weights", lambda q, k, scale: 1.5 * shipped(q, k, scale))
+        assert not selfcheck._check_softmax_normalization(random.Random(0)).passed
+
+    def test_gradient_check_runs_the_shipped_step(self, monkeypatch):
+        assert selfcheck._check_gradients(random.Random(0)).passed
+        shipped = trainer._sgd_step_arrays
+        monkeypatch.setattr(
+            trainer, "_sgd_step_arrays",
+            lambda w_in, w_out, target, ctx, inv, lr: shipped(w_in, w_out, target, ctx, inv, 1.5 * lr),
+        )
+        assert not selfcheck._check_gradients(random.Random(0)).passed
 
 
 class TestNeighborsOutput:

@@ -588,7 +588,7 @@ def brute_force(table_rows, vocab, token, k, filter=None):
 
 
 def assert_ranked_like(got, want):
-    assert got.tokens() == [t for t, _ in want]
+    assert [t for t, _ in got] == [t for t, _ in want]
     for (_, s), (_, w) in zip(got, want):
         assert abs(s - w) <= 1e-12
 
@@ -660,7 +660,7 @@ class TestNeighbourScreen:
                 for f in (None, token_filter(["drop-prefix:t1"])):
                     got = nearest_neighbors(t, token, 20, filter=f)
                     assert_ranked_like(got, brute_force(base, vocab, token, 20, f))
-                    assert "t7" not in got.tokens()
+                    assert "t7" not in [t for t, _ in got]
             with pytest.raises(ZeroVectorError):
                 nearest_neighbors(t, "t7", 5)
         unit, _, scale, norms, _ = t._query_state()
@@ -680,7 +680,7 @@ class TestNeighbourScreen:
             for token in ("t3", "t4"):
                 got = nearest_neighbors(t, token, V)
                 assert_ranked_like(got, brute_force(rows, vocab, token, V))
-                assert "t9" not in got.tokens()
+                assert "t9" not in [t for t, _ in got]
             with pytest.raises(ZeroVectorError):
                 nearest_neighbors(t, "t9", 5)
 
@@ -752,14 +752,14 @@ class TestNearestNeighbors:
         t = make_table(["a", "b", "c"], np.eye(3))
         out = nearest_neighbors(t, "a", k=2)
         assert out.query == "a"
-        assert out.tokens() == ["b", "c"]
+        assert [t for t, _ in out] == ["b", "c"]
         assert all(abs(s) < 1e-12 for _, s in out)
 
     def test_query_excluded_and_sorted_descending(self):
         rng = np.random.default_rng(14)
         t = make_table([f"t{i}" for i in range(30)], rng.normal(size=(30, 6)))
         out = nearest_neighbors(t, "t7", k=30)
-        assert "t7" not in out.tokens()
+        assert "t7" not in [t for t, _ in out]
         sims = [s for _, s in out]
         assert sims == sorted(sims, reverse=True)
         assert all(-1.0 <= s <= 1.0 for s in sims)
@@ -780,7 +780,7 @@ class TestNearestNeighbors:
         t2 = make_table([f"t{i}" for i in range(20)], rows * 37.5)
         a = nearest_neighbors(t1, "t3", k=19)
         b = nearest_neighbors(t2, "t3", k=19)
-        assert a.tokens() == b.tokens()
+        assert [t for t, _ in a] == [t for t, _ in b]
         for (_, s1), (_, s2) in zip(a, b):
             assert s1 == pytest.approx(s2, abs=1e-9)
 
@@ -791,7 +791,7 @@ class TestNearestNeighbors:
             [[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]],
         )
         out = nearest_neighbors(t, "q", k=3)
-        assert out.tokens() == ["c", "b", "a"]
+        assert [t for t, _ in out] == ["c", "b", "a"]
 
     def test_k_larger_than_vocab_returns_all(self):
         t = make_table(["a", "b"], [[1.0, 0.0], [1.0, 1.0]])
@@ -811,7 +811,7 @@ class TestNearestNeighbors:
     def test_zero_norm_candidates_skipped(self):
         t = make_table(["a", "b", "z"], [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
         out = nearest_neighbors(t, "a", k=5)
-        assert out.tokens() == ["b"]
+        assert [t for t, _ in out] == ["b"]
 
     def test_against_numpy_oracle(self):
         rng = np.random.default_rng(17)
@@ -827,7 +827,7 @@ class TestNearestNeighbors:
             order = np.argsort(-sims, kind="stable")[: V - 1]
             expected = [vocab[i] for i in order]
             got = nearest_neighbors(t, vocab[qi], k=V - 1)
-            assert got.tokens() == expected
+            assert [t for t, _ in got] == expected
             for (_, s), i in zip(got, order):
                 assert s == pytest.approx(float(sims[i]), abs=1e-9)
 
@@ -838,7 +838,7 @@ class TestNearestNeighbors:
         )
         f = token_filter(["drop-prefix:##", "drop-bracketed"])
         out = nearest_neighbors(t, "q", k=3, filter=f)
-        assert out.tokens() == ["word"]
+        assert [t for t, _ in out] == ["word"]
 
     def test_filter_reapplied_per_rules_and_per_call(self):
         t = make_table(
@@ -851,13 +851,14 @@ class TestNearestNeighbors:
             (["drop-bracketed"], ["##ing", "word"]),
             (["drop-prefix:##"], ["[CLS]", "word"]),
         ):
-            assert nearest_neighbors(t, "q", k=3, filter=token_filter(rules)).tokens() == expected
+            out = nearest_neighbors(t, "q", k=3, filter=token_filter(rules))
+            assert [tok for tok, _ in out] == expected
         # a plain callable is asked again on every query
         dropped = {"##ing"}
         keep = lambda tok: tok not in dropped
-        assert nearest_neighbors(t, "q", k=3, filter=keep).tokens() == ["[CLS]", "word"]
+        assert [tok for tok, _ in nearest_neighbors(t, "q", k=3, filter=keep)] == ["[CLS]", "word"]
         dropped.add("word")
-        assert nearest_neighbors(t, "q", k=3, filter=keep).tokens() == ["[CLS]"]
+        assert [tok for tok, _ in nearest_neighbors(t, "q", k=3, filter=keep)] == ["[CLS]"]
 
 
 class TestTokenFilter:

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import time
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,21 +15,18 @@ from embgeom.errors import (
     OutOfVocabularyError,
     ParseError,
 )
-from embgeom.linalg import Matrix, Vector
+from embgeom.linalg import Matrix
 from embgeom.trainer import (
-    Gradients,
     ToyLM,
     TrainConfig,
     TrainingExample,
+    _sgd_step_arrays,
     extract_embeddings,
     induce_vocab,
     load_corpus,
     load_model,
-    loss_and_gradients,
     make_training_examples,
-    model_forward,
     save_model,
-    sgd_step,
     train,
 )
 
@@ -41,30 +39,72 @@ def tiny_model():
     )
 
 
-def random_model(rng, V, d):
-    return ToyLM(
-        vocab=tuple(f"w{i}" for i in range(V)),
-        W_in=Matrix((rng.random(size=(V, d)) - 0.5).tolist()),
-        W_out=Matrix((rng.random(size=(V, d)) - 0.5).tolist()),
-    )
+def random_weights(rng, V, d):
+    return rng.random(size=(V, d)) - 0.5, rng.random(size=(V, d)) - 0.5
 
 
-def replay_public_ops(vocab, examples, config):
-    """Training replayed through loss_and_gradients and sgd_step, with the
-    seeded init and per-epoch shuffle of :func:`train`."""
+def shipped_step(w_in, w_out, target, context, lr=1.0):
+    """The training step on copies of the weights: (loss, W_in, W_out after)."""
+    a, b = np.array(w_in, dtype=np.float64), np.array(w_out, dtype=np.float64)
+    ctx = np.array(sorted(context), dtype=np.intp)
+    loss = _sgd_step_arrays(a, b, target, ctx, 1.0 / len(ctx), lr)
+    return loss, a, b
+
+
+def shipped_gradients(w_in, w_out, target, context):
+    """The step's loss and gradients: at lr = 1 the weights move by -gradient."""
+    loss, a, b = shipped_step(w_in, w_out, target, context)
+    return loss, np.asarray(w_in) - a, np.asarray(w_out) - b
+
+
+def shipped_probs(w_in, w_out, context):
+    """The step's prediction: p[t] = exp(-loss) with t as the target."""
+    return [math.exp(-shipped_step(w_in, w_out, t, context)[0]) for t in range(len(w_out))]
+
+
+def loss_and_gradients(w_in, w_out, target, context):
+    """Pure-Python reference of one step's loss and exact gradients.
+
+    loss = -ln p[target]; dW_out = (p - onehot) outer h; each context row
+    of dW_in receives W_out^T (p - onehot) / |context|; all other rows of
+    dW_in are zero.
+    """
+    context = sorted(context)
+    inv = 1.0 / len(context)
+    h = [sum(col) * inv for col in zip(*(w_in[c] for c in context))]
+    logits = [sum(map(mul, row, h)) for row in w_out]
+    m = max(logits)
+    exps = [math.exp(s - m) for s in logits]
+    total = sum(exps)
+    p = [max(e / total, math.ulp(0.0)) for e in exps]
+    loss = -math.log(p[target])
+    p[target] -= 1.0  # p - onehot
+    g_h = [sum(pv * row[j] for pv, row in zip(p, w_out)) * inv for j in range(len(h))]
+    d_in = [g_h if i in context else [0.0] * len(h) for i in range(len(w_in))]
+    return loss, d_in, [[pv * hj for hj in h] for pv in p]
+
+
+def sgd_step(w, g, lr):
+    return [[x - lr * gx for x, gx in zip(wr, gr)] for wr, gr in zip(w, g)]
+
+
+def replay_reference(vocab, examples, config):
+    """Training replayed through the reference loss_and_gradients and
+    sgd_step, with the seeded init and per-epoch shuffle of :func:`train`."""
     rng = random.Random(config.seed)
     bound = 0.5 / config.d
     V, d = len(vocab), config.d
     w_in = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
     w_out = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
-    m = ToyLM(vocab=vocab, W_in=Matrix(w_in), W_out=Matrix(w_out))
     order = list(range(len(examples)))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for k in order:
-            _, grads = loss_and_gradients(m, examples[k])
-            m = sgd_step(m, grads, config.learning_rate)
-    return m
+            ex = examples[k]
+            _, d_in, d_out = loss_and_gradients(w_in, w_out, ex.target, ex.context)
+            w_in = sgd_step(w_in, d_in, config.learning_rate)
+            w_out = sgd_step(w_out, d_out, config.learning_rate)
+    return w_in, w_out
 
 
 def numpy_loss(w_in, w_out, context, target):
@@ -99,9 +139,6 @@ class TestTypes:
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="positive and finite"):
             TrainConfig(d=8, learning_rate=rate)
-        grads = Gradients(dW_in=Matrix.zeros(2, 1), dW_out=Matrix.zeros(2, 1))
-        with pytest.raises(ValueError, match="positive and finite"):
-            sgd_step(tiny_model(), grads, lr=rate)
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
@@ -155,95 +192,72 @@ class TestMakeTrainingExamples:
 
 
 class TestModelForward:
+    """The prediction the training step takes its loss from."""
+
     def test_hand_values(self):
-        probs = model_forward(tiny_model(), {0})
+        m = tiny_model()
+        probs = shipped_probs(m.W_in.array, m.W_out.array, {0})
         assert probs[0] == pytest.approx(0.88080, abs=1e-5)
         assert probs[1] == pytest.approx(0.11920, abs=1e-5)
 
     def test_zero_output_weights_give_uniform(self):
-        m = ToyLM(
-            vocab=("a", "b", "c"),
-            W_in=Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            W_out=Matrix.zeros(3, 2),
-        )
-        probs = model_forward(m, {0, 2})
-        for p in probs:
+        w_in = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        for p in shipped_probs(w_in, np.zeros((3, 2)), {0, 2}):
             assert p == pytest.approx(1 / 3, abs=1e-12)
 
     def test_zero_hidden_gives_uniform(self):
-        m = ToyLM(
-            vocab=("a", "b"),
-            W_in=Matrix([[1.0, -2.0], [-1.0, 2.0]]),
-            W_out=Matrix([[0.3, 0.7], [-0.2, 0.1]]),
-        )
-        probs = model_forward(m, {0, 1})
-        for p in probs:
+        w_in = [[1.0, -2.0], [-1.0, 2.0]]
+        w_out = [[0.3, 0.7], [-0.2, 0.1]]
+        for p in shipped_probs(w_in, w_out, {0, 1}):
             assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_distribution_property(self):
         rng = np.random.default_rng(40)
         for _ in range(25):
             V, d = int(rng.integers(2, 9)), int(rng.integers(1, 7))
-            m = random_model(rng, V, d)
+            w_in, w_out = random_weights(rng, V, d)
             k = int(rng.integers(1, V + 1))
             context = set(rng.choice(V, size=k, replace=False).tolist())
-            probs = model_forward(m, context)
+            probs = shipped_probs(w_in, w_out, context)
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert all(p >= 0.0 for p in probs)
 
-    def test_empty_context_rejected(self):
-        with pytest.raises(EmptyInputError):
-            model_forward(tiny_model(), set())
-
     def test_against_numpy(self):
         rng = np.random.default_rng(41)
-        m = random_model(rng, 5, 3)
-        w_in = np.array(m.W_in.row_tuples())
-        w_out = np.array(m.W_out.row_tuples())
+        w_in, w_out = random_weights(rng, 5, 3)
         h = w_in[[1, 3]].mean(axis=0)
         e = np.exp(w_out @ h - (w_out @ h).max())
         expected = e / e.sum()
-        got = model_forward(m, {1, 3})
-        np.testing.assert_allclose(got.components, expected, atol=1e-12)
+        got = shipped_probs(w_in, w_out, {1, 3})
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 class TestLossAndGradients:
+    """The training step's loss and the gradient it descends."""
+
     def test_hand_loss(self):
-        loss, _ = loss_and_gradients(
-            tiny_model(), TrainingExample(target=0, context={1})
-        )
+        w_out = [[1.0], [-1.0]]
         # context {1} gives h=-1, logits [-1,1], p[0]=0.11920
+        loss, _, _ = shipped_gradients([[1.0], [-1.0]], w_out, 0, {1})
         assert loss == pytest.approx(-math.log(0.11920), abs=1e-4)
-        probs = model_forward(tiny_model(), {0})
-        ex = TrainingExample(target=0, context={1})
-        m2 = ToyLM(
-            vocab=("x", "y"), W_in=Matrix([[1.0], [1.0]]), W_out=Matrix([[1.0], [-1.0]])
-        )
-        loss2, _ = loss_and_gradients(m2, ex)
-        assert loss2 == pytest.approx(-math.log(probs[0]), abs=1e-9)
+        loss2, _, _ = shipped_gradients([[1.0], [1.0]], w_out, 0, {1})
+        assert loss2 == pytest.approx(-math.log(1 / (1 + math.exp(-2))), abs=1e-12)
         assert loss2 == pytest.approx(0.12693, abs=1e-4)
 
     def test_saturated_target_loss_and_grads_vanish(self):
-        m = ToyLM(
-            vocab=("a", "b"),
-            W_in=Matrix([[1.0], [1.0]]),
-            W_out=Matrix([[50.0], [-50.0]]),
-        )
-        loss, grads = loss_and_gradients(m, TrainingExample(target=0, context={1}))
+        loss, d_in, d_out = shipped_gradients([[1.0], [1.0]], [[50.0], [-50.0]], 0, {1})
         assert loss < 1e-9
-        assert np.max(np.abs(grads.dW_in.row_tuples())) < 1e-9
-        assert np.max(np.abs(grads.dW_out.row_tuples())) < 1e-9
+        assert np.max(np.abs(d_in)) < 1e-9
+        assert np.max(np.abs(d_out)) < 1e-9
 
     def test_non_context_rows_have_zero_gradient(self):
         rng = np.random.default_rng(42)
-        m = random_model(rng, 6, 4)
-        _, grads = loss_and_gradients(m, TrainingExample(target=0, context={2, 5}))
+        _, d_in, _ = shipped_gradients(*random_weights(rng, 6, 4), 0, {2, 5})
         for i in range(6):
-            row = grads.dW_in.row(i)
             if i in (2, 5):
-                assert any(g != 0.0 for g in row)
+                assert (d_in[i] != 0.0).any()
             else:
-                assert all(g == 0.0 for g in row)
+                assert (d_in[i] == 0.0).all()
 
     def test_matches_finite_differences(self):
         # gradient check with a numpy reference loss; relative error uses a
@@ -253,17 +267,13 @@ class TestLossAndGradients:
         step = 1e-5
         for _ in range(8):
             V, d = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            m = random_model(rng, V, d)
+            w_in, w_out = random_weights(rng, V, d)
             k = int(rng.integers(1, V))
             indices = rng.choice(V, size=k + 1, replace=False).tolist()
             target, context = indices[0], set(indices[1:])
-            ex = TrainingExample(target=target, context=context)
-            _, grads = loss_and_gradients(m, ex)
-            w_in = np.array(m.W_in.row_tuples())
-            w_out = np.array(m.W_out.row_tuples())
+            _, *grads = shipped_gradients(w_in, w_out, target, context)
             worst = 0.0
-            for w, g in ((w_in, grads.dW_in), (w_out, grads.dW_out)):
-                analytic = np.array(g.row_tuples())
+            for w, analytic in zip((w_in, w_out), grads):
                 fd = np.zeros_like(w)
                 for i in range(w.shape[0]):
                     for j in range(w.shape[1]):
@@ -282,43 +292,34 @@ class TestLossAndGradients:
 
 
 class TestSgdStep:
+    """The training step's update: every weight moves by -lr times its gradient."""
+
     def test_zero_gradient_is_fixed_point(self):
-        m = tiny_model()
-        grads = Gradients(dW_in=Matrix.zeros(2, 1), dW_out=Matrix.zeros(2, 1))
-        m2 = sgd_step(m, grads, lr=0.5)
-        assert m2.W_in == m.W_in and m2.W_out == m.W_out
+        # the context rows cancel (h = 0) and W_out = 0, so both gradients are 0
+        w_in = np.array([[1.0, -2.0], [-1.0, 2.0], [0.5, 0.25]])
+        _, a, b = shipped_step(w_in, np.zeros((3, 2)), 2, {0, 1}, lr=0.5)
+        assert (a == w_in).all() and (b == 0.0).all()
 
     def test_arithmetic(self):
-        m = ToyLM(vocab=("a",), W_in=Matrix([[1.0]]), W_out=Matrix([[2.0]]))
-        grads = Gradients(dW_in=Matrix([[0.5]]), dW_out=Matrix([[0.0]]))
-        m2 = sgd_step(m, grads, lr=1.0)
-        assert m2.W_in == Matrix([[0.5]])
-        assert m2.W_out == Matrix([[2.0]])
+        # context {1}, target 0: h = -1, logits [-1, 1], p = [1 - s, s] with
+        # s = sigmoid(2); p - onehot = [-s, s]
+        s = 1 / (1 + math.exp(-2))
+        _, a, b = shipped_step([[1.0], [-1.0]], [[1.0], [-1.0]], 0, {1}, lr=0.5)
+        np.testing.assert_allclose(a, [[1.0], [-1.0 + 0.5 * 2 * s]], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(b, [[1.0 - 0.5 * s], [-1.0 + 0.5 * s]], atol=1e-12, rtol=0)
 
-    def test_two_steps_equal_one_at_double_rate(self):
+    def test_update_is_linear_in_the_rate(self):
         rng = np.random.default_rng(44)
-        m = random_model(rng, 3, 2)
-        grads = Gradients(
-            dW_in=Matrix(rng.normal(size=(3, 2)).tolist()),
-            dW_out=Matrix(rng.normal(size=(3, 2)).tolist()),
-        )
-        twice = sgd_step(sgd_step(m, grads, lr=0.1), grads, lr=0.1)
-        once = sgd_step(m, grads, lr=0.2)
-        np.testing.assert_allclose(
-            twice.W_in.row_tuples(), once.W_in.row_tuples(), atol=1e-12
-        )
-
-    def test_shape_mismatch(self):
-        m = tiny_model()
-        grads = Gradients(dW_in=Matrix.zeros(2, 2), dW_out=Matrix.zeros(2, 2))
-        with pytest.raises(DimensionError):
-            sgd_step(m, grads, lr=0.1)
+        w_in, w_out = random_weights(rng, 3, 2)
+        _, a1, b1 = shipped_step(w_in, w_out, 0, {1, 2}, lr=0.1)
+        _, a2, b2 = shipped_step(w_in, w_out, 0, {1, 2}, lr=0.2)
+        np.testing.assert_allclose(a2 - w_in, 2 * (a1 - w_in), atol=1e-12)
+        np.testing.assert_allclose(b2 - w_out, 2 * (b1 - w_out), atol=1e-12)
 
     def test_nonpositive_lr_rejected(self):
-        m = tiny_model()
-        grads = Gradients(dW_in=Matrix.zeros(2, 1), dW_out=Matrix.zeros(2, 1))
-        with pytest.raises(ValueError):
-            sgd_step(m, grads, lr=0.0)
+        for rate in (0.0, -0.1):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TrainConfig(d=2, learning_rate=rate)
 
 
 CORPUS = [
@@ -357,35 +358,14 @@ class TestTrain:
         assert all(loss > 0 for _, loss in seen)
 
     def test_fused_loop_matches_public_ops(self):
-        # replay training via model_forward/loss_and_gradients/sgd_step,
-        # mirroring the seeded init and shuffle, and compare weights
+        # replay training through the reference loss_and_gradients and
+        # sgd_step, mirroring the seeded init and shuffle, and compare weights
         config = TrainConfig(d=3, window=2, epochs=2, seed=7, learning_rate=0.3)
         fused = train(CORPUS, config)
-
         vocab = induce_vocab(CORPUS)
         examples = make_training_examples(CORPUS, config.window, list(vocab))
-        rng = random.Random(config.seed)
-        bound = 0.5 / config.d
-        V, d = len(vocab), config.d
-        w_in = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
-        w_out = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
-        m = ToyLM(vocab=vocab, W_in=Matrix(w_in), W_out=Matrix(w_out))
-        order = list(range(len(examples)))
-        for _ in range(config.epochs):
-            rng.shuffle(order)
-            for k in order:
-                _, grads = loss_and_gradients(m, examples[k])
-                m = sgd_step(m, grads, config.learning_rate)
-        np.testing.assert_allclose(
-            np.array(fused.W_in.row_tuples()),
-            np.array(m.W_in.row_tuples()),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            np.array(fused.W_out.row_tuples()),
-            np.array(m.W_out.row_tuples()),
-            atol=1e-12,
-        )
+        for got, want in zip((fused.W_in, fused.W_out), replay_reference(vocab, examples, config)):
+            np.testing.assert_allclose(got.array, want, atol=1e-12, rtol=0)
 
     def test_array_loop_matches_public_ops_at_larger_shape(self):
         rng = random.Random(11)
@@ -399,11 +379,8 @@ class TestTrain:
         assert 38 <= len(vocab) <= 42
 
         fused = train(corpus, config)
-        m = replay_public_ops(vocab, examples, config)
-        for got, want in ((fused.W_in, m.W_in), (fused.W_out, m.W_out)):
-            np.testing.assert_allclose(
-                np.array(got.row_tuples()), np.array(want.row_tuples()), atol=1e-12
-            )
+        for got, want in zip((fused.W_in, fused.W_out), replay_reference(vocab, examples, config)):
+            np.testing.assert_allclose(got.array, want, atol=1e-12, rtol=0)
 
     def test_init_matches_per_entry_uniform_draws(self):
         # one-token sentences give no examples, so the weights stay at their
@@ -418,18 +395,13 @@ class TestTrain:
             assert got == Matrix(want)
 
     def test_single_example_convergence(self):
-        m = ToyLM(
-            vocab=tuple("abcd"),
-            W_in=Matrix(np.reshape([0.01 * i for i in range(32)], (4, 8))),
-            W_out=Matrix(np.reshape([0.02 * (i % 7) for i in range(32)], (4, 8))),
-        )
-        ex = TrainingExample(target=0, context={1, 2})
-        loss = None
+        w_in = np.reshape([0.01 * i for i in range(32)], (4, 8))
+        w_out = np.reshape([0.02 * (i % 7) for i in range(32)], (4, 8))
+        ctx = np.array([1, 2], dtype=np.intp)
         for _ in range(500):
-            loss, grads = loss_and_gradients(m, ex)
+            loss = _sgd_step_arrays(w_in, w_out, 0, ctx, 0.5, 0.5)
             if loss < 0.01:
                 break
-            m = sgd_step(m, grads, lr=0.5)
         assert loss < 0.01
 
 
@@ -451,7 +423,8 @@ class TestTrainBudget:
 class TestExtract:
     def test_rows_are_input_weights_exactly(self):
         rng = np.random.default_rng(45)
-        m = random_model(rng, 5, 3)
+        w_in, w_out = random_weights(rng, 5, 3)
+        m = ToyLM(vocab=tuple("abcde"), W_in=Matrix(w_in), W_out=Matrix(w_out))
         table = extract_embeddings(m)
         assert (table.V, table.D) == (5, 3)
         for i, tok in enumerate(m.vocab):
