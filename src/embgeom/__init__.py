@@ -3,8 +3,8 @@
 The package is organised around a handful of small modules:
 
 ``linalg``
-    Plain-Python vectors, softmax, and cosine similarity; read-only
-    numpy-backed matrices.
+    Vectors, read-only numpy-backed matrices, and the plain-Python dot,
+    softmax and linear maps the tests replay the attention stack with.
 ``embed_store``
     Loading, saving, and nearest-neighbour scans over embedding tables.
 ``attention``

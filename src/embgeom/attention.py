@@ -7,7 +7,8 @@ value; dot-product scores against all keys are softmax-normalized into
 weights; the output is the weight-averaged sum of values. Head outputs are
 concatenated and mapped back to model dimensionality by ``Wo``.
 
-The stack runs on numpy float64 arrays: one head is three matmuls, a
+A sequence is one gather of table rows into an L x d Matrix. The stack
+runs on numpy float64 arrays: one head is three matmuls, a
 row-wise softmax and one more matmul over the whole sequence. The weights
 come from one kernel, which :func:`head_forward` and the public
 :func:`attention_weights` share. Heads, layers and the stack return a
@@ -140,31 +141,27 @@ class MultiHeadConfig:
 
 @dataclass(frozen=True)
 class SequenceEmbedding:
-    """Tokens paired position-by-position with their embedding vectors."""
+    """Tokens paired position-by-position with the rows of one L x d Matrix."""
 
     tokens: tuple
-    vectors: tuple
+    vectors: Matrix
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "vectors", tuple(self.vectors))
         if not self.tokens:
             raise EmptyInputError("a sequence needs at least one token")
-        if len(self.tokens) != len(self.vectors):
+        object.__setattr__(self, "vectors", Matrix(self.vectors))
+        if len(self.tokens) != self.vectors.rows:
             raise DimensionError(
-                f"{len(self.tokens)} tokens but {len(self.vectors)} vectors"
+                f"{len(self.tokens)} tokens but {self.vectors.rows} vectors"
             )
-        d = self.vectors[0].dim
-        for v in self.vectors:
-            if v.dim != d:
-                raise DimensionError(f"mixed vector dims: {v.dim} != {d}")
 
     def __len__(self):
         return len(self.tokens)
 
     @property
     def d(self):
-        return self.vectors[0].dim
+        return self.vectors.cols
 
 
 def _weights(q, k, scale_scores):
@@ -202,6 +199,8 @@ def attention_weights(queries, keys, scale_scores=True):
         raise EmptyInputError("attention needs at least one key") from None
     if q.shape[1] != k.shape[1]:
         raise DimensionError(f"queries of dim {q.shape[1]} against keys of dim {k.shape[1]}")
+    if k is q:  # numpy runs q @ q.T as a symmetric product, which rounds differently
+        k = k.copy()
     return Matrix._take(_weights(q, k, scale_scores))
 
 
@@ -305,11 +304,11 @@ def positional_encoding(position, d):
 
 def embed_sequence(table, tokens, use_positional=False,
                    context_window=DEFAULT_CONTEXT_WINDOW):
-    """Turn a token list into a SequenceEmbedding via table lookup.
+    """Turn a token list into a SequenceEmbedding: one gather of table rows.
 
-    With ``use_positional`` each vector is the token row plus the
-    sinusoidal encoding of its position (requires even D); without it,
-    repeated tokens embed identically at every position.
+    With ``use_positional`` each row is the token row plus the sinusoidal
+    encoding of its position (requires even D); without it, repeated
+    tokens embed identically at every position.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -318,13 +317,11 @@ def embed_sequence(table, tokens, use_positional=False,
         raise ContextWindowExceededError(
             f"sequence length {len(tokens)} exceeds context window {context_window}"
         )
-    vectors = []
-    for i, tok in enumerate(tokens):
-        v = table.lookup(tok)
-        if use_positional:
-            v = v + positional_encoding(i, table.D)
-        vectors.append(v)
-    return SequenceEmbedding(tokens=tokens, vectors=tuple(vectors))
+    vectors = table.gather(tokens)
+    if use_positional:
+        positions = [positional_encoding(i, table.D).components for i in range(len(tokens))]
+        vectors = Matrix._take(vectors.array + np.array(positions))
+    return SequenceEmbedding(tokens=tokens, vectors=vectors)
 
 
 def _random_matrix(rows, cols, bound, rng):

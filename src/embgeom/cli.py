@@ -58,7 +58,7 @@ def _load_table(path, lowercase=False):
         src = fh if fh.seekable() else io.BytesIO(head + fh.read())  # a pipe
         src.seek(0)
         if head == container.EMB1:
-            return embed_store.load_embeddings_binary(src)
+            return embed_store.load_embeddings_binary(src, lowercase=lowercase)
         return embed_store.load_embeddings_text(src.read(), lowercase=lowercase)
 
 
@@ -280,13 +280,9 @@ def cmd_separate(args):
     inventories = sense_geometry.load_sense_tsv(_read(args.senses))
     if args.word not in inventories:
         raise EmbgeomError(f"word {args.word!r} not present in {args.senses}")
-    inventory = inventories[args.word]
-    occurrences = []
-    gold = []
-    for sense in inventory.senses:
-        for v in inventory.senses[sense]:
-            occurrences.append(v)
-            gold.append(sense)
+    senses = inventories[args.word].senses
+    occurrences = [v for m in senses.values() for v in m]
+    gold = [sense for sense, m in senses.items() for _ in range(m.rows)]
     token_emb = _load_table(args.table).lookup(args.word)
     report = sense_geometry.homonym_separation(
         token_emb,

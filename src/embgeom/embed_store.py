@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     ZeroVectorError,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 __all__ = [
     "EmbeddingTable",
@@ -170,9 +170,14 @@ class EmbeddingTable:
         except KeyError:
             raise OutOfVocabularyError(token) from None
 
+    def gather(self, tokens):
+        """The rows of ``tokens``, in order, as one float64 Matrix."""
+        rows = self._array[[self.index_of(t) for t in tokens]]
+        return Matrix._take(rows.astype(np.float64, copy=False))
+
     def lookup(self, token):
         """Return the embedding row for ``token`` as a Vector."""
-        return Vector(self._array[self.index_of(token)].tolist())
+        return self.gather((token,)).row(0)
 
     def _query_state(self):
         """The rows the screen multiplies and their float32 weight per row
@@ -543,15 +548,19 @@ def save_embeddings_text(table):
     return "\n".join(out).encode("utf-8")
 
 
-def load_embeddings_binary(source):
+def load_embeddings_binary(source, lowercase=False):
     """Parse the EMB1 binary embedding format into an EmbeddingTable.
 
     ``source`` is bytes or a binary file object; a seekable file's rows are
     read straight into the table's array (see :class:`container.Reader`).
+    ``lowercase`` folds the vocabulary as :func:`load_embeddings_text` does;
+    two tokens that fold alike are a ParseError.
     """
     r = container.Reader(source, container.EMB1)
     V, D = r.u64s(2, "V and D")
     vocab = r.names(V, "vocabulary")
+    if lowercase:
+        vocab = [t.lower() for t in vocab]
     # float32 holds these values exactly: the table keeps the aligned array.
     arr = r.floats(V * D, "<f4", "matrix data").reshape(V, D)
     r.end()

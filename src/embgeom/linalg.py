@@ -3,11 +3,12 @@
 A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
 read-only float64 numpy array, the same array the numpy code computes
 with, and a read-only sequence of its rows, each a Vector built when it is
-read. :func:`matrix_array` is the one validator for 2-D input. The
-vector operations here work on plain floats and tuples: exact, and each
-small enough to verify by hand. Throughput is a non-goal. The attention
-stack runs on numpy arrays, and the tests replay it through
-``linear_apply``, ``dot`` and ``softmax`` to 1e-12.
+read. :func:`matrix_array` is the one validator for 2-D input, and
+:func:`random_array` the bulk seeded draw behind every random matrix.
+The rest of the package computes on numpy arrays. Beyond a Vector's ``+``
+and ``*``, only ``dot``, ``softmax`` and ``linear_apply`` work on plain
+floats, each small enough to verify by hand: ``dot`` scores the probes,
+and the tests replay the attention stack through all three to 1e-12.
 """
 
 import math
@@ -15,18 +16,15 @@ from operator import index, mul
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, ZeroVectorError
+from .errors import DimensionError, EmptyInputError
 
 __all__ = [
     "Vector",
     "Matrix",
     "matrix_array",
     "dot",
-    "norm",
-    "cosine",
     "softmax",
     "linear_apply",
-    "mean_vector",
 ]
 
 
@@ -111,22 +109,16 @@ class Vector:
     def __hash__(self):
         return hash(self._data)
 
+    # The package computes on arrays; the benchmark's own tests perturb
+    # rows and weights with these two.
     def __add__(self, other):
         other = Vector(other)
         if other.dim != self.dim:
             raise DimensionError(f"cannot add dim {self.dim} and dim {other.dim}")
         return Vector(a + b for a, b in zip(self._data, other._data))
 
-    def __sub__(self, other):
-        other = Vector(other)
-        if other.dim != self.dim:
-            raise DimensionError(f"cannot subtract dim {other.dim} from dim {self.dim}")
-        return Vector(a - b for a, b in zip(self._data, other._data))
-
     def __mul__(self, scalar):
         return Vector(a * scalar for a in self._data)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if self.dim <= 8:
@@ -208,14 +200,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
-        )
+        return cls(np.eye(n))
 
     @classmethod
     def zeros(cls, rows, cols):
-        row = (0.0,) * cols
-        return cls(row for _ in range(rows))
+        return cls(np.zeros((rows, cols)))
 
     @property
     def array(self):
@@ -274,24 +263,6 @@ def dot(a, b):
     return sum(map(mul, xa, xb))
 
 
-def norm(v):
-    """Euclidean length."""
-    x = _components(v)
-    return math.sqrt(sum(map(mul, x, x)))
-
-
-def cosine(a, b):
-    """Cosine similarity; both arguments must have nonzero norm."""
-    xa, xb = _components(a), _components(b)
-    if len(xa) != len(xb):
-        raise DimensionError(f"cosine of dim {len(xa)} against dim {len(xb)}")
-    na = math.sqrt(sum(map(mul, xa, xa)))
-    nb = math.sqrt(sum(map(mul, xb, xb)))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine is undefined for zero-norm vectors")
-    return sum(map(mul, xa, xb)) / (na * nb)
-
-
 def softmax(scores):
     """Normalize scores to a strictly positive vector summing to 1.
 
@@ -317,16 +288,3 @@ def linear_apply(weights, x):
             f"matrix with {weights.cols} columns applied to dim {len(xs)}"
         )
     return Vector(sum(map(mul, row, xs)) for row in weights.row_tuples())
-
-
-def mean_vector(vectors):
-    """Component-wise arithmetic mean of equal-dimension vectors."""
-    rows = [_components(v) for v in vectors]
-    if not rows:
-        raise EmptyInputError("mean of an empty collection")
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise DimensionError(f"mixed dims in mean: {len(r)} != {width}")
-    n = len(rows)
-    return Vector(sum(col) / n for col in zip(*rows))

@@ -93,16 +93,10 @@ def _check_permutation_equivariance(rng):
     d, n = 4, 2
     config = attention.MultiHeadConfig(d=d, n=n, layers=1)
     params = attention.random_stack_params(config, seed=rng.randrange(10**9))
-    X = [_random_vector(rng, d) for _ in range(3)]
-    with_pos = [
-        (Vector(x) + attention.positional_encoding(i, d)).components
-        for i, x in enumerate(X)
-    ]
-    rev = list(reversed(X))
-    with_pos_rev = [
-        (Vector(x) + attention.positional_encoding(i, d)).components
-        for i, x in enumerate(rev)
-    ]
+    X = np.array([_random_vector(rng, d) for _ in range(3)])
+    positions = np.array([attention.positional_encoding(i, d).components for i in range(3)])
+    with_pos = X + positions
+    with_pos_rev = X[::-1] + positions
     out = attention.stack_forward(with_pos, config, params)
     out_rev = attention.stack_forward(with_pos_rev, config, params)
     broke = any(
@@ -203,7 +197,7 @@ def _check_centroid_identity(rng):
             return CheckResult(
                 "centroid identity", False, "centroid is order-sensitive"
             )
-        cancel = sense_geometry.sense_centroid([v, -1.0 * v])
+        cancel = sense_geometry.sense_centroid([v, -np.array(v.components)])
         if max(abs(x) for x in cancel) > 1e-12:
             return CheckResult(
                 "centroid identity", False, "opposite pairs do not cancel"

@@ -7,9 +7,11 @@ homonym's occurrences, and one-vs-rest logistic probes that read sense
 classes and ambiguity off embeddings.
 """
 
+import functools
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +36,6 @@ __all__ = [
     "ProbeConfig",
     "ProbeExample",
     "sense_centroid",
-    "sense_distance",
     "contextual_shift",
     "homonym_separation",
     "inventory_report",
@@ -64,7 +65,7 @@ def _check_metric(metric):
 
 @dataclass(frozen=True)
 class SenseInventory:
-    """All occurrence vectors of one word, grouped by sense name."""
+    """All occurrence vectors of one word: one read-only Matrix per sense name."""
 
     word: str
     senses: dict
@@ -72,21 +73,20 @@ class SenseInventory:
     def __post_init__(self):
         if not self.senses:
             raise EmptyInputError("an inventory needs at least one sense")
-        dims = set()
         clean = {}
         for name, occurrences in self.senses.items():
-            occurrences = tuple(Vector(v) for v in occurrences)
-            if not occurrences:
-                raise EmptyInputError(f"sense {name!r} has no occurrences")
-            dims.update(v.dim for v in occurrences)
-            clean[name] = occurrences
+            try:
+                clean[name] = Matrix(occurrences)
+            except EmptyInputError:
+                raise EmptyInputError(f"sense {name!r} has no occurrences") from None
+        dims = {m.cols for m in clean.values()}
         if len(dims) != 1:
             raise DimensionError(f"{self.word!r}: mixed occurrence dims {sorted(dims)}")
         object.__setattr__(self, "senses", clean)
 
     @property
     def d(self):
-        return next(iter(self.senses.values()))[0].dim
+        return next(iter(self.senses.values())).cols
 
 
 @dataclass(frozen=True)
@@ -111,48 +111,33 @@ class SenseReport:
 
     def __post_init__(self):
         k = len(self.centroids)
-        m = self.pairwise_distances
+        m = self.pairwise_distances.array
         if len(self.names) != k or m.shape != (k, k):
             raise DimensionError("report fields disagree on the number of senses")
-        rows = m.row_tuples()
-        for i in range(k):
-            if rows[i][i] != 0.0:
-                raise ValueError("pairwise distance diagonal must be zero")
-            for j in range(k):
-                if abs(rows[i][j] - rows[j][i]) > 1e-12:
-                    raise ValueError("pairwise distances must be symmetric")
-                if self.metric == "cosine" and not -1e-12 <= rows[i][j] <= 2 + 1e-12:
-                    raise ValueError("cosine distances must lie in [0, 2]")
+        if np.diag(m).any():
+            raise ValueError("pairwise distance diagonal must be zero")
+        if np.abs(m - m.T).max() > 1e-12:
+            raise ValueError("pairwise distances must be symmetric")
+        if self.metric == "cosine" and not ((m >= -1e-12) & (m <= 2 + 1e-12)).all():
+            raise ValueError("cosine distances must lie in [0, 2]")
 
 
-def sense_centroid(occurrences):
-    """Mean of the occurrence vectors of one sense."""
-    occurrences = list(occurrences)
-    if not occurrences:
-        raise EmptyInputError("a centroid needs at least one occurrence")
-    return linalg.mean_vector(occurrences)
+def _in_float64(fn):
+    """Run ``fn`` with numpy overflow and invalid results raising ValueError."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValueError(f"vectors too large for float64 distances: {exc}") from None
+    return run
 
 
-def _distance(a, b, metric):
-    if metric == "euclidean":
-        return linalg.norm(Vector(a) - Vector(b))
-    return 1.0 - linalg.cosine(a, b)
-
-
-def sense_distance(c1, c2, metric="cosine"):
-    """Distance between two sense centroids (cosine distance by default)."""
-    _check_metric(metric)
-    return _distance(c1, c2, metric)
-
-
-def contextual_shift(token_emb, ctx_emb, metric="cosine"):
-    """How far a contextualized occurrence moved from its token embedding.
-
-    Larger shifts signal stronger context effects; idiomatic usage tends
-    to shift further than literal usage.
-    """
-    _check_metric(metric)
-    return _distance(token_emb, ctx_emb, metric)
+def _mean(x):
+    """Mean of the rows of ``x``: their sum times 1/n."""
+    return x.sum(axis=0) * (1.0 / len(x))
 
 
 def _row_norms(a):
@@ -173,6 +158,29 @@ def _distances(x, xnorms, c, metric):
     return np.subtract(1.0, dist, out=dist)
 
 
+@_in_float64
+def sense_centroid(occurrences):
+    """Mean of the occurrence vectors of one sense."""
+    try:
+        x = linalg.matrix_array(occurrences)
+    except EmptyInputError:
+        raise EmptyInputError("a centroid needs at least one occurrence") from None
+    return Vector(_mean(x).tolist())
+
+
+@_in_float64
+def contextual_shift(token_emb, ctx_emb, metric="cosine"):
+    """How far a contextualized occurrence moved from its token embedding.
+
+    Larger shifts signal stronger context effects; idiomatic usage tends
+    to shift further than literal usage. Cosine distance by default;
+    either vector of zero norm raises ZeroVectorError under cosine.
+    """
+    _check_metric(metric)
+    x = linalg.matrix_array([token_emb, ctx_emb])
+    return float(_distances(x[:1], _row_norms(x[:1]), x[1:], metric)[0, 0])
+
+
 def _lloyd(x, norms, init_pair, metric):
     """Two-centroid k-means from one starting pair; returns (assign, centroids, cost).
 
@@ -191,7 +199,7 @@ def _lloyd(x, norms, init_pair, metric):
             members = x[assign == k]
             # an emptied cluster keeps its previous centroid
             if len(members):
-                centroids[k] = members.sum(axis=0) * (1.0 / len(members))
+                centroids[k] = _mean(members)
     else:
         dist = _distances(x, norms, centroids, metric)
     return assign, centroids, float(dist[np.arange(len(x)), assign].sum())
@@ -213,17 +221,35 @@ def _purity(assign, gold_labels):
         )
     if len(set(labels)) > 2:
         raise ValueError("gold labeling must be two-way")
-    correct = 0
-    for cluster in (0, 1):
-        counts = {}
-        for a, lab in zip(assign, labels):
-            if a == cluster:
-                counts[lab] = counts.get(lab, 0) + 1
-        if counts:
-            correct += max(counts.values())
+    counts = Counter(zip(assign, labels))  # (cluster, label) -> occurrences
+    correct = sum(max((n for (a, _), n in counts.items() if a == c), default=0) for c in (0, 1))
     return correct / len(assign)
 
 
+def _centroid_geometry(c, token_emb, metric):
+    """The distances among the centroid rows ``c`` (k x d) as a Matrix, its
+    upper triangle mirrored: the diagonal is exactly 0 and the matrix exactly
+    symmetric. Given ``token_emb``, also its distance to each centroid and
+    the betweenness flag of each pair i < j; else None for both.
+    """
+    k, d = c.shape
+    pair = np.zeros((k, k))
+    if k > 1:  # one centroid has no pair, so it needs no norm under cosine
+        pair = np.triu(_distances(c, _row_norms(c), c, metric), 1)
+        pair = pair + pair.T
+    if token_emb is None:
+        return Matrix._take(pair), None, None
+    t = linalg.matrix_array([token_emb])
+    if t.shape[1] != d:
+        raise DimensionError(f"token dim {t.shape[1]} does not match occurrence dim {d}")
+    t2c = _distances(t, _row_norms(t), c, metric)[0].tolist()
+    m = pair.tolist()
+    flags = {(i, j): t2c[i] <= m[i][j] and t2c[j] <= m[i][j]
+             for i in range(k) for j in range(i + 1, k)}
+    return Matrix._take(pair), tuple(t2c), flags
+
+
+@_in_float64
 def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
                        metric="cosine"):
     """Split a homonym's occurrence vectors into two sense clusters.
@@ -239,62 +265,49 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
     the centroids are to each other.
     """
     _check_metric(metric)
-    token = Vector(token_emb)
     points = list(occurrences)
     if len(points) < 4:
         raise InsufficientDataError(
             f"homonym separation needs at least 4 occurrences, got {len(points)}"
         )
     x = linalg.matrix_array(points)
-    n, d = x.shape
-    if d != token.dim:
-        raise DimensionError(f"occurrence dim {d} does not match token dim {token.dim}")
+    n = len(x)
 
     rng = random.Random(seed)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            norms = _row_norms(x)
-            inits = [_farthest_pair(x, norms, metric)]
-            while len(inits) < RESTARTS:
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                if i != j:
-                    inits.append((i, j))
-            best = None
-            for pair in inits:
-                assign, centroids, cost = _lloyd(x, norms, pair, metric)
-                if best is None or cost < best[2] - 1e-12:
-                    best = (assign, centroids, cost)
-    except FloatingPointError as exc:
-        raise ValueError(f"occurrence vectors too large for float64 distances: {exc}") from None
-    assign, centroids = best[0].tolist(), best[1].tolist()
+    norms = _row_norms(x)
+    inits = [_farthest_pair(x, norms, metric)]
+    while len(inits) < RESTARTS:
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i != j:
+            inits.append((i, j))
+    best = None
+    for pair in inits:
+        assign, centroids, cost = _lloyd(x, norms, pair, metric)
+        if best is None or cost < best[2] - 1e-12:
+            best = (assign, centroids, cost)
+    assign, centroids = best[0].tolist(), best[1]
 
-    c0, c1 = Vector(centroids[0]), Vector(centroids[1])
-    dist = _distance(c0, c1, metric)
-    degenerate = dist <= 1e-9
+    pairwise, t2c, flags = _centroid_geometry(centroids, token_emb, metric)
+    degenerate = pairwise.row(0)[1] <= 1e-9
     if degenerate:
-        warnings.warn(
-            "clustering produced (near-)identical centroids",
-            DegenerateClustersWarning,
-            stacklevel=2,
-        )
-    t2c = (_distance(token, c0, metric), _distance(token, c1, metric))
-    # under cosine this is exactly: cos(token, each centroid) >= cos(c0, c1)
-    flag = t2c[0] <= dist and t2c[1] <= dist
+        warnings.warn("clustering produced (near-)identical centroids",
+                      DegenerateClustersWarning, stacklevel=3)
     purity = None if gold_labels is None else _purity(assign, gold_labels)
     return SenseReport(
         names=("cluster-0", "cluster-1"),
-        centroids=(c0, c1),
-        pairwise_distances=Matrix([[0.0, dist], [dist, 0.0]]),
+        centroids=tuple(Matrix._take(centroids)),
+        pairwise_distances=pairwise,
         metric=metric,
         token_to_centroid=t2c,
-        betweenness={(0, 1): flag},
+        betweenness=flags,
         assignments=tuple(assign),
         purity=purity,
         degenerate=degenerate,
     )
 
 
+@_in_float64
 def inventory_report(inventory, token_emb=None, metric="cosine"):
     """Centroid geometry of a labeled sense inventory.
 
@@ -303,26 +316,12 @@ def inventory_report(inventory, token_emb=None, metric="cosine"):
     """
     _check_metric(metric)
     names = tuple(sorted(inventory.senses))
-    centroids = tuple(sense_centroid(inventory.senses[n]) for n in names)
-    k = len(names)
-    rows = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = _distance(centroids[i], centroids[j], metric)
-            rows[i][j] = rows[j][i] = d
-    t2c = None
-    flags = None
-    if token_emb is not None:
-        token = Vector(token_emb)
-        t2c = tuple(_distance(token, c, metric) for c in centroids)
-        flags = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                flags[(i, j)] = t2c[i] <= rows[i][j] and t2c[j] <= rows[i][j]
+    c = np.array([_mean(inventory.senses[n].array) for n in names])
+    pairwise, t2c, flags = _centroid_geometry(c, token_emb, metric)
     return SenseReport(
         names=names,
-        centroids=centroids,
-        pairwise_distances=Matrix(rows) if k > 1 else Matrix([[0.0]]),
+        centroids=tuple(Matrix._take(c)),
+        pairwise_distances=pairwise,
         metric=metric,
         token_to_centroid=t2c,
         betweenness=flags,

@@ -11,13 +11,14 @@ import os
 import random
 import time
 import warnings
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from embgeom import attention, embed_store, selfcheck, sense_geometry, trainer
-from embgeom.linalg import Matrix, Vector, cosine
+from embgeom.linalg import Matrix, Vector
 
 BERT_VEC = os.environ.get(
     "EMBGEOM_BERT_VEC",
@@ -244,6 +245,10 @@ def test_criterion_06_checks_the_shipped_step(monkeypatch):
         lambda w_in, w_out, target, ctx, inv, lr: shipped(w_in, w_out, target, ctx, inv, 1.5 * lr),
     )
     assert _criterion_06_worst_error(random.Random(4242)) > 0.1
+
+
+def cosine(a, b):
+    return sum(map(mul, a, b)) / (math.sqrt(sum(map(mul, a, a))) * math.sqrt(sum(map(mul, b, b))))
 
 
 def _cluster_margin(table, cluster_a, cluster_b):

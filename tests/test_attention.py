@@ -28,7 +28,7 @@ from embgeom.attention import (
     save_named_matrices,
     stack_forward,
 )
-from embgeom.embed_store import EmbeddingTable
+from embgeom.embed_store import EmbeddingTable, load_embeddings_binary, save_embeddings_binary
 from embgeom.errors import (
     ContextWindowExceededError,
     DimensionError,
@@ -58,6 +58,11 @@ def reference_weights(query, keys, scale_scores=True):
 
 
 class TestAttentionWeights:
+    def test_one_matrix_as_queries_and_keys_rounds_as_two(self):
+        # embgeom attend passes a sequence's one Matrix as both arguments
+        m = Matrix(np.random.default_rng(3).normal(size=(6, 100)))
+        assert attention_weights(m, m) == attention_weights(m, m.array.copy())
+
     def test_hand_value_unscaled(self):
         w = attention_weights([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], scale_scores=False)
         assert w.shape == (1, 2)
@@ -403,10 +408,10 @@ def reference_head(seq, params, scale_scores=True):
     out = []
     for q in queries:
         w = reference_weights(q, keys, scale_scores=scale_scores)
-        acc = w[0] * values[0]
+        acc = [w[0] * v for v in values[0]]
         for j in range(1, len(values)):
-            acc = acc + w[j] * values[j]
-        out.append(acc)
+            acc = [a + w[j] * v for a, v in zip(acc, values[j])]
+        out.append(Vector(acc))
     return out
 
 
@@ -553,9 +558,9 @@ class TestEmbedSequence:
     def test_positions_shift_repeated_token(self):
         table = self.make_table()
         seq = embed_sequence(table, ["b", "b"], use_positional=True)
-        diff = seq.vectors[1] - seq.vectors[0]
-        expected = positional_encoding(1, 2) - positional_encoding(0, 2)
-        np.testing.assert_allclose(diff.components, expected.components, atol=1e-12)
+        diff = np.diff(seq.vectors.array, axis=0)
+        expected = np.diff(as_array([positional_encoding(0, 2), positional_encoding(1, 2)]), axis=0)
+        np.testing.assert_allclose(diff, expected, atol=1e-12)
 
     def test_unknown_token(self):
         with pytest.raises(OutOfVocabularyError):
@@ -570,6 +575,20 @@ class TestEmbedSequence:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             embed_sequence(self.make_table(), [])
+
+    @pytest.mark.parametrize("emb1", [False, True], ids=["float64", "float32-emb1"])
+    @pytest.mark.parametrize("positional", [False, True])
+    def test_rows_equal_lookup_bit_for_bit(self, emb1, positional):
+        rng = np.random.default_rng(71)
+        vocab = [f"w{i}" for i in range(40)]
+        table = EmbeddingTable(vocab, rng.normal(size=(40, 32)))
+        if emb1:  # float32 rows
+            table = load_embeddings_binary(save_embeddings_binary(table))
+        tokens = [vocab[i] for i in rng.integers(0, 40, size=17)]
+        seq = embed_sequence(table, tokens, use_positional=positional)
+        for i, (tok, row) in enumerate(zip(tokens, seq.vectors)):
+            pos = positional_encoding(i, 32) if positional else [0.0] * 32
+            assert row.components == tuple(a + b for a, b in zip(table.lookup(tok), pos))
 
 
 class TestSequenceEmbedding:

@@ -441,6 +441,22 @@ class TestContextualize:
         assert err.startswith("ParseError: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, tsv", [
+        ([], ["horse\t0.28542839929212405 -0.06811266168474493",
+              "cow\t0.28595914652588417 -0.06835790633895564",
+              "horses\t0.28553430148250236 -0.06816159636477234"]),
+        (["--no-scale"], ["horse\t0.28639926568747087 -0.06856127409055025",
+                          "cow\t0.28715830849792096 -0.06891200826256122",
+                          "horses\t0.28655062185780866 -0.06863121188635216"]),
+        (["--positional"], ["horse\t0.6345653886918639 -0.1641872082282057",
+                            "cow\t0.6419849323794808 -0.16689526651882028",
+                            "horses\t0.6274804342711834 -0.16130753592301386"]),
+    ], ids=["scaled", "no-scale", "positional"])
+    def test_frozen_output(self, capsys, table_file, flags, tsv):
+        argv = ["contextualize", "--table", table_file, "--tokens", "horse cow horses", *flags]
+        _, out, _ = run(capsys, argv + ["--format", "tsv"])
+        assert out.splitlines() == ["# seed=42", *tsv]
+
     def test_output_dimension_matches_table(self, capsys, table_file):
         _, out, _ = run(
             capsys,
@@ -500,6 +516,19 @@ class TestSenseSubcommands:
         )
         value = float(out.splitlines()[1].split("\t")[1])
         assert value == pytest.approx(1 - 0.5 / (0.5 ** 2 + 0.5 ** 2) ** 0.5)
+
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--word", "w", "--ctx", "1e200 2", "--table"],
+        ["shift", "--word", "w", "--ctx", "-1e200 1", "--metric", "euclidean", "--table"],
+        ["centroid", "--senses"],
+    ])
+    def test_float64_overflow_is_domain_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "big"
+        path.write_text("1 2\nw 1e200 1\n" if argv[0] == "shift" else
+                        "w\ta\t1e200 1\nw\tb\t1e200 2\n", encoding="utf-8")
+        code, out, err = run(capsys, argv + [str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("ValueError: ") and "too large" in err
 
     def test_shift_without_context_is_domain_error(self, capsys, table_file):
         code, _, err = run(capsys, ["shift", "--table", table_file, "--word", "horse"])
@@ -669,6 +698,25 @@ class TestNeighborsOutput:
                     assert code == 0
                     outs.add(out)
                 assert len(outs) == 1
+
+
+def test_lowercase_folds_text_and_emb1_tables_alike(capsys, tmp_path):
+    txt, emb, out = tmp_path / "t.vec", tmp_path / "t.emb", tmp_path / "out.vec"
+    txt.write_text("3 2\nApple 1 0\npear 0.5 0.5\nKiwi 0 1\n", encoding="utf-8")
+    run(capsys, ["import", "--input", str(txt), "--output", str(emb)])
+    printed, imported = set(), set()
+    for table in (txt, emb):
+        got = run(capsys, ["neighbors", "--lowercase", "--word", "apple", "--table", str(table)])
+        printed.add(got)
+        assert run(capsys, ["import", "--lowercase", "--to", "text", "--input", str(table),
+                            "--output", str(out)])[0] == 0
+        imported.add(out.read_text(encoding="utf-8"))
+    assert len(printed) == len(imported) == 1 and printed.pop()[0] == 0
+    assert imported.pop() == "3 2\napple 1 0\npear 0.5 0.5\nkiwi 0 1\n"
+    emb.write_bytes(embed_store.save_embeddings_binary(
+        embed_store.EmbeddingTable(["Apple", "apple"], [[1.0], [2.0]])))
+    code, _, err = run(capsys, ["neighbors", "--lowercase", "--word", "apple", "--table", str(emb)])
+    assert code == 1 and err.startswith("ParseError: ") and "duplicate" in err
 
 
 def test_module_entry_point(table_file):

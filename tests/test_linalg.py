@@ -1,4 +1,4 @@
-"""Tests for the dependency-free linear algebra core."""
+"""Tests for the vector and matrix types and the plain-Python primitives."""
 
 import copy
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from embgeom import linalg
-from embgeom.errors import DimensionError, EmptyInputError, ZeroVectorError
+from embgeom.errors import DimensionError, EmptyInputError
 from embgeom.linalg import Matrix, Vector
 
 
@@ -47,12 +47,11 @@ class TestVector:
         v = Vector([big, big])  # sum overflows to inf, components are fine
         assert v.components == (big, big)
 
-    def test_add_sub_scale(self):
+    def test_add_and_scale(self):
         a = Vector([1.0, 2.0])
         b = Vector([3.0, -1.0])
         assert (a + b).components == (4.0, 1.0)
-        assert (a - b).components == (-2.0, 3.0)
-        assert (2.0 * a).components == (2.0, 4.0)
+        assert (a * 2.0).components == (2.0, 4.0)
         assert (a * -1.0).components == (-1.0, -2.0)
 
     def test_add_dim_mismatch(self):
@@ -218,42 +217,6 @@ class TestDot:
             assert linalg.dot(a, b) == pytest.approx(float(np.dot(a, b)), rel=1e-12)
 
 
-class TestCosine:
-    def test_hand_value(self):
-        assert linalg.cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
-            0.70710678, abs=1e-5
-        )
-
-    def test_self_similarity_is_one(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            v = rng.normal(size=8)
-            assert linalg.cosine(v, v) == pytest.approx(1.0, abs=1e-9)
-
-    def test_symmetry_and_bounds(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            s = linalg.cosine(a, b)
-            assert s == pytest.approx(linalg.cosine(b, a), abs=1e-12)
-            assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=5)
-            b = rng.normal(size=5)
-            s = linalg.cosine(a, b)
-            assert linalg.cosine(3.7 * a, 0.2 * b) == pytest.approx(s, abs=1e-9)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            linalg.cosine([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ZeroVectorError):
-            linalg.cosine([1.0, 0.0], [0.0, 0.0])
-
-
 class TestSoftmax:
     def test_hand_value(self):
         out = linalg.softmax([1.0, 0.0])
@@ -311,8 +274,8 @@ class TestLinearApply:
             lhs = linalg.linear_apply(w, x + y)
             rhs = linalg.linear_apply(w, x) + linalg.linear_apply(w, y)
             np.testing.assert_allclose(lhs.components, rhs.components, atol=1e-9)
-            lhs2 = linalg.linear_apply(w, c * x)
-            rhs2 = c * linalg.linear_apply(w, x)
+            lhs2 = linalg.linear_apply(w, x * c)
+            rhs2 = linalg.linear_apply(w, x) * c
             np.testing.assert_allclose(lhs2.components, rhs2.components, atol=1e-9)
 
     def test_dim_mismatch(self):
@@ -327,22 +290,4 @@ class TestLinearApply:
             x = rng.normal(size=c)
             got = linalg.linear_apply(Matrix(w.tolist()), x)
             np.testing.assert_allclose(got.components, w @ x, atol=1e-12)
-
-
-class TestMeanVector:
-    def test_hand_value(self):
-        out = linalg.mean_vector([[1.0, 1.0], [1.0, 1.0], [4.0, 4.0]])
-        assert out == Vector([2.0, 2.0])
-
-    def test_single_vector_is_itself(self):
-        v = Vector([1.5, -2.5])
-        assert linalg.mean_vector([v]) == v
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            linalg.mean_vector([])
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(DimensionError):
-            linalg.mean_vector([[1.0], [1.0, 2.0]])
 

@@ -22,6 +22,7 @@ from embgeom.errors import (
 )
 from embgeom.linalg import Vector
 from embgeom.sense_geometry import (
+    METRICS,
     ProbeConfig,
     ProbeExample,
     ProbeModel,
@@ -41,8 +42,8 @@ from embgeom.sense_geometry import (
     save_probe_tsv,
     save_sense_tsv,
     sense_centroid,
-    sense_distance,
 )
+from embgeom.linalg import Matrix
 
 
 # The pure-Python 2-means that homonym_separation ran before its array
@@ -152,7 +153,7 @@ class TestSenseCentroid:
 
     def test_cancellation(self):
         v = Vector([3.0, -1.0, 2.0])
-        occ = [v] * 4 + [-1.0 * v] * 4
+        occ = [v] * 4 + [Vector([-3.0, 1.0, -2.0])] * 4
         assert sense_centroid(occ) == Vector([0.0, 0.0, 0.0])
 
     def test_permutation_invariant(self):
@@ -168,38 +169,25 @@ class TestSenseCentroid:
             sense_centroid([])
 
 
+def _sense_distance(c1, c2, metric="cosine"):
+    """Distance between two one-occurrence senses, read off inventory_report."""
+    inv = SenseInventory(word="w", senses={"a": [c1], "b": [c2]})
+    return inventory_report(inv, metric=metric).pairwise_distances.row(0)[1]
+
+
 class TestSenseDistance:
     def test_identity_is_zero(self):
         v = [0.4, 0.6]
-        assert sense_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert _sense_distance(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_is_one(self):
-        assert sense_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert _sense_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert sense_distance([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
-            0.29289, abs=1e-5
-        )
-
-    def test_symmetry_and_scale_invariance(self):
-        rng = np.random.default_rng(51)
-        for _ in range(20):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            d = sense_distance(a, b)
-            assert d == pytest.approx(sense_distance(b, a), abs=1e-12)
-            assert d == pytest.approx(sense_distance(2.5 * a, 0.3 * b), abs=1e-9)
-            assert -1e-12 <= d <= 2 + 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            sense_distance([0.0, 0.0], [1.0, 0.0])
+        assert _sense_distance([1.0, 0.0], [1.0, 1.0]) == pytest.approx(0.29289, abs=1e-5)
 
     def test_euclidean_flag(self):
-        assert sense_distance([0.0, 3.0], [4.0, 0.0], metric="euclidean") == 5.0
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            sense_distance([1.0], [1.0], metric="manhattan")
+        assert _sense_distance([0.0, 3.0], [4.0, 0.0], metric="euclidean") == 5.0
 
 
 class TestContextualShift:
@@ -219,6 +207,25 @@ class TestContextualShift:
 
     def test_euclidean_flag(self):
         assert contextual_shift([0.0, 0.0], [3.0, 4.0], metric="euclidean") == 5.0
+
+    def test_symmetry_and_scale_invariance(self):
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            a, b = rng.normal(size=4), rng.normal(size=4)
+            d = contextual_shift(a, b)
+            assert d == pytest.approx(contextual_shift(b, a), abs=1e-12)
+            assert d == pytest.approx(contextual_shift(2.5 * a, 0.3 * b), abs=1e-9)
+            assert -1e-12 <= d <= 2 + 1e-12
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ZeroVectorError):
+            contextual_shift([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ZeroVectorError):
+            contextual_shift([1.0, 0.0], [0.0, 0.0])
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError):
+            contextual_shift([1.0], [1.0], metric="manhattan")
 
 
 class TestHomonymSeparation:
@@ -411,6 +418,70 @@ class TestInventoryReport:
         assert report.names == ("only",)
         assert report.token_to_centroid is None
 
+    def test_single_zero_sense_has_no_cosine_distance_to_take(self):
+        inv = SenseInventory(word="w", senses={"only": [[1.0, 0.0], [-1.0, 0.0]]})
+        assert inventory_report(inv).pairwise_distances == Matrix([[0.0]])
+        with pytest.raises(ZeroVectorError):
+            inventory_report(inv, token_emb=[1.0, 0.0])
+
+    def test_pairwise_matrix_is_exactly_symmetric(self):
+        rng = np.random.default_rng(70)
+        inv = SenseInventory("w", {f"s{i}": rng.normal(size=(3, 32)) for i in range(5)})
+        for metric in METRICS:
+            m = inventory_report(inv, metric=metric).pairwise_distances.array
+            assert np.array_equal(m, m.T) and not np.diag(m).any()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: contextual_shift([1e200, 1.0], [1e200, 2.0]),
+    lambda: contextual_shift([1e200, 0.0], [-1e200, 0.0], metric="euclidean"),
+    lambda: sense_centroid([[1e308, 0.0], [1e308, 0.0]]),
+    lambda: inventory_report(SenseInventory("w", {"a": [[1e200, 1.0]], "b": [[1e200, 2.0]]})),
+    lambda: inventory_report(SenseInventory("w", {"a": [[1e200, 0.0]], "b": [[-1e200, 0.0]]}),
+                             metric="euclidean"),
+    lambda: inventory_report(SenseInventory("w", {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}),
+                             token_emb=[1e200, 1.0]),
+    lambda: inventory_report(SenseInventory("w", {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}),
+                             token_emb=[-1e200, 1e200], metric="euclidean"),
+], ids=["shift-cosine", "shift-euclidean", "centroid", "pairwise-cosine", "pairwise-euclidean",
+        "token-cosine", "token-euclidean"])
+def test_float64_overflow_is_value_error(call):
+    # not nan or inf distances, nor betweenness flags silently False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too large"):
+            call()
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [2, 32, 768])
+def test_geometry_matches_the_reference(metric, d):
+    """Centroids, centroid and token distances and shifts against plain floats."""
+    rng = np.random.default_rng(d)
+    groups = [rng.normal(size=(n, d)).tolist() for n in (1, 4, 9)]
+    token = rng.normal(size=d).tolist()
+    occ, _ = two_clusters(24, d, seed=d)
+    split = homonym_separation(token, occ, metric=metric)
+    for report, members in (
+        (inventory_report(SenseInventory("w", {f"s{i}": g for i, g in enumerate(groups)}),
+                          token_emb=token, metric=metric), groups),
+        (split, [[x for x, a in zip(occ, split.assignments) if a == k] for k in (0, 1)]),
+    ):
+        cents = [_mean_rows(rows, range(len(rows))) for rows in members]
+        norms = [_norm_tuple(c) for c in cents]
+        pair = [[0.0 if i == j else _point_distance(ci, ni, cj, nj, metric)
+                 for j, (cj, nj) in enumerate(zip(cents, norms))]
+                for i, (ci, ni) in enumerate(zip(cents, norms))]
+        t2c = [_point_distance(token, _norm_tuple(token), c, n, metric)
+               for c, n in zip(cents, norms)]
+        close = dict(atol=1e-12, rtol=1e-12)
+        np.testing.assert_allclose([c.components for c in report.centroids], cents, **close)
+        np.testing.assert_allclose(report.pairwise_distances.array, pair, **close)
+        np.testing.assert_allclose(report.token_to_centroid, t2c, **close)
+    for a, b in rng.normal(size=(5, 2, d)).tolist():
+        want = _point_distance(a, _norm_tuple(a), b, _norm_tuple(b), metric)
+        assert contextual_shift(a, b, metric=metric) == pytest.approx(want, abs=1e-12, rel=1e-12)
+
 
 class TestSenseInventory:
     def test_empty_sense_rejected(self):
@@ -424,6 +495,15 @@ class TestSenseInventory:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionError):
             SenseInventory(word="w", senses={"a": [[1.0]], "b": [[1.0, 2.0]]})
+        with pytest.raises(DimensionError):
+            SenseInventory(word="w", senses={"a": [[1.0], [1.0, 2.0]]})
+
+    def test_each_sense_is_one_read_only_matrix(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        inv = SenseInventory(word="w", senses={"a": rows, "b": [Vector([5.0, 6.0])]})
+        rows[0, 0] = 9.0  # the inventory holds a copy
+        assert list(inv.senses["a"]) == [Vector([1.0, 2.0]), Vector([3.0, 4.0])] and inv.d == 2
+        assert not inv.senses["b"].array.flags.writeable
 
 
 # The pure-Python SGD loop that probe_train ran before its array kernel,
