@@ -37,7 +37,6 @@ __all__ = [
     "AttentionHeadParams",
     "AttentionLayerParams",
     "MultiHeadConfig",
-    "SequenceEmbedding",
     "attention_weights",
     "head_forward",
     "multihead_forward",
@@ -139,31 +138,6 @@ class MultiHeadConfig:
         return self.d // self.n
 
 
-@dataclass(frozen=True)
-class SequenceEmbedding:
-    """Tokens paired position-by-position with the rows of one L x d Matrix."""
-
-    tokens: tuple
-    vectors: Matrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
-            raise EmptyInputError("a sequence needs at least one token")
-        object.__setattr__(self, "vectors", Matrix(self.vectors))
-        if len(self.tokens) != self.vectors.rows:
-            raise DimensionError(
-                f"{len(self.tokens)} tokens but {self.vectors.rows} vectors"
-            )
-
-    def __len__(self):
-        return len(self.tokens)
-
-    @property
-    def d(self):
-        return self.vectors.cols
-
-
 def _weights(q, k, scale_scores):
     """Row-softmax of the scores ``q @ k.T``: one row of weights per query.
 
@@ -252,14 +226,14 @@ def multihead_forward(seq, heads, Wo, scale_scores=True):
 def stack_forward(seq, config, layer_params):
     """Apply every configured layer in order; returns an L x d Matrix.
 
-    ``seq`` may be a SequenceEmbedding, a bare list of vectors or a 2-D
-    array; it is validated once. The output Matrix of layer k feeds layer
-    k+1 unchanged (no residuals), so every layer boundary carries vectors
-    of dim d exactly. Row i of the result is position i's contextualized
-    vector.
+    ``seq`` may be a Matrix such as :func:`embed_sequence` returns, a
+    bare list of vectors or a 2-D array; it is validated once. The output
+    Matrix of layer k feeds layer k+1 unchanged (no residuals), so every
+    layer boundary carries vectors of dim d exactly. Row i of the result
+    is position i's contextualized vector.
     """
     try:
-        x = linalg.matrix_array(seq.vectors if isinstance(seq, SequenceEmbedding) else seq)
+        x = linalg.matrix_array(seq)
     except EmptyInputError:
         raise EmptyInputError("attention needs at least one position") from None
     length, dim = x.shape
@@ -304,11 +278,11 @@ def positional_encoding(position, d):
 
 def embed_sequence(table, tokens, use_positional=False,
                    context_window=DEFAULT_CONTEXT_WINDOW):
-    """Turn a token list into a SequenceEmbedding: one gather of table rows.
+    """Embed a token list as an L x d Matrix: one gather of table rows.
 
-    With ``use_positional`` each row is the token row plus the sinusoidal
-    encoding of its position (requires even D); without it, repeated
-    tokens embed identically at every position.
+    Row i embeds ``tokens[i]``. With ``use_positional`` each row is the
+    token row plus the sinusoidal encoding of its position (requires even
+    D); without it, repeated tokens embed identically at every position.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -317,11 +291,11 @@ def embed_sequence(table, tokens, use_positional=False,
         raise ContextWindowExceededError(
             f"sequence length {len(tokens)} exceeds context window {context_window}"
         )
-    vectors = table.gather(tokens)
-    if use_positional:
-        positions = [positional_encoding(i, table.D).components for i in range(len(tokens))]
-        vectors = Matrix._take(vectors.array + np.array(positions))
-    return SequenceEmbedding(tokens=tokens, vectors=vectors)
+    rows = table.gather(tokens)
+    if not use_positional:
+        return rows
+    positions = [positional_encoding(i, table.D).components for i in range(len(tokens))]
+    return Matrix._take(rows.array + np.array(positions))
 
 
 def _random_matrix(rows, cols, bound, rng):

@@ -10,6 +10,8 @@ import argparse
 import io
 import sys
 
+import numpy as np
+
 from . import attention, container, embed_store, selfcheck, sense_geometry, trainer
 from .errors import EmbgeomError
 from .linalg import Vector
@@ -159,18 +161,18 @@ def cmd_attend(args):
         table, tokens, use_positional=args.positional, context_window=args.window
     )
     _emit_seed(args)
-    rows = attention.attention_weights(seq.vectors, seq.vectors, scale_scores=not args.no_scale)
+    rows = attention.attention_weights(seq, seq, scale_scores=not args.no_scale)
     if args.format == "tsv":
-        print("token\t" + "\t".join(seq.tokens))
-        for token, row in zip(seq.tokens, rows):
+        print("token\t" + "\t".join(tokens))
+        for token, row in zip(tokens, rows):
             print(token + "\t" + "\t".join(_fmt(w) for w in row))
     else:
-        width = max(len(t) for t in seq.tokens)
-        header = " ".join(f"{t:>{max(len(t), 5)}}" for t in seq.tokens)
+        width = max(len(t) for t in tokens)
+        header = " ".join(f"{t:>{max(len(t), 5)}}" for t in tokens)
         print(f"{'':<{width}} {header}")
-        for token, row in zip(seq.tokens, rows):
+        for token, row in zip(tokens, rows):
             cells = " ".join(
-                f"{w:>{max(len(t), 5)}.2f}" for t, w in zip(seq.tokens, row)
+                f"{w:>{max(len(t), 5)}.2f}" for t, w in zip(tokens, row)
             )
             print(f"{token:<{width}} {cells}")
     return 0
@@ -203,10 +205,10 @@ def cmd_contextualize(args):
     out = attention.stack_forward(seq, config, params)
     _emit_seed(args)
     if args.format == "tsv":
-        for token, v in zip(seq.tokens, out):
+        for token, v in zip(tokens, out):
             print(f"{token}\t{_vector_fields(v)}")
     else:
-        for token, v in zip(seq.tokens, out):
+        for token, v in zip(tokens, out):
             head = " ".join(f"{x:.2f}" for x in list(v)[:8])
             more = " ..." if v.dim > 8 else ""
             print(f"{token}: [{head}{more}]")
@@ -262,7 +264,7 @@ def cmd_centroid(args):
 def cmd_shift(args):
     token_emb = _load_table(args.table).lookup(args.word)
     if args.ctx is not None:
-        ctx_emb = Vector(float(x) for x in args.ctx.split())
+        ctx_emb = Vector(map(container.decimal, args.ctx.split()))
     elif args.ctx_table is not None and args.ctx_word is not None:
         ctx_emb = _load_table(args.ctx_table).lookup(args.ctx_word)
     else:
@@ -281,7 +283,7 @@ def cmd_separate(args):
     if args.word not in inventories:
         raise EmbgeomError(f"word {args.word!r} not present in {args.senses}")
     senses = inventories[args.word].senses
-    occurrences = [v for m in senses.values() for v in m]
+    occurrences = np.vstack([m.array for m in senses.values()])
     gold = [sense for sense, m in senses.items() for _ in range(m.rows)]
     token_emb = _load_table(args.table).lookup(args.word)
     report = sense_geometry.homonym_separation(

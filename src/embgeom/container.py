@@ -5,9 +5,11 @@ names, each behind its little-endian u32 byte length, and little-endian f32
 or f64 payloads, with nothing after the last field. Each format module
 picks its fields and their order; this module encodes and checks them, and
 every decoding failure it reports is a :class:`~embgeom.errors.ParseError`.
-It also reads the sources every loader takes, binary and UTF-8 text alike.
+It also reads every loader's sources, binary or UTF-8 text, and text decimals.
 """
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -23,6 +25,10 @@ _U32 = struct.Struct("<I")
 
 # Bytes read at a time ahead of the header and name fields of a file source.
 _READ_AHEAD = 1 << 16
+
+# Fixed or scientific decimal notation; deliberately narrower than float()
+# (no nan/inf, no underscores, no hex, no whitespace, ASCII digits only).
+_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 
 
 def read_bytes(source):
@@ -44,6 +50,17 @@ def read_text(source):
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from None
+
+
+def decimal(field):
+    """``field`` as a finite float, read with the text table's decimal grammar;
+    anything else is a ValueError naming the field."""
+    if not _FLOAT_RE.match(field):
+        raise ValueError(f"not a decimal float: {field!r}")
+    x = float(field)
+    if not math.isfinite(x):
+        raise ValueError(f"value out of range: {field!r}")
+    return x
 
 
 def build(constructor, *args, line=None, **kwargs):

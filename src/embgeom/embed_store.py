@@ -16,10 +16,8 @@ screened cosine cannot reach the top ``k``, and ranks the rest exactly in
 float64 (see :func:`nearest_neighbors`).
 """
 
-import math
 import os
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +35,6 @@ from .linalg import Matrix
 __all__ = [
     "EmbeddingTable",
     "Neighbor",
-    "NeighborList",
     "TokenFilter",
     "token_filter",
     "load_embeddings_text",
@@ -46,10 +43,6 @@ __all__ = [
     "save_embeddings_binary",
     "nearest_neighbors",
 ]
-
-# Fixed or scientific decimal notation; deliberately narrower than float()
-# (no nan/inf, no underscores, no hex, ASCII digits only).
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 
 # The size of the runs of whole lines the text loader checks and parses.
 _CHUNK_BYTES = 16 << 20
@@ -98,9 +91,9 @@ class EmbeddingTable:
     vocab : sequence of str
         Unique tokens, no internal whitespace, insertion order preserved.
     rows : Matrix, numpy array, or nested sequence
-        V x D finite real matrix; row i embeds vocab[i]. The table keeps a
-        read-only float64 copy, so later writes to ``rows`` do not reach
-        it; a Matrix's array is read-only already and is shared.
+        V x D finite real matrix; row i embeds vocab[i]. The table keeps
+        the read-only float64 array of ``Matrix(rows)``, so later writes to
+        ``rows`` do not reach it; a Matrix is shared.
 
     The loaders hand their array over without a copy: float64 from text,
     float32 from EMB1. The state neighbour queries need is built on the
@@ -110,11 +103,7 @@ class EmbeddingTable:
     __slots__ = ("_vocab", "_index", "_array", "_screen", "_candidate_bias")
 
     def __init__(self, vocab, rows):
-        # a copy the caller cannot write; a Matrix's array is one already
-        arr = rows.array if isinstance(rows, Matrix) else np.array(rows, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("embedding rows must be finite")
-        self._adopt(vocab, arr)
+        self._adopt(vocab, Matrix(rows).array)
 
     @classmethod
     def _take(cls, vocab, arr):
@@ -243,26 +232,10 @@ class EmbeddingTable:
 
 
 class Neighbor(NamedTuple):
+    """One ranked neighbour: a token and its cosine similarity to the query."""
+
     token: str
     similarity: float
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """Ranked nearest neighbours of one query token.
-
-    ``entries`` is a list of (token, similarity) pairs sorted by descending
-    similarity; the query itself never appears.
-    """
-
-    query: str
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 class TokenFilter:
@@ -526,11 +499,11 @@ def _row_fault(row, D, line, vocab, lowercase):
     fields = rest.split(" ")
     if len(fields) != D or "" in fields:
         return ParseError(f"row {token!r} needs {D} single-spaced values", line=line)
-    for field in fields:
-        if not _FLOAT_RE.match(field):
-            return ParseError(f"not a decimal float: {field!r}", line=line)
-        if not math.isfinite(float(field)):
-            return ParseError(f"value out of range: {field!r}", line=line)
+    try:
+        for field in fields:
+            container.decimal(field)
+    except ValueError as exc:
+        return ParseError(str(exc), line=line)
 
 
 def save_embeddings_text(table):
@@ -654,10 +627,11 @@ def _screen_error(D):
 def nearest_neighbors(table, token, k, filter=None):
     """Top-k vocabulary tokens by cosine similarity to ``token``'s row.
 
-    The query token is always excluded. ``filter``, when given, is applied
-    to candidates before ranking. Ties break by vocabulary insertion order.
-    Candidate rows with zero norm have no direction and are skipped; a
-    zero-norm query raises ZeroVectorError.
+    Returns a tuple of :class:`Neighbor` (token, similarity) pairs, most
+    similar first. The query token is always excluded. ``filter``, when
+    given, is applied to candidates before ranking. Ties break by vocabulary
+    insertion order. Candidate rows with zero norm have no direction and are
+    skipped; a zero-norm query raises ZeroVectorError.
 
     One float32 mat-vec screens every candidate: over the stored rows of a
     float32 table, each product then weighted by its row's float32 1/norm,
@@ -677,7 +651,7 @@ def nearest_neighbors(table, token, k, filter=None):
     bias, live = table._candidates(filter)
     live -= bias[qi] == 0.0  # the query is never its own neighbour
     if live == 0:
-        return NeighborList(query=token, entries=())
+        return ()
 
     # The query row over its norm: rounded to float32 it is the unit query
     # row a stored-row screen multiplies; the exact ranking uses it as it is.
@@ -705,7 +679,5 @@ def nearest_neighbors(table, token, k, filter=None):
     np.maximum(sims, -1.0, out=sims)
     # Stable sort on descending similarity: equal scores keep vocab order.
     order = np.argsort(-sims, kind="stable")[:k].tolist()
-    c, s = cand.tolist(), sims.tolist()
-    vocab = table.vocab
-    entries = tuple(Neighbor(vocab[c[j]], s[j]) for j in order)
-    return NeighborList(query=token, entries=entries)
+    vocab, c, s = table.vocab, cand.tolist(), sims.tolist()
+    return tuple(Neighbor(vocab[c[j]], s[j]) for j in order)

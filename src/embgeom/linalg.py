@@ -180,7 +180,9 @@ class Matrix:
         if isinstance(rows, Matrix):
             self._array = rows._array
             return
-        a = np.array(matrix_array(rows))  # a copy the caller cannot write
+        a = matrix_array(rows)
+        if a is rows:  # the caller's own array: a copy the caller cannot write
+            a = np.array(a)
         a.flags.writeable = False
         self._array = a
 

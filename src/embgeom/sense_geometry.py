@@ -254,24 +254,24 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
                        metric="cosine"):
     """Split a homonym's occurrence vectors into two sense clusters.
 
-    Runs k-means with k=2: the first of ``RESTARTS`` restarts initializes
-    centroids at the farthest occurrence pair, the rest at seeded random
-    distinct pairs; each runs until an assignment pass changes nothing, for
-    at most ``MAX_ITER`` passes. The run with the lowest within-cluster
-    distance sum wins (first winner on ties). The report carries both
-    centroids, their distance, the token embedding's distance to each,
-    purity against ``gold_labels`` when given, and the betweenness flag:
-    whether the token embedding is at least as similar to each centroid as
-    the centroids are to each other.
+    ``occurrences`` is one n x d 2-D input, n >= 4: a Matrix, an array or a
+    sequence of rows. Runs k-means with k=2: the first of ``RESTARTS``
+    restarts initializes centroids at the farthest occurrence pair, the rest
+    at seeded random distinct pairs; each runs until an assignment pass
+    changes nothing, for at most ``MAX_ITER`` passes. The run with the
+    lowest within-cluster distance sum wins (first winner on ties). The
+    report carries both centroids, their distance, the token embedding's
+    distance to each, purity against ``gold_labels`` when given, and the
+    betweenness flag: whether the token embedding is at least as similar to
+    each centroid as the centroids are to each other.
     """
     _check_metric(metric)
-    points = list(occurrences)
-    if len(points) < 4:
-        raise InsufficientDataError(
-            f"homonym separation needs at least 4 occurrences, got {len(points)}"
-        )
-    x = linalg.matrix_array(points)
+    x = linalg.matrix_array(occurrences)
     n = len(x)
+    if n < 4:
+        raise InsufficientDataError(
+            f"homonym separation needs at least 4 occurrences, got {n}"
+        )
 
     rng = random.Random(seed)
     norms = _row_norms(x)
@@ -463,7 +463,10 @@ def probe_scores(model, emb):
 
 
 def probe_predict(model, emb, threshold=0.5):
-    """All classes whose score reaches the threshold (inclusive)."""
+    """All classes whose score reaches the threshold (inclusive); a NaN
+    threshold, which no score reaches, raises ValueError."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
     scores = probe_scores(model, emb)
     return {c for c, s in zip(model.classes, scores) if s >= threshold}
 
@@ -483,7 +486,7 @@ def probe_accuracy(model, examples, threshold=0.5):
 
 
 def _tsv_rows(source):
-    """Yield (line number, column 1, column 2, vector) for each 3-column line."""
+    """Yield (line number, column 1, column 2, Vector of decimals) per 3-column line."""
     lines = container.read_text(source).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -493,7 +496,7 @@ def _tsv_rows(source):
             raise ParseError(
                 f"expected 3 tab-separated columns, found {len(parts)}", line=line_no
             )
-        vec = container.build(Vector, map(float, parts[2].split(" ")), line=line_no)
+        vec = container.build(Vector, map(container.decimal, parts[2].split(" ")), line=line_no)
         yield line_no, parts[0], parts[1], vec
 
 

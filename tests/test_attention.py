@@ -15,7 +15,6 @@ from embgeom.attention import (
     AttentionHeadParams,
     AttentionLayerParams,
     MultiHeadConfig,
-    SequenceEmbedding,
     attention_weights,
     embed_sequence,
     head_forward,
@@ -547,18 +546,26 @@ class TestEmbedSequence:
 
     def test_raw_rows_without_positions(self):
         seq = embed_sequence(self.make_table(), ["a", "c"])
-        assert seq.tokens == ("a", "c")
-        assert seq.vectors[0] == Vector([1.0, 0.0])
-        assert seq.vectors[1] == Vector([1.0, 1.0])
+        assert seq[0] == Vector([1.0, 0.0])
+        assert seq[1] == Vector([1.0, 1.0])
+
+    @pytest.mark.parametrize("positional", [False, True])
+    def test_returns_one_read_only_matrix(self, positional):
+        table = self.make_table()
+        seq = embed_sequence(table, iter(["a", "c", "a"]), use_positional=positional)
+        assert type(seq) is Matrix and seq.shape == (3, 2)
+        assert seq.array.dtype == np.float64 and not seq.array.flags.writeable
+        if not positional:  # the one gather, handed over as it is
+            assert seq == table.gather(["a", "c", "a"])
 
     def test_repeated_token_identical_without_positions(self):
         seq = embed_sequence(self.make_table(), ["b", "b"])
-        assert seq.vectors[0] == seq.vectors[1]
+        assert seq[0] == seq[1]
 
     def test_positions_shift_repeated_token(self):
         table = self.make_table()
         seq = embed_sequence(table, ["b", "b"], use_positional=True)
-        diff = np.diff(seq.vectors.array, axis=0)
+        diff = np.diff(seq.array, axis=0)
         expected = np.diff(as_array([positional_encoding(0, 2), positional_encoding(1, 2)]), axis=0)
         np.testing.assert_allclose(diff, expected, atol=1e-12)
 
@@ -586,21 +593,9 @@ class TestEmbedSequence:
             table = load_embeddings_binary(save_embeddings_binary(table))
         tokens = [vocab[i] for i in rng.integers(0, 40, size=17)]
         seq = embed_sequence(table, tokens, use_positional=positional)
-        for i, (tok, row) in enumerate(zip(tokens, seq.vectors)):
+        for i, (tok, row) in enumerate(zip(tokens, seq)):
             pos = positional_encoding(i, 32) if positional else [0.0] * 32
             assert row.components == tuple(a + b for a, b in zip(table.lookup(tok), pos))
-
-
-class TestSequenceEmbedding:
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            SequenceEmbedding(tokens=("a",), vectors=(Vector([1.0]), Vector([2.0])))
-
-    def test_mixed_dims(self):
-        with pytest.raises(DimensionError):
-            SequenceEmbedding(
-                tokens=("a", "b"), vectors=(Vector([1.0]), Vector([1.0, 2.0]))
-            )
 
 
 class TestRandomStackParams:

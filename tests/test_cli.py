@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from embgeom import attention, cli, embed_store, selfcheck, trainer
+from embgeom import attention, cli, embed_store, selfcheck, sense_geometry, trainer
+from embgeom.errors import ParseError
 from embgeom.linalg import Matrix
 
 MINI_TABLE = (
@@ -717,6 +718,93 @@ def test_lowercase_folds_text_and_emb1_tables_alike(capsys, tmp_path):
         embed_store.EmbeddingTable(["Apple", "apple"], [[1.0], [2.0]])))
     code, _, err = run(capsys, ["neighbors", "--lowercase", "--word", "apple", "--table", str(emb)])
     assert code == 1 and err.startswith("ParseError: ") and "duplicate" in err
+
+
+# Each subcommand that takes --table, with the flags that change how it
+# reads the table; {T} is the table, {S} a sense TSV, {O} an output file.
+TABLE_COMMANDS = {
+    "neighbors": ["neighbors", "--table", "{T}", "--word", "bank", "--k", "12"],
+    "neighbors-filter": ["neighbors", "--table", "{T}", "--word", "bank", "--k", "12",
+                         "--filter", "subwords,specials,nonalpha"],
+    "neighbors-lowercase": ["neighbors", "--table", "{T}", "--word", "apple", "--lowercase"],
+    "contextualize": ["contextualize", "--table", "{T}", "--tokens", "the bank of river",
+                      "--heads", "2"],
+    "contextualize-positional": ["contextualize", "--table", "{T}", "--tokens",
+                                 "the bank of river", "--heads", "2", "--positional"],
+    "attend": ["attend", "--table", "{T}", "--tokens", "the bank of the river"],
+    "shift-ctx": ["shift", "--table", "{T}", "--word", "bank",
+                  "--ctx", "0.5 -1 2 0.25 1e-3 -0.75 3 1"],
+    "shift-ctx-table": ["shift", "--table", "{T}", "--word", "bank",
+                        "--ctx-table", "{T}", "--ctx-word", "river"],
+    "centroid": ["centroid", "--senses", "{S}", "--table", "{T}"],
+    "separate": ["separate", "--senses", "{S}", "--word", "bank", "--table", "{T}"],
+    "import-text": ["import", "--input", "{T}", "--output", "{O}", "--to", "text"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+def test_one_table_two_forms_print_the_same_bytes(capsys, tmp_path, command, fmt):
+    # f32-exact values: the text form keeps float64 rows, the EMB1 form
+    # float32 ones, and every subcommand must not tell them apart.
+    rng = np.random.default_rng(21)
+    words = ["the", "bank", "of", "river", "Apple", "money", "##s", "[CLS]", "x1", "loan"]
+    vocab = words + [f"w{i}" if i % 3 else f"##w{i}" for i in range(40)]
+    rows = rng.normal(size=(len(vocab), 8)).astype(np.float32).astype(np.float64)
+    table = embed_store.EmbeddingTable(vocab, rows)
+    txt, emb, out = tmp_path / "t.vec", tmp_path / "t.emb", tmp_path / "out.vec"
+    txt.write_bytes(embed_store.save_embeddings_text(table))
+    emb.write_bytes(embed_store.save_embeddings_binary(table))
+    senses = tmp_path / "senses.tsv"
+    occ = rng.normal(size=(12, 8)) + np.repeat([[2.0] * 8, [-2.0] * 8], 6, axis=0)
+    senses.write_text("".join(
+        f"bank\t{'river' if i < 6 else 'money'}\t{' '.join(map(repr, r))}\n"
+        for i, r in enumerate(occ.tolist())), encoding="utf-8")
+    printed = []
+    for form in (txt, emb):
+        argv = [a.format(T=form, S=senses, O=out) for a in TABLE_COMMANDS[command]]
+        code, stdout, err = run(capsys, argv + ["--format", fmt])
+        assert (code, err) == (0, "")
+        printed.append((stdout, out.read_bytes() if command == "import-text" else None))
+    assert printed[0] == printed[1]
+
+
+# Values that float() reads and the text table's decimal grammar does not;
+# "0\r" ends its line with \r\n.
+NOT_DECIMAL = ["1_0", "1e1_0", "\u0661", "\uff11", "1\v", "\xa01", "0\r", "nan", "inf",
+               "-inf", "1e999"]
+
+
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+def test_every_reader_of_values_keeps_the_text_table_grammar(capsys, tmp_path, value):
+    """The text table, the sense and probe TSVs and shift --ctx."""
+    with pytest.raises(ParseError, match="line 3: "):
+        embed_store.load_embeddings_text(f"2 2\na 1 0\nb 1 {value}\n")
+    for loader in (sense_geometry.load_sense_tsv, sense_geometry.load_probe_tsv):
+        with pytest.raises(ParseError,
+                           match=r"line 2: (not a decimal float|value out of range): "):
+            loader(f"w\tx\t1 0\nw\ty\t1 {value}\n".encode())
+    table = tmp_path / "t.vec"
+    table.write_text("1 2\nw 1 1\n", encoding="utf-8")
+    shift = ["shift", "--table", str(table), "--word", "w", "--format", "tsv", "--ctx"]
+    code, out, err = run(capsys, shift + [f"1 {value}"])
+    if value.split() == [value]:
+        assert (code, out) == (1, "")
+        assert err.startswith(("ValueError: not a decimal float: ",
+                               "ValueError: value out of range: "))
+    else:  # --ctx splits on any whitespace: the field left is sound
+        assert (code, out, err) == run(capsys, shift + [f"1 {value.strip()}"])
+
+
+def test_nan_threshold_is_a_domain_error(capsys, tmp_path):
+    data = tmp_path / "probe.tsv"
+    data.write_text(PROBE_TSV, encoding="utf-8")
+    model = str(tmp_path / "model.prb")
+    assert run(capsys, ["probe-train", "--data", str(data), "--out", model])[0] == 0
+    code, out, err = run(capsys, ["probe-eval", "--model", model, "--data", str(data),
+                                  "--threshold", "nan"])
+    assert (code, out) == (1, "")
+    assert err.startswith("ValueError: ") and "threshold" in err
 
 
 def test_module_entry_point(table_file):

@@ -25,6 +25,7 @@ from embgeom.embed_store import (
     token_filter,
 )
 from embgeom.errors import (
+    DimensionError,
     OutOfVocabularyError,
     ParseError,
     ZeroVectorError,
@@ -131,6 +132,19 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             make_table(["a"], [[np.nan]])
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0], [3.0]],
+        [[1.0], [2.0, 3.0]],
+        (Vector([1.0, 2.0]), Vector([3.0])),
+        [[1.0, 2.0, 3.0]],
+        np.ones(2),
+        np.ones((2, 1, 1)),
+    ], ids=["short-row", "long-row", "vectors", "one-row-for-two", "1-d", "3-d"])
+    def test_ragged_or_misshapen_rows_are_dimension_errors(self, rows):
+        # the rows go through linalg's one 2-D validator, as every matrix does
+        with pytest.raises(DimensionError):
+            make_table(["a", "b"], rows)
+
     def test_accepts_linalg_matrix(self):
         t = make_table(["a", "b"], Matrix([[1, 2], [3, 4]]))
         assert t.lookup("b") == Vector([3.0, 4.0])
@@ -138,10 +152,10 @@ class TestEmbeddingTable:
     def test_caller_writes_do_not_reach_the_table(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         t = make_table(["a", "b", "c"], rows)
-        before = [nearest_neighbors(t, w, k=2).entries for w in t.vocab]
+        before = [nearest_neighbors(t, w, k=2) for w in t.vocab]
         rows[0] = [0.0, 5.0]
         assert t.lookup("a") == Vector([1.0, 0.0])
-        assert [nearest_neighbors(t, w, k=2).entries for w in t.vocab] == before
+        assert [nearest_neighbors(t, w, k=2) for w in t.vocab] == before
         assert [s for _, s in before[0]] == pytest.approx([2 ** -0.5, 0.0])
 
     def test_rows_are_read_only(self):
@@ -748,10 +762,20 @@ class TestNeighbourScreen:
 
 
 class TestNearestNeighbors:
+    def test_returns_a_tuple_of_neighbors_most_similar_first(self):
+        t = make_table(["q", "far", "near", "zero"],
+                       [[1.0, 0.0], [-1.0, 0.2], [1.0, 0.1], [0.0, 0.0]])
+        out = nearest_neighbors(t, "q", k=5)
+        assert type(out) is tuple
+        assert all(type(n) is embed_store.Neighbor for n in out)
+        assert [n.token for n in out] == ["near", "far"]  # the zero row has no direction
+        assert out[0].similarity == pytest.approx(1 / np.sqrt(1.01), abs=1e-15)
+        assert out == tuple(nearest_neighbors(t, "q", k=5))
+        assert nearest_neighbors(t, "q", k=1, filter=lambda tok: tok == "q") == ()
+
     def test_orthonormal_all_zero_similarity(self):
         t = make_table(["a", "b", "c"], np.eye(3))
         out = nearest_neighbors(t, "a", k=2)
-        assert out.query == "a"
         assert [t for t, _ in out] == ["b", "c"]
         assert all(abs(s) < 1e-12 for _, s in out)
 
@@ -770,8 +794,8 @@ class TestNearestNeighbors:
         rows[4] = rows[0]
         t = make_table([f"t{i}" for i in range(10)], rows)
         out = nearest_neighbors(t, "t0", k=3)
-        assert out.entries[0][0] == "t4"
-        assert out.entries[0][1] == pytest.approx(1.0, abs=1e-9)
+        assert out[0].token == "t4"
+        assert out[0].similarity == pytest.approx(1.0, abs=1e-9)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(16)

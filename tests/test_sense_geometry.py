@@ -267,6 +267,23 @@ class TestHomonymSeparation:
     def test_too_few_occurrences(self):
         with pytest.raises(InsufficientDataError):
             homonym_separation([1.0], [[1.0], [2.0], [3.0]])
+        with pytest.raises(InsufficientDataError):
+            homonym_separation([1.0], Matrix([[1.0], [2.0], [3.0]]))
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_empty_input_is_empty_input_error(self, empty):
+        with pytest.raises(EmptyInputError):
+            homonym_separation([1.0, 0.0], empty)
+
+    def test_takes_one_matrix_or_array(self):
+        occ, token = two_clusters(30, 5, seed=55)
+        gold = ["a" if i % 2 else "b" for i in range(30)]
+        want = homonym_separation(token, occ, gold_labels=gold, seed=3)
+        arr = np.array(occ)
+        for x in (arr, Matrix(occ), iter(map(Vector, occ))):
+            got = homonym_separation(token, x, gold_labels=gold, seed=3)
+            assert got == want
+        assert np.array_equal(arr, occ)  # the caller's array is not written
 
     def test_permutation_invariance_up_to_relabeling(self):
         rng = np.random.default_rng(53)
@@ -715,6 +732,17 @@ class TestProbePredict:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             probe_predict(self.make_model(), [1.0, 2.0, 3.0])
+
+    def test_nan_threshold_rejected(self):
+        # no score reaches nan: it would read as an empty prediction
+        model = self.make_model()
+        for call in (
+            lambda: probe_predict(model, [1.0, 0.0], threshold=math.nan),
+            lambda: ambiguity_flag(model, [1.0, 1.0], threshold=math.nan),
+            lambda: probe_accuracy(model, [([1.0, 0.0], {"FOOD"})], threshold=math.nan),
+        ):
+            with pytest.raises(ValueError, match="threshold"):
+                call()
 
 
 class TestAmbiguityFlag:
