@@ -4,7 +4,7 @@ The package is organised around a handful of small modules:
 
 ``linalg``
     Vectors, read-only numpy-backed matrices, and the plain-Python dot,
-    softmax and linear maps the tests replay the attention stack with.
+    softmax and linear maps that the benchmark pins and the tests replay.
 ``embed_store``
     Loading, saving, and nearest-neighbour scans over embedding tables.
 ``attention``

@@ -339,12 +339,9 @@ def cmd_probe_eval(args):
     model = sense_geometry.load_probe_model(_read(args.model))
     examples = sense_geometry.load_probe_tsv(_read(args.data))
     pairs = [(ex.vector, ex.labels) for ex in examples]
-    accuracy = sense_geometry.probe_accuracy(model, pairs, threshold=args.threshold)
+    predictions, accuracy = sense_geometry._evaluate(model, pairs, threshold=args.threshold)
     _emit_seed(args)
-    for ex in examples:
-        predicted = sense_geometry.probe_predict(
-            model, ex.vector, threshold=args.threshold
-        )
+    for ex, predicted in zip(examples, predictions):
         ambiguous = len(predicted) >= 2
         labels = ",".join(sorted(predicted))
         if args.format == "tsv":

@@ -7,8 +7,8 @@ read. :func:`matrix_array` is the one validator for 2-D input, and
 :func:`random_array` the bulk seeded draw behind every random matrix.
 The rest of the package computes on numpy arrays. Beyond a Vector's ``+``
 and ``*``, only ``dot``, ``softmax`` and ``linear_apply`` work on plain
-floats, each small enough to verify by hand: ``dot`` scores the probes,
-and the tests replay the attention stack through all three to 1e-12.
+floats, each small enough to verify by hand. No shipped path runs them:
+the benchmark pins them, and the tests replay the attention stack to 1e-12.
 """
 
 import math
@@ -125,13 +125,6 @@ class Vector:
             return f"Vector({list(self._data)!r})"
         head = ", ".join(repr(x) for x in self._data[:4])
         return f"Vector([{head}, ...], dim={self.dim})"
-
-
-def _components(v):
-    """Coerce a Vector or any sequence of reals to a validated tuple."""
-    if isinstance(v, Vector):
-        return v.components
-    return Vector(v).components
 
 
 def matrix_array(rows):
@@ -259,7 +252,7 @@ class Matrix:
 
 def dot(a, b):
     """Inner product of two equal-dimension vectors."""
-    xa, xb = _components(a), _components(b)
+    xa, xb = Vector(a).components, Vector(b).components
     if len(xa) != len(xb):
         raise DimensionError(f"dot of dim {len(xa)} against dim {len(xb)}")
     return sum(map(mul, xa, xb))
@@ -274,7 +267,7 @@ def softmax(scores):
     float: the true softmax is strictly positive everywhere, and the floor
     perturbs the unit sum by far less than any tolerance we promise.
     """
-    x = _components(scores)
+    x = Vector(scores).components
     m = max(x)
     exps = [math.exp(s - m) for s in x]
     total = sum(exps)
@@ -284,7 +277,7 @@ def softmax(scores):
 
 def linear_apply(weights, x):
     """Apply a linear layer (a bare matrix, no bias) to a vector."""
-    xs = _components(x)
+    xs = Vector(x).components
     if weights.cols != len(xs):
         raise DimensionError(
             f"matrix with {weights.cols} columns applied to dim {len(xs)}"

@@ -9,6 +9,7 @@ classes and ambiguity off embeddings.
 
 import functools
 import math
+import numbers
 import random
 import warnings
 from collections import Counter
@@ -351,27 +352,32 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class ProbeModel:
-    """One-vs-rest linear classifiers: a weight vector and bias per class."""
+    """One-vs-rest linear classifiers: row i of the read-only k x d ``weights``
+    Matrix (given as anything Matrix takes) and the finite real ``biases[i]``
+    score ``classes[i]``, a nonempty str with no comma, tab or newline."""
 
     classes: tuple
-    weights: tuple
+    weights: Matrix
     biases: tuple
 
     def __post_init__(self):
         if not self.classes:
             raise EmptyInputError("a probe needs at least one class")
-        if not (len(self.classes) == len(self.weights) == len(self.biases)):
-            raise DimensionError("classes, weights, and biases must align")
+        for c in self.classes:  # labels load_probe_tsv can read, and probe-eval can print
+            if not (isinstance(c, str) and c) or {",", "\t", "\n"} & set(c):
+                raise ValueError(f"class name {c!r} is empty or holds a comma, tab or newline")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("class names must be unique")
-        d = self.weights[0].dim
-        for w in self.weights:
-            if w.dim != d:
-                raise DimensionError("all class weights must share one dim")
+        object.__setattr__(self, "weights", Matrix(self.weights))
+        if not (len(self.classes) == self.weights.rows == len(self.biases)):
+            raise DimensionError("classes, weights, and biases must align")
+        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in self.biases):
+            raise ValueError(f"probe biases must be finite real numbers, got {self.biases!r}")
+        object.__setattr__(self, "biases", tuple(map(float, self.biases)))
 
     @property
     def d(self):
-        return self.weights[0].dim
+        return self.weights.cols
 
 
 def _sigmoid(z):
@@ -382,18 +388,14 @@ def _sigmoid(z):
 
 
 def _normalize_examples(examples):
-    pairs = []
-    for vec, labels in examples:
-        if isinstance(labels, str):
-            raise TypeError("labels must be a set of class names, not a string")
-        pairs.append((Vector(vec), frozenset(labels)))
+    """The vectors of (vector, label-set) pairs as one validated n x d float64
+    array, and their label sets as frozensets."""
+    pairs = list(examples)
     if not pairs:
         raise EmptyInputError("probe training needs at least one example")
-    d = pairs[0][0].dim
-    for v, _ in pairs:
-        if v.dim != d:
-            raise DimensionError("probe examples must share one embedding dim")
-    return pairs
+    if any(isinstance(labels, str) for _, labels in pairs):
+        raise TypeError("labels must be a set of class names, not a string")
+    return linalg.matrix_array([v for v, _ in pairs]), [frozenset(l) for _, l in pairs]
 
 
 def probe_train(examples, config=None):
@@ -410,25 +412,21 @@ def probe_train(examples, config=None):
     """
     if config is None:
         config = ProbeConfig()
-    pairs = _normalize_examples(examples)
-    classes = sorted(set().union(*(labels for _, labels in pairs)))
+    x_all, label_sets = _normalize_examples(examples)
+    classes = sorted(set().union(*label_sets))
     if len(classes) < 2:
-        raise DegenerateClassError(
-            f"probing needs at least 2 classes, got {len(classes)}"
-        )
-    n = len(pairs)
+        raise DegenerateClassError(f"probing needs at least 2 classes, got {len(classes)}")
     for c in classes:
-        positives = sum(1 for _, labels in pairs if c in labels)
-        if positives == n:
+        if all(c in labels for labels in label_sets):
             raise DegenerateClassError(f"class {c!r} has no negative examples")
 
-    xs = list(np.array([v.components for v, _ in pairs]))
-    ys = [[1.0 if c in labels else 0.0 for c in classes] for _, labels in pairs]
-    weights = np.zeros((len(classes), pairs[0][0].dim))
+    xs = list(x_all)  # each row's view made once, not once per step
+    ys = [[1.0 if c in labels else 0.0 for c in classes] for labels in label_sets]
+    weights = np.zeros((len(classes), x_all.shape[1]))
     biases = [0.0] * len(classes)
 
     rng = random.Random(config.seed)
-    order = list(range(n))
+    order = list(range(len(xs)))
     lr = config.learning_rate
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -445,30 +443,47 @@ def probe_train(examples, config=None):
                     biases = [b - fc for b, fc in zip(biases, f)]
     except FloatingPointError as exc:
         raise ValueError(f"probe weights left float64: {exc}") from None
-    return ProbeModel(
-        classes=tuple(classes),
-        weights=tuple(map(Vector, weights.tolist())),
-        biases=tuple(biases),
-    )
+    return ProbeModel(tuple(classes), Matrix._take(weights), tuple(biases))
+
+
+def _scores(model, x):
+    """The k class scores of each row of ``x`` (n x d float64), as n tuples.
+
+    ``add.reduce`` sums each row's products on their own, as one BLAS product
+    over all rows need not, so a row scores the same bits alone as in a batch.
+    Overflow is silent, as in float arithmetic.
+    """
+    if x.shape[1] != model.d:
+        raise DimensionError(f"embedding dim {x.shape[1]} does not match probe {model.d}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.column_stack([np.add.reduce(x * w, axis=1) for w in model.weights.array])
+    return [tuple(map(_sigmoid, row)) for row in (z + model.biases).tolist()]
+
+
+def _predict(model, x, threshold):
+    """The class set each row of ``x`` predicts: the classes whose score
+    reaches the threshold; a NaN threshold, which none reaches, is a ValueError."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
+    return [{c for c, s in zip(model.classes, row) if s >= threshold} for row in _scores(model, x)]
+
+
+def _evaluate(model, examples, threshold):
+    """Each example's predicted class set, and the fraction that equal their labels."""
+    x, labels = _normalize_examples(examples)
+    predictions = _predict(model, x, threshold)
+    return predictions, sum(p == l for p, l in zip(predictions, labels)) / len(labels)
 
 
 def probe_scores(model, emb):
     """Sigmoid score per class, in model class order."""
-    x = Vector(emb)
-    if x.dim != model.d:
-        raise DimensionError(f"embedding dim {x.dim} does not match probe {model.d}")
-    return tuple(
-        _sigmoid(linalg.dot(w, x) + b) for w, b in zip(model.weights, model.biases)
-    )
+    return _scores(model, linalg.matrix_array([emb]))[0]
 
 
 def probe_predict(model, emb, threshold=0.5):
     """All classes whose score reaches the threshold (inclusive); a NaN
     threshold, which no score reaches, raises ValueError."""
-    if math.isnan(threshold):
-        raise ValueError("threshold must be a number, got nan")
-    scores = probe_scores(model, emb)
-    return {c for c, s in zip(model.classes, scores) if s >= threshold}
+    return _predict(model, linalg.matrix_array([emb]), threshold)[0]
 
 
 def ambiguity_flag(model, emb, threshold=0.5):
@@ -478,15 +493,11 @@ def ambiguity_flag(model, emb, threshold=0.5):
 
 def probe_accuracy(model, examples, threshold=0.5):
     """Fraction of examples whose predicted label set matches exactly."""
-    pairs = _normalize_examples(examples)
-    hits = sum(
-        1 for v, labels in pairs if probe_predict(model, v, threshold) == labels
-    )
-    return hits / len(pairs)
+    return _evaluate(model, examples, threshold)[1]
 
 
 def _tsv_rows(source):
-    """Yield (line number, column 1, column 2, Vector of decimals) per 3-column line."""
+    """Yield (line number, column 1, column 2, tuple of decimals) per 3-column line."""
     lines = container.read_text(source).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -496,8 +507,8 @@ def _tsv_rows(source):
             raise ParseError(
                 f"expected 3 tab-separated columns, found {len(parts)}", line=line_no
             )
-        vec = container.build(Vector, map(container.decimal, parts[2].split(" ")), line=line_no)
-        yield line_no, parts[0], parts[1], vec
+        values = container.build(tuple, map(container.decimal, parts[2].split(" ")), line=line_no)
+        yield line_no, parts[0], parts[1], values
 
 
 def load_sense_tsv(source):
@@ -505,29 +516,35 @@ def load_sense_tsv(source):
 
     Returns a dict keyed by word, preserving first-appearance order.
     """
-    grouped = {}
-    for line_no, word, sense, vec in _tsv_rows(source):
+    grouped, dims = {}, {}
+    for line_no, word, sense, values in _tsv_rows(source):
         if not word or not sense:
             raise ParseError("empty word or sense label", line=line_no)
-        grouped.setdefault(word, {}).setdefault(sense, []).append(vec)
+        d, first = dims.setdefault(word, (len(values), line_no))
+        if len(values) != d:
+            raise ParseError(
+                f"{word!r} vector has {len(values)} components, line {first} has {d}", line=line_no
+            )
+        grouped.setdefault(word, {}).setdefault(sense, []).append(values)
     if not grouped:
         raise ParseError("no occurrences found")
     return {
-        word: container.build(SenseInventory, word=word, senses=senses)
+        word: SenseInventory(word, {name: np.array(rows) for name, rows in senses.items()})
         for word, senses in grouped.items()
     }
 
 
+def _tsv_bytes(rows):
+    """(column 1, column 2, values) rows as UTF-8 `col1<TAB>col2<TAB>x1 ... xD` lines."""
+    return "".join(
+        f"{a}\t{b}\t{' '.join(f'{x:.17g}' for x in values)}\n" for a, b, values in rows
+    ).encode("utf-8")
+
+
 def save_sense_tsv(inventories):
     """Serialize SenseInventory objects back to the TSV occurrence format."""
-    rows = []
-    for inv in inventories:
-        for sense in inv.senses:
-            for vec in inv.senses[sense]:
-                values = " ".join(f"{x:.17g}" for x in vec)
-                rows.append(f"{inv.word}\t{sense}\t{values}")
-    rows.append("")
-    return "\n".join(rows).encode("utf-8")
+    return _tsv_bytes((inv.word, sense, row) for inv in inventories
+                      for sense, occ in inv.senses.items() for row in occ.array.tolist())
 
 
 def load_probe_tsv(source):
@@ -537,16 +554,16 @@ def load_probe_tsv(source):
     is a negative for every class.
     """
     out = []
-    for line_no, token, labels, vec in _tsv_rows(source):
+    for line_no, token, labels, values in _tsv_rows(source):
         if not token:
             raise ParseError("empty token", line=line_no)
-        if out and vec.dim != out[0].vector.dim:
+        if out and len(values) != out[0].vector.dim:
             raise ParseError(
-                f"vector has {vec.dim} components, line 1 has {out[0].vector.dim}",
+                f"vector has {len(values)} components, line 1 has {out[0].vector.dim}",
                 line=line_no,
             )
         label_set = frozenset(l for l in labels.split(",") if l)
-        out.append(ProbeExample(token=token, labels=label_set, vector=vec))
+        out.append(ProbeExample(token=token, labels=label_set, vector=Vector._of(values)))
     if not out:
         raise ParseError("no examples found")
     return out
@@ -554,20 +571,15 @@ def load_probe_tsv(source):
 
 def save_probe_tsv(examples):
     """Serialize ProbeExamples back to the TSV probe-dataset format."""
-    rows = []
-    for ex in examples:
-        labels = ",".join(sorted(ex.labels))
-        values = " ".join(f"{x:.17g}" for x in ex.vector)
-        rows.append(f"{ex.token}\t{labels}\t{values}")
-    rows.append("")
-    return "\n".join(rows).encode("utf-8")
+    return _tsv_bytes((ex.token, ",".join(sorted(ex.labels)), ex.vector) for ex in examples)
 
 
 def save_probe_model(model):
     """Serialize a ProbeModel: per class, a name, f64 bias, and f64 weights."""
+    rows = np.column_stack((model.biases, model.weights.array))
     parts = [container.PRB1, container.u64s(len(model.classes), model.d)]
-    for c, w, b in zip(model.classes, model.weights, model.biases):
-        parts += (container.names([c]), container.floats((b, *w.components), "<f8"))
+    for c, row in zip(model.classes, rows):
+        parts += (container.names([c]), container.floats(row, "<f8"))
     return b"".join(parts)
 
 
@@ -575,13 +587,10 @@ def load_probe_model(source):
     """Rebuild a ProbeModel serialized by :func:`save_probe_model`."""
     r = container.Reader(source, container.PRB1)
     k, d = r.u64s(2, "class count and dim")
-    classes, weights, biases = [], [], []
+    classes, rows = [], []
     for _ in range(k):
         classes += r.names(1, "class name")
-        bias, *w = r.floats(1 + d, "<f8", "class payload").tolist()
-        biases.append(bias)
-        weights.append(Vector(w))
+        rows.append(r.floats(1 + d, "<f8", "class payload"))
     r.end()
-    return container.build(
-        ProbeModel, classes=tuple(classes), weights=tuple(weights), biases=tuple(biases)
-    )
+    rows = np.vstack(rows)
+    return container.build(ProbeModel, tuple(classes), rows[:, 1:], tuple(rows[:, 0].tolist()))

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
 import threading
@@ -613,6 +615,64 @@ class TestProbes:
         assert code == 1
         assert err.startswith("ParseError: line 2: ")
         assert "Traceback" not in err
+
+    def test_eval_scores_each_row_once(self, capsys, tmp_path, monkeypatch):
+        x = np.random.default_rng(61).normal(size=(60, 4))
+        x[1::2, 0] += 2.0
+        data = tmp_path / "probe.tsv"
+        data.write_text("".join(f"t{i}\t{'AB'[i % 2]}\t{' '.join(map(repr, row))}\n"
+                                for i, row in enumerate(x.tolist())), encoding="utf-8")
+        model = str(tmp_path / "model.prb")
+        assert run(capsys, ["probe-train", "--data", str(data), "--out", model])[0] == 0
+        rows = []
+        kernel = sense_geometry._scores
+        monkeypatch.setattr(sense_geometry, "_scores",
+                            lambda m, x: rows.append(len(x)) or kernel(m, x))
+        code, out, _ = run(capsys, ["probe-eval", "--model", model, "--data", str(data),
+                                    "--format", "tsv"])
+        assert code == 0 and len(out.splitlines()) == 62
+        assert sum(rows) == 60
+
+    # sha256 of the PRB1 file and of stdout for seed 7 on PROBE_TSV, taken
+    # when probes were scored one Vector at a time: a change to how they are
+    # stored or scored keeps every byte
+    PINNED = {
+        "prb": "6a5faf1b1e2f31868013377c6580a069d32039113e9dff2fc498908a75e79657",
+        ("tsv", "probe-train"): "3b371f52bfcfc7c35236fe44bef1a293670b82c8e0deab6f66df0b0bf0c506b4",
+        ("tsv", "probe-eval"): "a804818d5d7bfdfedf077f69e3a0f7119b7e02be0bd4bce1a56603da584c3836",
+        ("pretty", "probe-train"):
+            "7383b7f354c516c1edfc8996db2515df567110e54187a3d2e9a182592c4de80f",
+        ("pretty", "probe-eval"):
+            "56ee36c9a8071c921d25f1349906c1ce2afb2a07c0b46a5ba6557cd96443550b",
+    }
+
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    def test_train_and_eval_bytes_are_pinned(self, capsys, tmp_path, fmt):
+        data = tmp_path / "probe.tsv"
+        data.write_text(PROBE_TSV, encoding="utf-8")
+        model = tmp_path / "model.prb"
+        for argv in (["probe-train", "--out", str(model), "--seed", "7"],
+                     ["probe-eval", "--model", str(model)]):
+            code, out, err = run(capsys, argv + ["--data", str(data), "--format", fmt])
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[fmt, argv[0]], out
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.PINNED["prb"]
+
+    def test_class_name_that_breaks_the_tsv_is_parse_error(self, capsys, tmp_path):
+        data = tmp_path / "probe.tsv"
+        data.write_text("t1\ta\t1\n", encoding="utf-8")
+        for name in (b"a,b", b"x\ty", b""):
+            model = tmp_path / "model.prb"
+            model.write_bytes(
+                b"PRB1" + struct.pack("<2Q", 2, 1)
+                + struct.pack("<I", 1) + b"a" + struct.pack("<2d", 0.0, 1.0)
+                + struct.pack("<I", len(name)) + name + struct.pack("<2d", 0.0, 1.0)
+            )
+            with pytest.raises(ParseError, match="class name"):
+                sense_geometry.load_probe_model(model.read_bytes())
+            code, out, err = run(capsys, ["probe-eval", "--model", str(model),
+                                          "--data", str(data), "--format", "tsv"])
+            assert (code, out) == (1, "") and err.startswith("ParseError: ")
 
 
 @pytest.mark.parametrize("subcommand, data, rate", [

@@ -22,14 +22,30 @@ def test_every_exported_name_resolves(name):
 
 
 
-def test_every_linalg_export_has_a_caller_in_the_package():
-    # but dot, softmax and linear_apply, which tests/test_benchmark_contract.py pins
-    used = set()
+# The pure-Python algebra: the traced benchmark counts calls of these three
+# (tests/test_benchmark_contract.py pins the names) and tests replay the
+# numpy kernels against them, but no shipped path runs them.
+PURE_PYTHON = {"dot", "softmax", "linear_apply"}
+
+
+def _linalg_names_used():
+    """Per module of the package, the linalg names it imports or reads as attributes."""
+    used = {}
     for path in Path(embgeom.__file__).parent.glob("*.py"):
+        names = used[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
-                used.update(alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg":
-                used.add(node.attr)
+                names.add(node.attr)
+    return used
+
+
+def test_every_linalg_export_has_a_caller_in_the_package():
+    used = set().union(*_linalg_names_used().values())
     exported = importlib.import_module("embgeom.linalg").__all__
-    assert set(exported) - used - {"dot", "softmax", "linear_apply"} == set()
+    assert set(exported) - used - PURE_PYTHON == set()
+
+
+def test_no_shipped_path_runs_the_pure_python_algebra():
+    assert {m: n & PURE_PYTHON for m, n in _linalg_names_used().items() if n & PURE_PYTHON} == {}

@@ -745,6 +745,60 @@ class TestProbePredict:
                 call()
 
 
+class TestProbeModel:
+    @pytest.mark.parametrize("weights", [
+        (Vector([1.0, 0.0]), Vector([0.0, 1.0])),
+        [[1.0, 0.0], [0.0, 1.0]],
+        np.eye(2),
+        Matrix([[1.0, 0.0], [0.0, 1.0]]),
+    ], ids=["vectors", "lists", "array", "matrix"])
+    def test_weights_are_one_read_only_matrix(self, weights):
+        model = ProbeModel(classes=("A", "B"), weights=weights, biases=(0.5, -1))
+        assert isinstance(model.weights, Matrix) and not model.weights.array.flags.writeable
+        assert model.weights == Matrix(np.eye(2)) and model.d == 2
+        assert model.biases == (0.5, -1.0) and type(model.biases[1]) is float
+
+    @pytest.mark.parametrize("biases", [
+        (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), ("0.5", 0.0), (None, 0.0),
+        (0.0, [1.0]),
+    ], ids=["nan", "inf", "-inf", "str", "none", "list"])
+    def test_biases_must_be_finite_reals(self, biases):
+        with pytest.raises(ValueError, match="biases"):
+            ProbeModel(classes=("A", "B"), weights=np.eye(2), biases=biases)
+
+    @pytest.mark.parametrize("name", ["", "a,b", "x\ty", "x\ny", 5])
+    def test_class_names_fit_the_probe_tsv(self, name):
+        # load_probe_tsv can produce no such label: it would corrupt probe-eval's output
+        with pytest.raises(ValueError, match="class name"):
+            ProbeModel(classes=("A", name), weights=np.eye(2), biases=(0.0, 0.0))
+
+    def test_misaligned_fields_are_dimension_errors(self):
+        for weights, biases in ((np.eye(2), (0.0,)), (np.ones((3, 2)), (0.0, 0.0))):
+            with pytest.raises(DimensionError, match="align"):
+                ProbeModel(classes=("A", "B"), weights=weights, biases=biases)
+
+
+class TestOneScoringKernel:
+    """probe_scores, probe_predict and probe_accuracy share one kernel whose
+    scores of a row do not depend on the other rows scored with it."""
+
+    @pytest.mark.parametrize("n, d, seed", [(24, 768, 81), (60, 8, 82), (7, 3, 83)])
+    def test_one_row_equals_its_row_of_the_batch(self, n, d, seed):
+        examples = probe_clusters(n, d, seed, MULTI_LABEL)
+        model = probe_train(examples, ProbeConfig(epochs=20, seed=seed))
+        x = np.array([v for v, _ in examples])
+        batch = sense_geometry._scores(model, x)
+        odd = sense_geometry._scores(model, x[1::2])
+        predictions, accuracy = sense_geometry._evaluate(model, examples, 0.5)
+        for i, (v, labels) in enumerate(examples):
+            assert probe_scores(model, v) == batch[i]
+            assert probe_predict(model, v) == predictions[i]
+            if i % 2:
+                assert odd[i // 2] == batch[i]
+        assert probe_accuracy(model, examples) == accuracy == sum(
+            probe_predict(model, v) == labels for v, labels in examples) / n
+
+
 class TestAmbiguityFlag:
     def test_two_classes_true(self):
         model = TestProbePredict().make_model()
@@ -813,8 +867,15 @@ class TestSenseTsv:
             load_sense_tsv(b"bank\triver\t1 oops\n")
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(ParseError, match="bank"):
-            load_sense_tsv(b"bank\triver\t1 0\nbank\tmoney\t1\n")
+        for second in (b"bank\tmoney\t1\n", b"bank\triver\t1 0 0\n"):
+            with pytest.raises(ParseError, match="line 2: 'bank'"):
+                load_sense_tsv(b"bank\triver\t1 0\n" + second)
+
+    def test_each_sense_loads_as_one_array(self):
+        bank = load_sense_tsv(self.SAMPLE)["bank"]
+        np.testing.assert_array_equal(bank.senses["river"].array, [[1.0, 0.0], [0.9, 0.1]])
+        # each word has its own dim
+        assert load_sense_tsv(b"a\tx\t1\nb\ty\t1 2\n")["b"].d == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
