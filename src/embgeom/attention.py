@@ -14,7 +14,8 @@ come from one kernel, which :func:`head_forward` and the public
 :func:`attention_weights` share. Heads, layers and the stack return a
 :class:`~embgeom.linalg.Matrix`, the read-only array itself, which passes
 from head to layer to layer without a copy; it is a sequence of row
-Vectors, each built only when a caller asks for it.
+Vectors, each built only when a caller asks for it. A seeded stack is
+one bulk draw, and each of its weight matrices a read-only view of it.
 """
 
 import math
@@ -298,35 +299,27 @@ def embed_sequence(table, tokens, use_positional=False,
     return Matrix._take(rows.array + np.array(positions))
 
 
-def _random_matrix(rows, cols, bound, rng):
-    # rng.uniform(a, b) is a + (b - a) * rng.random(); the same two float64
-    # operations in numpy give weights bit-identical to per-entry draws.
-    u = linalg.random_array(rng, rows * cols).reshape(rows, cols)
-    lo, hi = -bound, bound
-    return Matrix(lo + (hi - lo) * u)
-
-
 def random_stack_params(config, seed):
     """Draw a full parameter stack, uniform in [-1/sqrt(d), 1/sqrt(d)].
 
     Deterministic in (config shape, seed): the same call yields the same
-    weights, so untrained demos are reproducible.
+    weights, so untrained demos are reproducible. One draw fills each layer's
+    heads (Wq, Wk, Wv) then its Wo, every Matrix a read-only view of it.
     """
-    rng = random.Random(seed)
-    bound = 1.0 / math.sqrt(config.d)
-    layers = []
-    for _ in range(config.layers):
-        heads = tuple(
-            AttentionHeadParams(
-                Wq=_random_matrix(config.d_head, config.d, bound, rng),
-                Wk=_random_matrix(config.d_head, config.d, bound, rng),
-                Wv=_random_matrix(config.d_head, config.d, bound, rng),
-            )
-            for _ in range(config.n)
+    d, n = config.d, config.n
+    lo, hi = -1.0 / math.sqrt(d), 1.0 / math.sqrt(d)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same bits, in place
+    w = linalg.random_array(random.Random(seed), config.layers * 4 * d * d)
+    w *= hi - lo
+    w += lo
+    return tuple(
+        AttentionLayerParams(
+            heads=[AttentionHeadParams(*map(Matrix._take, h))
+                   for h in layer[: 3 * d].reshape(n, 3, d // n, d)],
+            Wo=Matrix._take(layer[3 * d :]),
         )
-        Wo = _random_matrix(config.d, config.d, bound, rng)
-        layers.append(AttentionLayerParams(heads=heads, Wo=Wo))
-    return tuple(layers)
+        for layer in w.reshape(config.layers, 4 * d, d)
+    )
 
 
 def save_named_matrices(named):

@@ -4,7 +4,8 @@ A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
 read-only float64 numpy array, the same array the numpy code computes
 with, and a read-only sequence of its rows, each a Vector built when it is
 read. :func:`matrix_array` is the one validator for 2-D input, and
-:func:`random_array` the bulk seeded draw behind every random matrix.
+:func:`random_array` the bulk seeded draw behind every random matrix,
+run by numpy's ``MT19937`` on a ``random.Random``'s own state when large.
 The rest of the package computes on numpy arrays. Beyond a Vector's ``+``
 and ``*``, only ``dot``, ``softmax`` and ``linear_apply`` work on plain
 floats, each small enough to verify by hand. No shipped path runs them:
@@ -28,27 +29,32 @@ __all__ = [
 ]
 
 
-# Values per getrandbits call in random_array: 128 KiB of generator output.
-_DRAW_CHUNK = 1 << 14
+# Importing numpy.random costs a process about 13 ms and 6 MB of memory,
+# more than getrandbits takes to draw fewer values (7 ms for 2**18).
+_NUMPY_DRAW_MIN = 1 << 18
 
 
 def random_array(rng, m):
     """``m`` successive ``rng.random()`` values as a float64 array, drawn in bulk.
 
     Equal bit for bit to ``m`` calls of ``rng.random()``, and ``rng`` ends
-    in the same state. ``random()`` takes two 32-bit Mersenne Twister words
-    a, b and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``;
-    ``getrandbits(64 * c)`` returns the next 2c words, the first in its
-    lowest 32 bits, so its little-endian bytes hold the same a, b pairs.
+    in the same state. ``random()`` makes a double of two 32-bit Mersenne
+    Twister words a, b: ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. A small
+    draw reads them from the bytes of ``getrandbits(64 * m)``; a large one
+    runs numpy's ``MT19937``, which makes doubles the same way, on ``rng``'s
+    own state and hands the advanced state back, pending ``gauss()`` kept.
     """
-    out = np.empty(m)
-    for start in range(0, m, _DRAW_CHUNK):
-        c = min(_DRAW_CHUNK, m - start)
-        w = np.frombuffer(rng.getrandbits(64 * c).to_bytes(8 * c, "little"), dtype="<u4")
-        u = out[start : start + c]
-        np.multiply(w[0::2] >> 5, 67108864.0, out=u)
-        u += w[1::2] >> 6
-        u *= 1.0 / 9007199254740992.0
+    if m < _NUMPY_DRAW_MIN:
+        w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
+        return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
+    from numpy.random import MT19937, Generator
+
+    version, internal, gauss_next = rng.getstate()
+    bits = MT19937(0)  # any seed: the state is replaced before the first word
+    bits.state = {"bit_generator": "MT19937", "state": {"key": internal[:-1], "pos": internal[-1]}}
+    out = Generator(bits).random(m)
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
     return out
 
 

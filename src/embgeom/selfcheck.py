@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, embed_store, sense_geometry, trainer
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, random_array
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -154,8 +154,7 @@ def _check_gradients(rng):
     for _ in range(20):
         V = rng.randint(2, 6)
         d = rng.randint(1, 4)
-        w_in = np.array([[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(V)])
-        w_out = np.array([[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(V)])
+        w_in, w_out = random_array(rng, 2 * V * d).reshape(2, V, d) - 0.5  # uniform(-.5, .5)
         indices = list(range(V))
         rng.shuffle(indices)
         k = rng.randint(1, V - 1)

@@ -451,13 +451,17 @@ def _scores(model, x):
 
     ``add.reduce`` sums each row's products on their own, as one BLAS product
     over all rows need not, so a row scores the same bits alone as in a batch.
-    Overflow is silent, as in float arithmetic.
+    Overflow is silent and scores 1 or 0; a NaN score raises ValueError naming its class.
     """
     if x.shape[1] != model.d:
         raise DimensionError(f"embedding dim {x.shape[1]} does not match probe {model.d}")
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.column_stack([np.add.reduce(x * w, axis=1) for w in model.weights.array])
-    return [tuple(map(_sigmoid, row)) for row in (z + model.biases).tolist()]
+        z += model.biases
+    nan = np.isnan(z).any(axis=0)
+    if nan.any():
+        raise ValueError(f"probe score of class {model.classes[nan.argmax()]!r} is NaN")
+    return [tuple(map(_sigmoid, row)) for row in z.tolist()]
 
 
 def _predict(model, x, threshold):

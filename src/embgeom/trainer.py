@@ -186,9 +186,9 @@ def train(corpus, config, on_epoch=None):
     """Fit a ToyLM on a tokenized corpus; deterministic for a fixed seed.
 
     The vocabulary is induced from the corpus in first-occurrence order.
-    Weights initialize uniformly in [-0.5/d, 0.5/d] from the seeded
-    generator that also drives the per-epoch example shuffle. ``on_epoch``
-    (if given) is called with (epoch index, mean example loss).
+    Weights initialize uniformly in [-0.5/d, 0.5/d], W_in then W_out in one
+    draw, from the seeded generator that also drives the per-epoch example
+    shuffle. ``on_epoch`` (if given) is called with (epoch index, mean loss).
     """
     corpus = [list(s) for s in corpus]
     vocab = induce_vocab(corpus)
@@ -199,11 +199,9 @@ def train(corpus, config, on_epoch=None):
     rng = random.Random(config.seed)
     d = config.d
     V = len(vocab)
-    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), entry by entry
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(); one draw, W_in then W_out
     lo, hi = -0.5 / d, 0.5 / d
-    w_in, w_out = (
-        lo + (hi - lo) * random_array(rng, V * d).reshape(V, d) for _ in range(2)
-    )
+    w_in, w_out = lo + (hi - lo) * random_array(rng, 2 * V * d).reshape(2, V, d)
     steps = [
         (ex.target, np.array(sorted(ex.context), dtype=np.intp), 1.0 / len(ex.context))
         for ex in examples

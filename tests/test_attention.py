@@ -646,15 +646,21 @@ class TestRandomStackParams:
         assert random_stack_params(config, seed=8) == tuple(expected)
 
     def test_bulk_draw_crosses_chunks_bit_identically(self):
-        # 192 x 192 = 36,864 entries span three 2**14-value draws
+        # one layer at d = 192 is 147,456 weights from one draw, far past
+        # the 624 words the generator makes at a time; the last 192 x 192
+        # of them are Wo
+        (lp,) = random_stack_params(MultiHeadConfig(d=192, n=3), seed=9)
+        single = random.Random(9)
         bound = 1.0 / math.sqrt(192)
-        bulk, single = random.Random(9), random.Random(9)
-        got = attention._random_matrix(192, 192, bound, bulk)
-        want = Matrix(
-            [[single.uniform(-bound, bound) for _ in range(192)] for _ in range(192)]
-        )
-        assert got == want
-        assert bulk.getstate() == single.getstate()
+
+        def draw(rows):
+            return Matrix(
+                [[single.uniform(-bound, bound) for _ in range(192)] for _ in range(rows)]
+            )
+
+        for h in lp.heads:
+            assert (h.Wq, h.Wk, h.Wv) == (draw(64), draw(64), draw(64))
+        assert lp.Wo == draw(192)
 
     def test_weights_are_stored_once(self):
         # one float64 array per Matrix: about 8 bytes per weight, not a

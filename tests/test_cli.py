@@ -867,6 +867,19 @@ def test_nan_threshold_is_a_domain_error(capsys, tmp_path):
     assert err.startswith("ValueError: ") and "threshold" in err
 
 
+def test_nan_probe_score_fails_the_eval(capsys, tmp_path):
+    # one example's FOOD score is inf - inf: no prediction for it can be printed
+    data = tmp_path / "probe.tsv"
+    data.write_text("fine\tORG\t0 1\nhuge\tORG\t1e10 1e10\n", encoding="utf-8")
+    model = tmp_path / "model.prb"
+    model.write_bytes(sense_geometry.save_probe_model(sense_geometry.ProbeModel(
+        classes=("FOOD", "ORG"), weights=((1e300, -1e300), (1e300, 0.0)), biases=(0.0, 0.0))))
+    code, out, err = run(capsys, ["probe-eval", "--model", str(model), "--data", str(data),
+                                  "--threshold", "0", "--format", "tsv"])
+    assert (code, out) == (1, "")
+    assert err.startswith("ValueError: ") and "'FOOD' is NaN" in err
+
+
 def test_module_entry_point(table_file):
     result = subprocess.run(
         [sys.executable, "-m", "embgeom", "neighbors", "--table", table_file,
@@ -890,3 +903,79 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_runs_without_a_large_draw_leave_numpy_random_unloaded(tmp_path, table_file,
+                                                              corpus_file):
+    # Importing numpy.random costs a process about 6 MB and 13 ms: a bare CLI
+    # start, a neighbour query and a table import draw nothing, and a small
+    # stack or model is drawn without it.
+    emb = tmp_path / "mini.emb"
+    runs = [
+        ["neighbors", "--table", table_file, "--word", "horse"],
+        ["import", "--input", table_file, "--output", str(emb)],
+        ["contextualize", "--table", table_file, "--tokens", "horse cow", "--layers", "3"],
+        ["train", "--corpus", corpus_file, "--dim", "4", "--epochs", "1"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, embgeom.cli as cli; loaded = ['numpy.random' in sys.modules]\n"
+         f"for argv in {runs!r}:\n"
+         "    assert cli.main(argv) == 0\n"
+         "    loaded.append('numpy.random' in sys.modules)\n"
+         "print(loaded, file=sys.stderr)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "[False, False, False, False, False]\n"
+    assert emb.read_bytes().startswith(b"EMB1")
+
+
+def _pinned_table_text(V=6, d=64):
+    # exact decimals of small dyadic rationals, the same bytes on every platform
+    rows = (" ".join(repr(((7 * i + 3 * j) % 17 - 8) / 16) for j in range(d)) for i in range(V))
+    return f"{V} {d}\n" + "".join(f"tok{i} {row}\n" for i, row in enumerate(rows))
+
+
+class TestSeededBytesArePinned:
+    # sha256 of each seeded output, taken when every weight was drawn by one
+    # rng.random() call per entry in bulk: a change to how the stack or the
+    # trainer draws its weights keeps every byte. The d = 256 stack (262,144
+    # weights) takes the large-draw path, the rest the small one.
+    PINNED = {
+        "contextualize-256": "ccb9eea29d42583314ee42c28c6b3b6f2f6cee9cc6640afa899b32099b6da190",
+        "att1-256": "0f734fc3b6d7621e16350813a1af5990a2192038217b150050546ba5de8be9ac",
+        "attend": "68e81cb3ab9594c93307904ae5b734c15afca1a3cef4f83287c31eefd83dc11a",
+        "contextualize": "2917e1cb12d517a3c0966a6406a239c597624552be7def6c01eb25538b0c629f",
+        "att1": "77f41f2a454d96748eb681108870dbd075f20728810bc057e2526b1358dccd2e",
+        "train": "e007c88fad78532fe79c9fba2a48456061dbb4a43d75897e1935063242d11dd1",
+        "train.out": "996bcc11caa20d1a3a650df65bc5615b0a2d1aef27508fcc4083dfa2b4223b33",
+        "train.model-out": "b1daa00811e0060af311446e65c7c503d9bbd18ade791d4cdd4c3ce9975db843",
+    }
+
+    def test_draws_keep_every_byte(self, capsys, tmp_path, corpus_file):
+        table, wide = tmp_path / "pinned.vec", tmp_path / "wide.vec"
+        table.write_text(_pinned_table_text(), encoding="utf-8")
+        wide.write_text(_pinned_table_text(d=256), encoding="utf-8")
+        tokens = "tok0 tok3 tok1 tok5 tok3"
+        att1, att1_256, vec, tlm = (
+            tmp_path / name for name in ("p.att", "w.att", "t.vec", "t.tlm"))
+        runs = {
+            "contextualize-256": ["contextualize", "--table", str(wide), "--tokens", tokens,
+                                  "--heads", "8", "--save-params", str(att1_256)],
+            "attend": ["attend", "--table", str(table), "--tokens", tokens, "--positional"],
+            "contextualize": ["contextualize", "--table", str(table), "--tokens", tokens,
+                              "--heads", "4", "--layers", "2", "--save-params", str(att1)],
+            "train": ["train", "--corpus", corpus_file, "--dim", "8", "--epochs", "3",
+                      "--out", str(vec), "--model-out", str(tlm)],
+        }
+        got = {}
+        for name, argv in runs.items():
+            code, out, err = run(capsys, argv + ["--seed", "23", "--format", "tsv"])
+            assert (code, err) == (0, "")
+            got[name] = out.encode()
+        got.update({"att1": att1.read_bytes(), "att1-256": att1_256.read_bytes(),
+                    "train.out": vec.read_bytes(),
+                    "train.model-out": tlm.read_bytes()})
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+        assert digests == self.PINNED

@@ -199,6 +199,37 @@ class TestRandomArray:
         assert got.tolist() == want  # bit for bit
         assert bulk.getstate() == single.getstate()
 
+    @pytest.mark.parametrize("m", [
+        0, 3, (1 << 16) + 7, linalg._NUMPY_DRAW_MIN - 1, linalg._NUMPY_DRAW_MIN + 7,
+    ])
+    def test_keeps_a_pending_gauss_value(self, m):
+        bulk, single = random.Random(5), random.Random(5)
+        assert bulk.gauss(0.0, 1.0) == single.gauss(0.0, 1.0)  # leaves gauss_next set
+        assert bulk.getstate()[2] is not None
+        assert linalg.random_array(bulk, m).tolist() == [single.random() for _ in range(m)]
+        assert bulk.getstate() == single.getstate()
+        assert bulk.gauss(0.0, 1.0) == single.gauss(0.0, 1.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 625, (1 << 16) + 1, linalg._NUMPY_DRAW_MIN])
+    def test_str_seed(self, m):
+        # selfcheck seeds each check with a string
+        bulk, single = random.Random("3:check"), random.Random("3:check")
+        assert linalg.random_array(bulk, m).tolist() == [single.random() for _ in range(m)]
+        assert bulk.getstate() == single.getstate()
+
+    def test_draws_continue_where_a_bulk_draw_ends(self):
+        bulk, single = random.Random(11), random.Random(11)
+        big = linalg._NUMPY_DRAW_MIN + 1
+        got = linalg.random_array(bulk, 1000).tolist()
+        got += [bulk.random() for _ in range(700)]
+        got += linalg.random_array(bulk, big).tolist()
+        got += linalg.random_array(bulk, 3).tolist()
+        got += [bulk.random(), bulk.randrange(10**9)]
+        want = [single.random() for _ in range(1703 + big)]
+        want += [single.random(), single.randrange(10**9)]
+        assert got == want
+        assert bulk.getstate() == single.getstate()
+
 
 class TestDot:
     def test_hand_value(self):

@@ -744,6 +744,25 @@ class TestProbePredict:
             with pytest.raises(ValueError, match="threshold"):
                 call()
 
+    def test_nan_score_is_value_error_naming_its_class(self):
+        # 1e300 * 1e10 overflows both ways, and inf - inf is NaN: a NaN score
+        # reaches no threshold, so it would drop its class from the prediction
+        model = ProbeModel(classes=("A", "B"), weights=((1e300, -1e300), (1e300, 0.0)),
+                           biases=(0.0, 0.0))
+        for call in (
+            lambda: probe_scores(model, [1e10, 1e10]),
+            lambda: probe_predict(model, [1e10, 1e10], threshold=0.0),
+            lambda: probe_accuracy(model, [([0.0, 1.0], {"A"}), ([1e10, 1e10], {"B"})]),
+        ):
+            with pytest.raises(ValueError, match="class 'A' is NaN"):
+                call()
+
+    def test_overflow_to_inf_still_scores(self):
+        model = ProbeModel(classes=("A", "B"), weights=((1e300, 1e300), (-1e300, 0.0)),
+                           biases=(0.0, 0.0))
+        assert probe_scores(model, [1e10, 1e10]) == (1.0, 0.0)
+        assert probe_predict(model, [1e10, 1e10]) == {"A"}
+
 
 class TestProbeModel:
     @pytest.mark.parametrize("weights", [
