@@ -8,10 +8,12 @@ weights; the output is the weight-averaged sum of values. Head outputs are
 concatenated and mapped back to model dimensionality by ``Wo``.
 
 A sequence is one gather of table rows into an L x d Matrix. The stack
-runs on numpy float64 arrays: one head is three matmuls, a
+runs on numpy float64 arrays: one head is three matmuls, linalg's
 row-wise softmax and one more matmul over the whole sequence. The weights
 come from one kernel, which :func:`head_forward` and the public
-:func:`attention_weights` share. Heads, layers and the stack return a
+:func:`attention_weights` share. Only :class:`AttentionLayerParams` checks
+a layer's shapes, and a public call checks its sequence once and hands
+each layer and head that Matrix. Heads, layers and the stack return a
 :class:`~embgeom.linalg.Matrix`, the read-only array itself, which passes
 from head to layer to layer without a copy; it is a sequence of row
 Vectors, each built only when a caller asks for it. A seeded stack is
@@ -52,8 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_CONTEXT_WINDOW = 128
-
-_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,11 @@ class AttentionLayerParams:
         if len(shapes) != 1:
             raise DimensionError(f"heads of a layer disagree on shape: {sorted(shapes)}")
         d, n = self.d, len(self.heads)
-        if n * self.heads[0].d_head != d:
-            raise HeadCountError(
-                f"{n} heads of dim {self.heads[0].d_head} do not make model dim {d}"
+        if d % n != 0:
+            raise HeadCountError(f"{n} heads do not divide model dimensionality {d}")
+        if self.heads[0].d_head != d // n:
+            raise DimensionError(
+                f"head emits dim {self.heads[0].d_head}, expected d/n = {d // n}"
             )
         if self.Wo.shape != (d, d):
             raise DimensionError(f"Wo must be {d}x{d}, got {self.Wo.rows}x{self.Wo.cols}")
@@ -143,18 +145,12 @@ def _weights(q, k, scale_scores):
     """Row-softmax of the scores ``q @ k.T``: one row of weights per query.
 
     With ``scale_scores`` the scores are divided by sqrt(q.shape[1]) first.
-    Each row is shifted by its maximum before ``exp`` so no score
-    overflows, and entries that underflow are floored at the smallest
-    subnormal, as in ``linalg.softmax``. The inputs are not validated.
+    The softmax is linalg's array kernel. The inputs are not validated.
     """
     w = q @ k.T
     if scale_scores:
         w /= math.sqrt(q.shape[1])
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
-    np.maximum(w, _TINY, out=w)
-    return w
+    return linalg._softmax_in_place(w)
 
 
 def attention_weights(queries, keys, scale_scores=True):
@@ -198,29 +194,15 @@ def head_forward(seq, params, scale_scores=True):
 def multihead_forward(seq, heads, Wo, scale_scores=True):
     """Run every head, concatenate per position, project back to dim d.
 
-    ``Wo`` is the layer's d x d output projection Matrix. Returns an
-    L x d Matrix.
+    ``Wo`` is the layer's d x d output projection Matrix. The shapes are
+    :class:`AttentionLayerParams`'s to check, and every head gets the input
+    as one validated Matrix. Returns an L x d Matrix.
     """
-    x = linalg.matrix_array(seq)
-    heads = list(heads)
-    if not heads:
-        raise EmptyInputError("attention needs at least one head")
-    d = x.shape[1]
-    n = len(heads)
-    if d % n != 0:
-        raise HeadCountError(f"{n} heads do not divide model dimensionality {d}")
-    d_head = d // n
-    for h in heads:
-        if h.d != d:
-            raise DimensionError(f"head expects input dim {h.d}, sequence has {d}")
-        if h.d_head != d_head:
-            raise DimensionError(
-                f"head emits dim {h.d_head}, expected d/n = {d_head}"
-            )
-    if Wo.shape != (d, d):
-        raise DimensionError(f"Wo must be {d}x{d}, got {Wo.rows}x{Wo.cols}")
-
-    per_head = [head_forward(x, h, scale_scores=scale_scores) for h in heads]
+    x = Matrix(seq)
+    layer = AttentionLayerParams(heads, Wo)
+    if x.cols != layer.d:
+        raise DimensionError(f"layer expects input dim {layer.d}, sequence has {x.cols}")
+    per_head = [head_forward(x, h, scale_scores=scale_scores) for h in layer.heads]
     return Matrix._take(np.hstack([m.array for m in per_head]) @ Wo.array.T)
 
 
@@ -228,13 +210,13 @@ def stack_forward(seq, config, layer_params):
     """Apply every configured layer in order; returns an L x d Matrix.
 
     ``seq`` may be a Matrix such as :func:`embed_sequence` returns, a
-    bare list of vectors or a 2-D array; it is validated once. The output
-    Matrix of layer k feeds layer k+1 unchanged (no residuals), so every
-    layer boundary carries vectors of dim d exactly. Row i of the result
-    is position i's contextualized vector.
+    bare list of vectors or a 2-D array; it is validated once, as a
+    Matrix. The output Matrix of layer k feeds layer k+1 unchanged (no
+    residuals), so every layer boundary carries vectors of dim d exactly.
+    Row i of the result is position i's contextualized vector.
     """
     try:
-        x = linalg.matrix_array(seq)
+        x = Matrix(seq)
     except EmptyInputError:
         raise EmptyInputError("attention needs at least one position") from None
     length, dim = x.shape
@@ -307,11 +289,8 @@ def random_stack_params(config, seed):
     heads (Wq, Wk, Wv) then its Wo, every Matrix a read-only view of it.
     """
     d, n = config.d, config.n
-    lo, hi = -1.0 / math.sqrt(d), 1.0 / math.sqrt(d)
-    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same bits, in place
-    w = linalg.random_array(random.Random(seed), config.layers * 4 * d * d)
-    w *= hi - lo
-    w += lo
+    bound = 1.0 / math.sqrt(d)
+    w = linalg.random_array(random.Random(seed), config.layers * 4 * d * d, -bound, bound)
     return tuple(
         AttentionLayerParams(
             heads=[AttentionHeadParams(*map(Matrix._take, h))

@@ -93,9 +93,8 @@ def cmd_import(args):
 
 def cmd_neighbors(args):
     table = _load_table(args.table, lowercase=args.lowercase)
-    result = embed_store.nearest_neighbors(
-        table, args.word, args.k, filter=args.filter
-    )
+    word = args.word.lower() if args.lowercase else args.word  # folded as the table is
+    result = embed_store.nearest_neighbors(table, word, args.k, filter=args.filter)
     _emit_seed(args)
     if args.format == "tsv":
         print("neighbour\tsimilarity")
@@ -197,12 +196,12 @@ def cmd_contextualize(args):
     )
     if params is None:
         params = attention.random_stack_params(config, seed=args.seed)
-    if args.save_params:
-        _write(args.save_params, attention.save_attention_params(params))
     seq = attention.embed_sequence(
         table, tokens, use_positional=args.positional, context_window=args.window
     )
     out = attention.stack_forward(seq, config, params)
+    if args.save_params:  # only once the run has succeeded
+        _write(args.save_params, attention.save_attention_params(params))
     _emit_seed(args)
     if args.format == "tsv":
         for token, v in zip(tokens, out):

@@ -3,9 +3,12 @@
 A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
 read-only float64 numpy array, the same array the numpy code computes
 with, and a read-only sequence of its rows, each a Vector built when it is
-read. :func:`matrix_array` is the one validator for 2-D input, and
-:func:`random_array` the bulk seeded draw behind every random matrix,
-run by numpy's ``MT19937`` on a ``random.Random``'s own state when large.
+read. :func:`matrix_array` is the one validator for 2-D input; a
+Matrix has passed it, so handing one on costs no second check.
+:func:`random_array` is the bulk seeded uniform draw behind every random
+weight, run by numpy's ``MT19937`` on a ``random.Random``'s own state when
+large and scaled to its bounds in place. ``_softmax_in_place`` is the one
+array softmax: attention's weights and the trainer's step both run it.
 The rest of the package computes on numpy arrays. Beyond a Vector's ``+``
 and ``*``, only ``dot``, ``softmax`` and ``linear_apply`` work on plain
 floats, each small enough to verify by hand. No shipped path runs them:
@@ -33,28 +36,35 @@ __all__ = [
 # more than getrandbits takes to draw fewer values (7 ms for 2**18).
 _NUMPY_DRAW_MIN = 1 << 18
 
+# the smallest subnormal: the floor of every softmax entry
+_TINY = math.ulp(0.0)
 
-def random_array(rng, m):
-    """``m`` successive ``rng.random()`` values as a float64 array, drawn in bulk.
 
-    Equal bit for bit to ``m`` calls of ``rng.random()``, and ``rng`` ends
-    in the same state. ``random()`` makes a double of two 32-bit Mersenne
-    Twister words a, b: ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. A small
-    draw reads them from the bytes of ``getrandbits(64 * m)``; a large one
-    runs numpy's ``MT19937``, which makes doubles the same way, on ``rng``'s
-    own state and hands the advanced state back, pending ``gauss()`` kept.
+def random_array(rng, m, lo=0.0, hi=1.0):
+    """``m`` successive ``rng.uniform(lo, hi)`` values as one float64 array.
+
+    Equal bit for bit to ``m`` calls of ``rng.uniform(lo, hi)``, which is
+    ``lo + (hi - lo) * rng.random()``, and ``rng`` ends in the same state.
+    ``random()`` makes a double of two 32-bit Mersenne Twister words a, b:
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. A small draw reads them from
+    the bytes of ``getrandbits(64 * m)``; a large one runs numpy's
+    ``MT19937``, which makes doubles the same way, on ``rng``'s own state
+    and hands the advanced state back, pending ``gauss()`` kept.
     """
     if m < _NUMPY_DRAW_MIN:
         w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
-        return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
-    from numpy.random import MT19937, Generator
+        out = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
+    else:
+        from numpy.random import MT19937, Generator
 
-    version, internal, gauss_next = rng.getstate()
-    bits = MT19937(0)  # any seed: the state is replaced before the first word
-    bits.state = {"bit_generator": "MT19937", "state": {"key": internal[:-1], "pos": internal[-1]}}
-    out = Generator(bits).random(m)
-    state = bits.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+        version, internal, gauss_next = rng.getstate()
+        bits = MT19937(0)  # any seed: the state is replaced before the first word
+        bits.state = {"bit_generator": "MT19937", "state": {"key": internal[:-1], "pos": internal[-1]}}
+        out = Generator(bits).random(m)
+        state = bits.state["state"]
+        rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+    out *= hi - lo
+    out += lo
     return out
 
 
@@ -277,8 +287,22 @@ def softmax(scores):
     m = max(x)
     exps = [math.exp(s - m) for s in x]
     total = sum(exps)
-    tiny = math.ulp(0.0)
-    return Vector(max(e / total, tiny) for e in exps)
+    return Vector(max(e / total, _TINY) for e in exps)
+
+
+def _softmax_in_place(w):
+    """Softmax over the last axis of the float64 array ``w``, in place; returns ``w``.
+
+    The array form of :func:`softmax`, with the same shift by the maximum
+    and the same floor. Attention runs it on rows of scores, the trainer on
+    each step's logits.
+    """
+    # the ufuncs' own reduce: ndarray.max and .sum wrap these in Python
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    np.maximum(w, _TINY, out=w)
+    return w
 
 
 def linear_apply(weights, x):

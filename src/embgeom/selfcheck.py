@@ -25,7 +25,7 @@ class CheckResult:
 
 
 def _random_vector(rng, d, scale=1.0):
-    return [rng.uniform(-scale, scale) for _ in range(d)]
+    return random_array(rng, d, -scale, scale)
 
 
 def _check_softmax_normalization(rng):
@@ -154,7 +154,7 @@ def _check_gradients(rng):
     for _ in range(20):
         V = rng.randint(2, 6)
         d = rng.randint(1, 4)
-        w_in, w_out = random_array(rng, 2 * V * d).reshape(2, V, d) - 0.5  # uniform(-.5, .5)
+        w_in, w_out = random_array(rng, 2 * V * d, -0.5, 0.5).reshape(2, V, d)
         indices = list(range(V))
         rng.shuffle(indices)
         k = rng.randint(1, V - 1)

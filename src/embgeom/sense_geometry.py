@@ -41,6 +41,7 @@ __all__ = [
     "homonym_separation",
     "inventory_report",
     "probe_train",
+    "probe_scores",
     "probe_predict",
     "ambiguity_flag",
     "probe_accuracy",

@@ -6,7 +6,8 @@ vocabulary item, and softmax-normalized into a prediction for the masked
 word. Cross-entropy gradients are exact and propagated by plain SGD. After
 training, row w of ``W_in`` is the embedding of vocabulary item w.
 
-:func:`train` runs one fused numpy step per example. That step is the only
+:func:`train` runs one fused numpy step per example, whose softmax is
+linalg's array kernel, the one attention runs. That step is the only
 shipped implementation of the forward pass and the gradient; the built-in
 gradient check and the acceptance criterion run it with a learning rate
 of 1 and read the gradient off the weights' change. Its pure-Python
@@ -27,7 +28,7 @@ from .errors import (
     EmptyInputError,
     OutOfVocabularyError,
 )
-from .linalg import Matrix, random_array
+from .linalg import Matrix, _softmax_in_place, random_array
 
 __all__ = [
     "ToyLM",
@@ -40,8 +41,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,7 @@ def _sgd_step_arrays(w_in, w_out, target, ctx, inv, lr):
     """
     h = w_in.take(ctx, axis=0).sum(axis=0)
     h *= inv
-    p = w_out @ h
-    p -= p.max()
-    np.exp(p, out=p)
-    p /= p.sum()
-    np.maximum(p, _TINY, out=p)  # same underflow floor as linalg.softmax
+    p = _softmax_in_place(w_out @ h)
     loss = -math.log(p[target])
     p[target] -= 1.0
     g_h = p @ w_out
@@ -199,9 +194,7 @@ def train(corpus, config, on_epoch=None):
     rng = random.Random(config.seed)
     d = config.d
     V = len(vocab)
-    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(); one draw, W_in then W_out
-    lo, hi = -0.5 / d, 0.5 / d
-    w_in, w_out = lo + (hi - lo) * random_array(rng, 2 * V * d).reshape(2, V, d)
+    w_in, w_out = random_array(rng, 2 * V * d, -0.5 / d, 0.5 / d).reshape(2, V, d)
     steps = [
         (ex.target, np.array(sorted(ex.context), dtype=np.intp), 1.0 / len(ex.context))
         for ex in examples

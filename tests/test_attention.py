@@ -277,8 +277,53 @@ class TestMultiheadForward:
         with pytest.raises(DimensionError):
             multihead_forward(rng.normal(size=(2, 4)).tolist(), [half], Matrix.identity(4))
 
+    @pytest.mark.parametrize("heads, Wo, error", [
+        ([], Matrix.identity(8), EmptyInputError),
+        ([identity_head(8)] * 3, Matrix.identity(8), HeadCountError),  # 3 does not divide 8
+        ([identity_head(8)] * 2, Matrix.identity(8), DimensionError),  # d_head 8, not 8/2
+        ([identity_head(8)], Matrix.zeros(8, 4), DimensionError),
+        ([identity_head(8), identity_head(4)], Matrix.identity(8), DimensionError),
+    ], ids=["no-heads", "3-heads-at-d8", "d_head-not-d/n", "Wo-not-dxd", "mixed-heads"])
+    def test_layer_faults_raise_as_the_layer_params_do(self, heads, Wo, error):
+        with pytest.raises(error):
+            AttentionLayerParams(heads, Wo)
+        with pytest.raises(error):
+            multihead_forward(np.ones((3, 8)), heads, Wo)
+
+    def test_input_width_other_than_the_heads_d(self):
+        # a valid layer of 2 heads at d=4 on width 3, which 2 does not divide
+        zeros = Matrix.zeros(2, 4)
+        heads = [AttentionHeadParams(Wq=zeros, Wk=zeros, Wv=zeros)] * 2
+        with pytest.raises(DimensionError):
+            multihead_forward(np.ones((3, 3)), heads, Matrix.identity(4))
+
 
 class TestStackForward:
+    @pytest.mark.parametrize("kind", ["list", "ndarray", "Matrix"])
+    def test_layers_and_heads_get_the_checked_matrix(self, monkeypatch, kind):
+        # tests/test_benchmark_contract.py counts these calls; this checks
+        # what they receive: the input is validated once, and every layer
+        # and head gets a Matrix, which needs no second check.
+        seen = []
+
+        def recording(name):
+            orig = getattr(attention, name)
+
+            def recorded(seq, *args, **kwargs):
+                seen.append((name, type(seq)))
+                return orig(seq, *args, **kwargs)
+
+            return recorded
+
+        for name in ("multihead_forward", "head_forward"):
+            monkeypatch.setattr(attention, name, recording(name))
+        config = MultiHeadConfig(d=8, n=2, layers=3)
+        x = np.random.default_rng(36).normal(size=(5, 8))
+        seq = {"list": x.tolist(), "ndarray": x, "Matrix": Matrix(x)}[kind]
+        stack_forward(seq, config, random_stack_params(config, seed=36))
+        assert set(seen) == {("head_forward", Matrix), ("multihead_forward", Matrix)}
+        assert len(seen) == 3 + 3 * 2
+
     def test_single_layer_reduces_to_multihead(self):
         rng = np.random.default_rng(28)
         config = MultiHeadConfig(d=4, n=2, layers=1, scale_scores=True)

@@ -420,6 +420,22 @@ class TestContextualize:
         assert code == 1
         assert err.startswith(error)
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--tokens", "horse zz"], "OutOfVocabularyError"),
+        (["--tokens", "horse cow horses", "--window", "2"], "ContextWindowExceededError"),
+        (["--tokens", "horse cow", "--params", "{P}", "--layers", "1"], "DimensionError"),
+    ], ids=["oov", "window", "layers-vs-params"])
+    def test_failing_run_writes_no_params_file(self, capsys, table_file, tmp_path,
+                                               flags, error):
+        params, saved = tmp_path / "p.att", tmp_path / "saved.att"
+        argv = ["contextualize", "--table", table_file]
+        run(capsys, argv + ["--tokens", "horse", "--heads", "2", "--layers", "2",
+                            "--save-params", str(params)])
+        flags = [str(params) if f == "{P}" else f for f in flags]
+        code, _, err = run(capsys, argv + flags + ["--save-params", str(saved)])
+        assert code == 1 and err.startswith(error)
+        assert not saved.exists()
+
     def test_bad_head_count_is_domain_error(self, capsys, table_file):
         code, _, err = run(
             capsys,
@@ -780,6 +796,21 @@ def test_lowercase_folds_text_and_emb1_tables_alike(capsys, tmp_path):
     assert code == 1 and err.startswith("ParseError: ") and "duplicate" in err
 
 
+def test_lowercase_folds_the_query_word(capsys, tmp_path):
+    txt, emb = tmp_path / "t.vec", tmp_path / "t.emb"
+    txt.write_text("3 2\nHorse 1 0\ncow 0.5 0.5\nKiwi 0 1\n", encoding="utf-8")
+    run(capsys, ["import", "--input", str(txt), "--output", str(emb)])
+    for table in (txt, emb):
+        argv = ["neighbors", "--table", str(table), "--format", "tsv", "--word"]
+        folded = [run(capsys, argv + [word, "--lowercase"]) for word in ("Horse", "horse")]
+        assert folded[0] == folded[1] and folded[0][0] == 0
+        assert "cow\t" in folded[0][1]
+        # without --lowercase the vocabulary and the query keep their case
+        assert run(capsys, argv + ["Horse"])[0] == 0
+        code, _, err = run(capsys, argv + ["horse"])
+        assert code == 1 and err.startswith("OutOfVocabularyError")
+
+
 # Each subcommand that takes --table, with the flags that change how it
 # reads the table; {T} is the table, {S} a sense TSV, {O} an output file.
 TABLE_COMMANDS = {
@@ -951,6 +982,11 @@ class TestSeededBytesArePinned:
         "train": "e007c88fad78532fe79c9fba2a48456061dbb4a43d75897e1935063242d11dd1",
         "train.out": "996bcc11caa20d1a3a650df65bc5615b0a2d1aef27508fcc4083dfa2b4223b33",
         "train.model-out": "b1daa00811e0060af311446e65c7c503d9bbd18ade791d4cdd4c3ce9975db843",
+        # selfcheck prints the softmax and gradient errors, so a rounding
+        # change in the shared softmax kernel or the uniform draw shows here
+        "selfcheck": "ac7d35b73d4c5a0bb15fef5e89c7441c5929c5707618eace5cb4e4889aebeb2b",
+        "contextualize-positional":
+            "0e71dcd5c338e3cbd63188e5f8841499f2f054d776286ea86d5cca9cdb2b1196",
     }
 
     def test_draws_keep_every_byte(self, capsys, tmp_path, corpus_file):
@@ -966,8 +1002,11 @@ class TestSeededBytesArePinned:
             "attend": ["attend", "--table", str(table), "--tokens", tokens, "--positional"],
             "contextualize": ["contextualize", "--table", str(table), "--tokens", tokens,
                               "--heads", "4", "--layers", "2", "--save-params", str(att1)],
+            "contextualize-positional": ["contextualize", "--table", str(table), "--tokens",
+                                         tokens, "--positional", "--heads", "4", "--layers", "2"],
             "train": ["train", "--corpus", corpus_file, "--dim", "8", "--epochs", "3",
                       "--out", str(vec), "--model-out", str(tlm)],
+            "selfcheck": ["selfcheck"],
         }
         got = {}
         for name, argv in runs.items():

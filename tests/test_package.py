@@ -49,3 +49,40 @@ def test_every_linalg_export_has_a_caller_in_the_package():
 
 def test_no_shipped_path_runs_the_pure_python_algebra():
     assert {m: n & PURE_PYTHON for m, n in _linalg_names_used().items() if n & PURE_PYTHON} == {}
+
+
+def _private_definitions_and_uses():
+    """The package's module-level private names, and the ones it reads.
+
+    Both are (module, name) pairs. A definition is a function, class or
+    assigned constant at module level whose name starts with one
+    underscore. Module m reads its own names bare, and another module
+    reads them by ``from .m import name`` or as ``m.name``.
+    """
+    defined, used = set(), set()
+    for path in Path(embgeom.__file__).parent.glob("*.py"):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((module, n) for n in names
+                           if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+    return defined, used
+
+
+def test_every_private_helper_is_used_in_the_package():
+    defined, used = _private_definitions_and_uses()
+    assert sorted(defined - used) == []
