@@ -11,13 +11,16 @@ A sequence is one gather of table rows into an L x d Matrix. The stack
 runs on numpy float64 arrays: one head is three matmuls, linalg's
 row-wise softmax and one more matmul over the whole sequence. The weights
 come from one kernel, which :func:`head_forward` and the public
-:func:`attention_weights` share. Only :class:`AttentionLayerParams` checks
-a layer's shapes, and a public call checks its sequence once and hands
-each layer and head that Matrix. Heads, layers and the stack return a
-:class:`~embgeom.linalg.Matrix`, the read-only array itself, which passes
-from head to layer to layer without a copy; it is a sequence of row
-Vectors, each built only when a caller asks for it. A seeded stack is
-one bulk draw, and each of its weight matrices a read-only view of it.
+:func:`attention_weights` share. A layer is an
+:class:`AttentionLayerParams`, whose shapes are checked once, when it is
+built; :func:`multihead_forward` takes it and :func:`stack_forward` hands
+on each layer of its stack as it is. A public call checks its sequence
+once and hands each layer and head that Matrix. Heads, layers and the
+stack return a :class:`~embgeom.linalg.Matrix`, the read-only array
+itself, which passes from head to layer to layer without a copy; it is a
+sequence of row Vectors, each built only when a caller asks for it. A
+seeded stack is one bulk draw, and each of its weight matrices a
+read-only view of it.
 """
 
 import math
@@ -191,19 +194,18 @@ def head_forward(seq, params, scale_scores=True):
     return Matrix._take(w @ (x @ wv.T))
 
 
-def multihead_forward(seq, heads, Wo, scale_scores=True):
-    """Run every head, concatenate per position, project back to dim d.
+def multihead_forward(seq, layer, scale_scores=True):
+    """Run every head of ``layer``, concatenate per position, project back to dim d.
 
-    ``Wo`` is the layer's d x d output projection Matrix. The shapes are
-    :class:`AttentionLayerParams`'s to check, and every head gets the input
-    as one validated Matrix. Returns an L x d Matrix.
+    ``layer`` is an :class:`AttentionLayerParams`, whose shapes were checked
+    when it was built; every head gets the input as one validated Matrix.
+    Returns an L x d Matrix.
     """
     x = Matrix(seq)
-    layer = AttentionLayerParams(heads, Wo)
     if x.cols != layer.d:
         raise DimensionError(f"layer expects input dim {layer.d}, sequence has {x.cols}")
     per_head = [head_forward(x, h, scale_scores=scale_scores) for h in layer.heads]
-    return Matrix._take(np.hstack([m.array for m in per_head]) @ Wo.array.T)
+    return Matrix._take(np.hstack([m.array for m in per_head]) @ layer.Wo.array.T)
 
 
 def stack_forward(seq, config, layer_params):
@@ -237,7 +239,7 @@ def stack_forward(seq, config, layer_params):
             raise HeadCountError(
                 f"layer has {len(lp.heads)} heads, config expects {config.n}"
             )
-        x = multihead_forward(x, lp.heads, lp.Wo, scale_scores=config.scale_scores)
+        x = multihead_forward(x, lp, scale_scores=config.scale_scores)
     return x
 
 
@@ -267,6 +269,8 @@ def embed_sequence(table, tokens, use_positional=False,
     token row plus the sinusoidal encoding of its position (requires even
     D); without it, repeated tokens embed identically at every position.
     """
+    if context_window < 1:
+        raise ValueError("context window must be positive")
     tokens = tuple(tokens)
     if not tokens:
         raise EmptyInputError("a sequence needs at least one token")

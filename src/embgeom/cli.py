@@ -3,7 +3,8 @@
 Every subcommand echoes the seed as its first output line, emits either a
 human-readable table (``--format pretty``, the default) or full-precision
 TSV (``--format tsv``), and exits 0 on success, 1 on a domain error named
-on stderr, or 2 on a usage error.
+on stderr in one line, or 2 on a usage error. A run that fails before its
+output prints no seed line either.
 """
 
 import argparse
@@ -116,11 +117,10 @@ def cmd_train(args):
         epochs=args.epochs,
         seed=args.seed,
     )
-    _emit_seed(args)
-    losses = []
 
     def on_epoch(epoch, mean_loss):
-        losses.append(mean_loss)
+        if epoch == 0:  # once training runs, so an input error prints no seed
+            _emit_seed(args)
         if args.format == "tsv":
             print(f"epoch\t{epoch}\t{_fmt(mean_loss)}")
         else:
@@ -159,8 +159,8 @@ def cmd_attend(args):
     seq = attention.embed_sequence(
         table, tokens, use_positional=args.positional, context_window=args.window
     )
-    _emit_seed(args)
     rows = attention.attention_weights(seq, seq, scale_scores=not args.no_scale)
+    _emit_seed(args)
     if args.format == "tsv":
         print("token\t" + "\t".join(tokens))
         for token, row in zip(tokens, rows):

@@ -127,7 +127,7 @@ def _check_concat_dimensionality(rng):
             return CheckResult(
                 "concat dimensionality", False, f"head output is not d/n at d={d}, n={n}"
             )
-        out = attention.multihead_forward(seq, layer.heads, layer.Wo)
+        out = attention.multihead_forward(seq, layer)
         if any(o.dim != d for o in out):
             return CheckResult(
                 "concat dimensionality", False, f"layer output is not d at d={d}, n={n}"
@@ -144,7 +144,7 @@ def _shipped_loss_and_gradients(w_in, w_out, target, ctx):
     gradients of ``w_in`` and ``w_out``: the weights before minus after.
     """
     a, b = w_in.copy(), w_out.copy()
-    loss = trainer._sgd_step_arrays(a, b, target, ctx, 1.0 / len(ctx), 1.0)
+    loss = trainer._sgd_step_arrays(a, b, target, ctx, 1.0)
     return loss, (w_in - a, w_out - b)
 
 

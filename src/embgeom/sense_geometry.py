@@ -519,7 +519,8 @@ def _tsv_rows(source):
 def load_sense_tsv(source):
     """Parse `word<TAB>sense<TAB>x1 ... xD` lines into SenseInventory objects.
 
-    Returns a dict keyed by word, preserving first-appearance order.
+    Returns a dict keyed by word, preserving first-appearance order. Each
+    sense's rows become one Matrix, which its inventory keeps as it is.
     """
     grouped, dims = {}, {}
     for line_no, word, sense, values in _tsv_rows(source):
@@ -534,7 +535,9 @@ def load_sense_tsv(source):
     if not grouped:
         raise ParseError("no occurrences found")
     return {
-        word: SenseInventory(word, {name: np.array(rows) for name, rows in senses.items()})
+        word: SenseInventory(
+            word, {name: Matrix._take(np.array(rows)) for name, rows in senses.items()}
+        )
         for word, senses in grouped.items()
     }
 

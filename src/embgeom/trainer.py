@@ -13,6 +13,10 @@ gradient check and the acceptance criterion run it with a learning rate
 of 1 and read the gradient off the weights' change. Its pure-Python
 reference (``loss_and_gradients`` then ``sgd_step``) lives in the tests,
 which replay training through it.
+
+:func:`make_training_examples` returns the ``(target, context)`` steps in
+the form that step runs, and the trained :class:`ToyLM` takes the two
+weight arrays the loop updated, not copies of them.
 """
 
 import math
@@ -32,7 +36,6 @@ from .linalg import Matrix, _softmax_in_place, random_array
 
 __all__ = [
     "ToyLM",
-    "TrainingExample",
     "TrainConfig",
     "make_training_examples",
     "train",
@@ -73,24 +76,6 @@ class ToyLM:
 
 
 @dataclass(frozen=True)
-class TrainingExample:
-    """One masked position: the target index and its in-window context set."""
-
-    target: int
-    context: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "context", frozenset(self.context))
-        if not self.context:
-            raise EmptyInputError("an example needs at least one context index")
-        if self.target in self.context:
-            raise ValueError("the masked target cannot appear in its own context")
-        for i in (self.target, *self.context):
-            if not isinstance(i, int) or i < 0:
-                raise ValueError(f"vocab indices must be nonnegative ints, got {i!r}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run."""
 
@@ -112,18 +97,22 @@ class TrainConfig:
 
 
 def make_training_examples(corpus, window, vocab):
-    """One example per corpus position that has at least one usable neighbor.
+    """The training steps: one ``(target, context)`` pair per corpus
+    position that has at least one usable neighbor.
 
     ``corpus`` is a list of sentences, each a token list; windows never
-    cross sentence boundaries. The context is the set of vocab indices
-    within +-window of the target position. Because an example's context
-    is a set that may not contain the target's own index, positions whose
-    window holds only repeats of the target word emit nothing.
+    cross sentence boundaries. ``target`` is the position's vocab index and
+    ``context`` the distinct vocab indices within +-window of it, as a
+    sorted, read-only ``np.intp`` array: the form :func:`train`'s step
+    runs. The context never holds the target's own index, so positions
+    whose window holds only repeats of the target word emit nothing.
+    ``vocab`` is checked as a model's vocabulary is, so a token that
+    :class:`ToyLM` would reject fails here, before any training.
     """
-    index = {t: i for i, t in enumerate(vocab)}
+    index = token_index(vocab)
     if window < 1:
         raise ValueError("window must be positive")
-    examples = []
+    steps = []
     for sentence in corpus:
         ids = []
         for tok in sentence:
@@ -139,11 +128,13 @@ def make_training_examples(corpus, window, vocab):
                 if j != i and ids[j] != target
             }
             if context:
-                examples.append(TrainingExample(target=target, context=context))
-    return examples
+                ctx = np.array(sorted(context), dtype=np.intp)
+                ctx.flags.writeable = False
+                steps.append((target, ctx))
+    return steps
 
 
-def _sgd_step_arrays(w_in, w_out, target, ctx, inv, lr):
+def _sgd_step_arrays(w_in, w_out, target, ctx, lr):
     """In-place fused forward/backward/update on V x d arrays; returns the loss.
 
     The update of loss_and_gradients followed by sgd_step, equal up to
@@ -152,6 +143,7 @@ def _sgd_step_arrays(w_in, w_out, target, ctx, inv, lr):
     move. ``ctx`` holds distinct indices, so the indexed update touches each
     row once.
     """
+    inv = 1.0 / len(ctx)
     h = w_in.take(ctx, axis=0).sum(axis=0)
     h *= inv
     p = _softmax_in_place(w_out @ h)
@@ -184,21 +176,19 @@ def train(corpus, config, on_epoch=None):
     Weights initialize uniformly in [-0.5/d, 0.5/d], W_in then W_out in one
     draw, from the seeded generator that also drives the per-epoch example
     shuffle. ``on_epoch`` (if given) is called with (epoch index, mean loss).
+    The vocabulary is checked before the weights are drawn, so a token that
+    :class:`ToyLM` rejects raises ValueError before any epoch runs.
     """
     corpus = [list(s) for s in corpus]
     vocab = induce_vocab(corpus)
     if not vocab:
         raise EmptyInputError("corpus has no tokens")
-    examples = make_training_examples(corpus, config.window, vocab)
+    steps = make_training_examples(corpus, config.window, vocab)
 
     rng = random.Random(config.seed)
     d = config.d
     V = len(vocab)
     w_in, w_out = random_array(rng, 2 * V * d, -0.5 / d, 0.5 / d).reshape(2, V, d)
-    steps = [
-        (ex.target, np.array(sorted(ex.context), dtype=np.intp), 1.0 / len(ex.context))
-        for ex in examples
-    ]
     order = list(range(len(steps)))
     lr = config.learning_rate
     for epoch in range(config.epochs):
@@ -209,7 +199,7 @@ def train(corpus, config, on_epoch=None):
         if on_epoch is not None:
             mean = total / len(order) if order else 0.0
             on_epoch(epoch, mean)
-    return ToyLM(vocab=vocab, W_in=Matrix(w_in), W_out=Matrix(w_out))
+    return ToyLM(vocab=vocab, W_in=Matrix._take(w_in), W_out=Matrix._take(w_out))
 
 
 def extract_embeddings(m):
@@ -248,7 +238,7 @@ def load_model(source):
     V, d = r.u64s(2, "V and d")
     vocab = r.names(V, "vocabulary")
     W_in, W_out = (
-        Matrix(r.floats(V * d, "<f8", "weights").reshape(V, d)) for _ in range(2)
+        Matrix._take(r.floats(V * d, "<f8", "weights").reshape(V, d)) for _ in range(2)
     )
     r.end()
     return container.build(ToyLM, vocab=tuple(vocab), W_in=W_in, W_out=W_out)

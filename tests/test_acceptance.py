@@ -130,7 +130,7 @@ def test_criterion_04_head_dimensionality():
             seq = [Vector([1.0] * d)]
             per_head = attention.head_forward(seq, head)
             combined = attention.multihead_forward(
-                seq, (head,) * n, Matrix.zeros(d, d)
+                seq, attention.AttentionLayerParams((head,) * n, Matrix.zeros(d, d))
             )
             if len(per_head[0]) != d_head or len(combined[0]) != d:
                 bad.append((d, n))
@@ -242,7 +242,7 @@ def test_criterion_06_checks_the_shipped_step(monkeypatch):
     shipped = trainer._sgd_step_arrays
     monkeypatch.setattr(
         trainer, "_sgd_step_arrays",
-        lambda w_in, w_out, target, ctx, inv, lr: shipped(w_in, w_out, target, ctx, inv, 1.5 * lr),
+        lambda w_in, w_out, target, ctx, lr: shipped(w_in, w_out, target, ctx, 1.5 * lr),
     )
     assert _criterion_06_worst_error(random.Random(4242)) > 0.1
 

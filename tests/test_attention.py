@@ -203,7 +203,7 @@ class TestHeadForward:
             with pytest.raises(ValueError):
                 head_forward(seq, head)
             with pytest.raises(ValueError):
-                multihead_forward(seq, [identity_head(2)], big_wo)
+                multihead_forward(seq, AttentionLayerParams([identity_head(2)], big_wo))
 
     def test_head_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -222,7 +222,7 @@ class TestMultiheadForward:
             Wv=Matrix(rng.normal(size=(d, d)).tolist()),
         )
         seq = rng.normal(size=(L, d)).tolist()
-        got = multihead_forward(seq, [head], Matrix.identity(d))
+        got = multihead_forward(seq, AttentionLayerParams([head], Matrix.identity(d)))
         expected = head_forward(seq, head)
         np.testing.assert_allclose(as_array(got), as_array(expected), atol=1e-12)
 
@@ -240,12 +240,12 @@ class TestMultiheadForward:
         seq = rng.normal(size=(3, d)).tolist()
         per_head = [head_forward(seq, h) for h in heads]
         assert all(o.dim == 4 for outs in per_head for o in outs)
-        out = multihead_forward(seq, heads, Matrix.identity(d))
+        out = multihead_forward(seq, AttentionLayerParams(heads, Matrix.identity(d)))
         assert all(o.dim == 8 for o in out)
 
     def test_zero_output_projection(self):
         seq = [[1.0, 2.0], [3.0, 4.0]]
-        out = multihead_forward(seq, [identity_head(2)], Matrix.zeros(2, 2))
+        out = multihead_forward(seq, AttentionLayerParams([identity_head(2)], Matrix.zeros(2, 2)))
         for o in out:
             assert o.components == (0.0, 0.0)
 
@@ -260,11 +260,11 @@ class TestMultiheadForward:
             for _ in range(3)
         ]
         with pytest.raises(HeadCountError):
-            multihead_forward(rng.normal(size=(2, 8)).tolist(), heads, Matrix.identity(8))
+            AttentionLayerParams(heads, Matrix.identity(8))
 
     def test_wrong_wo_shape(self):
         with pytest.raises(DimensionError):
-            multihead_forward([[1.0, 0.0]], [identity_head(2)], Matrix.zeros(2, 3))
+            AttentionLayerParams([identity_head(2)], Matrix.zeros(2, 3))
 
     def test_wrong_head_output_dim(self):
         rng = np.random.default_rng(27)
@@ -275,7 +275,7 @@ class TestMultiheadForward:
         )
         # one head must emit d/1 = 4 dims, not 1
         with pytest.raises(DimensionError):
-            multihead_forward(rng.normal(size=(2, 4)).tolist(), [half], Matrix.identity(4))
+            AttentionLayerParams([half], Matrix.identity(4))
 
     @pytest.mark.parametrize("heads, Wo, error", [
         ([], Matrix.identity(8), EmptyInputError),
@@ -287,15 +287,13 @@ class TestMultiheadForward:
     def test_layer_faults_raise_as_the_layer_params_do(self, heads, Wo, error):
         with pytest.raises(error):
             AttentionLayerParams(heads, Wo)
-        with pytest.raises(error):
-            multihead_forward(np.ones((3, 8)), heads, Wo)
 
     def test_input_width_other_than_the_heads_d(self):
         # a valid layer of 2 heads at d=4 on width 3, which 2 does not divide
         zeros = Matrix.zeros(2, 4)
         heads = [AttentionHeadParams(Wq=zeros, Wk=zeros, Wv=zeros)] * 2
         with pytest.raises(DimensionError):
-            multihead_forward(np.ones((3, 3)), heads, Matrix.identity(4))
+            multihead_forward(np.ones((3, 3)), AttentionLayerParams(heads, Matrix.identity(4)))
 
 
 class TestStackForward:
@@ -330,7 +328,7 @@ class TestStackForward:
         params = random_stack_params(config, seed=7)
         seq = rng.normal(size=(3, 4)).tolist()
         got = stack_forward(seq, config, params)
-        expected = multihead_forward(seq, params[0].heads, params[0].Wo)
+        expected = multihead_forward(seq, params[0])
         np.testing.assert_allclose(as_array(got), as_array(expected), atol=1e-12)
 
     def test_zero_parameters_absorb(self):
@@ -364,8 +362,8 @@ class TestStackForward:
         params = random_stack_params(config, seed=11)
         seq = rng.normal(size=(4, 6)).tolist()
         got = stack_forward(seq, config, params)
-        step = multihead_forward(seq, params[0].heads, params[0].Wo)
-        expected = multihead_forward(step, params[1].heads, params[1].Wo)
+        step = multihead_forward(seq, params[0])
+        expected = multihead_forward(step, params[1])
         np.testing.assert_allclose(as_array(got), as_array(expected), atol=1e-12)
 
     def test_dim_d_preserved_at_every_layer(self):
@@ -414,7 +412,7 @@ class TestStackForward:
         lp = params[0]
         for out in (
             head_forward(seq, lp.heads[0]),
-            multihead_forward(seq, lp.heads, lp.Wo),
+            multihead_forward(seq, lp),
             stack_forward(seq, config, params),
         ):
             assert isinstance(out, Matrix) and len(out) == 3
@@ -496,7 +494,7 @@ class TestNumpyStackMatchesReference:
                 as_array(reference_head(seq, h, scale)), atol=1e-12, rtol=0,
             )
         np.testing.assert_allclose(
-            as_array(multihead_forward(seq, lp.heads, lp.Wo, scale_scores=scale)),
+            as_array(multihead_forward(seq, lp, scale_scores=scale)),
             as_array(reference_multihead(seq, lp.heads, lp.Wo, scale)), atol=1e-12, rtol=0,
         )
         got = as_array(stack_forward(seq, config, params))
@@ -516,7 +514,7 @@ class TestNumpyStackMatchesReference:
         )
         want = as_array(reference_stack(seq, config, params))
         np.testing.assert_allclose(
-            as_array(multihead_forward(seq, lp.heads, lp.Wo)), want, atol=1e-12, rtol=0
+            as_array(multihead_forward(seq, lp)), want, atol=1e-12, rtol=0
         )
         np.testing.assert_allclose(
             as_array(stack_forward(seq, config, params)), want, atol=1e-12, rtol=0
@@ -732,7 +730,7 @@ class TestRandomStackParams:
             assert m.array.dtype == np.float64
             assert not m.array.flags.writeable
         x = np.random.default_rng(5).normal(size=(3, 4))
-        out = as_array(attention.multihead_forward(x, lp.heads, lp.Wo))
+        out = as_array(attention.multihead_forward(x, lp))
         joined = np.hstack([
             as_array(attention.head_forward(x, h)) for h in lp.heads
         ])

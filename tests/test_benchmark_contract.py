@@ -13,10 +13,12 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 import embgeom
 import embgeom.cli  # noqa: F401  (imports every module instrument patches)
 from embgeom import attention, embed_store
+from embgeom.linalg import Matrix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -65,6 +67,27 @@ def test_stack_reaches_layers_and_heads_through_module_attributes(monkeypatch):
             calls[name] = 0
         attention.stack_forward(np.ones((5, d)), config, params)
         assert calls == {"multihead_forward": layers, "head_forward": n * layers}
+
+
+@pytest.mark.parametrize("kind", ["list", "ndarray", "Matrix"])
+def test_stack_hands_each_layer_its_own_params(monkeypatch, kind):
+    # The layers were checked when they were built; the stack runs them as
+    # they are, not a rebuilt copy.
+    received = []
+    orig = attention.multihead_forward
+
+    def recording(seq, layer, *args, **kwargs):
+        received.append(layer)
+        return orig(seq, layer, *args, **kwargs)
+
+    monkeypatch.setattr(attention, "multihead_forward", recording)
+    config = attention.MultiHeadConfig(d=8, n=2, layers=3)
+    params = attention.random_stack_params(config, seed=26)
+    x = np.random.default_rng(26).normal(size=(4, 8))
+    seq = {"list": x.tolist(), "ndarray": x, "Matrix": Matrix(x)}[kind]
+    attention.stack_forward(seq, config, params)
+    assert len(received) == len(params)
+    assert all(got is want for got, want in zip(received, params))
 
 
 def test_traced_neighbors_loads_emb1_and_text_tables(tmp_path, capsys):

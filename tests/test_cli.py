@@ -711,6 +711,67 @@ def test_non_finite_learning_rate_fails_before_any_output(tmp_path, subcommand, 
     assert result.stderr == "ValueError: learning rate must be positive and finite\n"
 
 
+# One failing run per subcommand, each failing before it prints anything.
+FAILING_RUNS = {
+    "import": ["--input", "{tmp}/missing.vec", "--output", "{tmp}/x.emb"],
+    "neighbors": ["--table", "{table}", "--word", "zebra"],
+    "train": ["--corpus", "{tmp}/empty.txt", "--dim", "4"],
+    "extract": ["--model", "{table}", "--out", "{tmp}/x.vec"],
+    "attend": ["--table", "{table}", "--tokens", "horse zebra"],
+    "contextualize": ["--table", "{table}", "--tokens", "horse cow", "--heads", "3"],
+    "centroid": ["--senses", "{senses}", "--word", "zebra"],
+    "shift": ["--table", "{table}", "--word", "horse"],
+    "separate": ["--senses", "{senses}", "--word", "bank", "--table", "{table}"],
+    "probe-train": ["--data", "{tmp}/empty.txt"],
+    "probe-eval": ["--model", "{table}", "--data", "{senses}"],
+}
+
+
+def test_failing_runs_cover_every_subcommand_but_selfcheck():
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert set(FAILING_RUNS) == set(sub.choices) - {"selfcheck"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(FAILING_RUNS))
+def test_a_failing_run_prints_one_error_line_and_no_output(capsys, tmp_path, table_file,
+                                                          senses_file, subcommand):
+    (tmp_path / "empty.txt").write_bytes(b"")
+    paths = {"{tmp}": str(tmp_path), "{table}": table_file, "{senses}": senses_file}
+    argv = [subcommand]
+    for arg in FAILING_RUNS[subcommand]:
+        for key, path in paths.items():
+            arg = arg.replace(key, path)
+        argv.append(arg)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_attend_overflow_prints_no_seed(tmp_path):
+    # numpy warns on the overflow, which pytest would raise in-process, so
+    # this run is a subprocess; the warnings may reach stderr (not stdout).
+    table = tmp_path / "big.vec"
+    table.write_text("2 2\na 1e200 1e200\nb 1e200 -1e200\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "embgeom", "attend", "--table", str(table), "--tokens", "a b"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_attend_and_contextualize_reject_a_window_alike(capsys, table_file, window):
+    errors = set()
+    for subcommand in ("attend", "contextualize"):
+        code, out, err = run(capsys, [subcommand, "--table", table_file,
+                                      "--tokens", "horse cow", "--window", window])
+        assert (code, out) == (1, "")
+        errors.add(err)
+    assert errors == {"ValueError: context window must be positive\n"}
+
+
 class TestSelfcheck:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, ["selfcheck"])
@@ -747,7 +808,7 @@ class TestSelfcheck:
         shipped = trainer._sgd_step_arrays
         monkeypatch.setattr(
             trainer, "_sgd_step_arrays",
-            lambda w_in, w_out, target, ctx, inv, lr: shipped(w_in, w_out, target, ctx, inv, 1.5 * lr),
+            lambda w_in, w_out, target, ctx, lr: shipped(w_in, w_out, target, ctx, 1.5 * lr),
         )
         assert not selfcheck._check_gradients(random.Random(0)).passed
 

@@ -19,7 +19,6 @@ from embgeom.linalg import Matrix
 from embgeom.trainer import (
     ToyLM,
     TrainConfig,
-    TrainingExample,
     _sgd_step_arrays,
     extract_embeddings,
     induce_vocab,
@@ -47,7 +46,7 @@ def shipped_step(w_in, w_out, target, context, lr=1.0):
     """The training step on copies of the weights: (loss, W_in, W_out after)."""
     a, b = np.array(w_in, dtype=np.float64), np.array(w_out, dtype=np.float64)
     ctx = np.array(sorted(context), dtype=np.intp)
-    loss = _sgd_step_arrays(a, b, target, ctx, 1.0 / len(ctx), lr)
+    loss = _sgd_step_arrays(a, b, target, ctx, lr)
     return loss, a, b
 
 
@@ -88,7 +87,7 @@ def sgd_step(w, g, lr):
     return [[x - lr * gx for x, gx in zip(wr, gr)] for wr, gr in zip(w, g)]
 
 
-def replay_reference(vocab, examples, config):
+def replay_reference(vocab, steps, config):
     """Training replayed through the reference loss_and_gradients and
     sgd_step, with the seeded init and per-epoch shuffle of :func:`train`."""
     rng = random.Random(config.seed)
@@ -96,12 +95,12 @@ def replay_reference(vocab, examples, config):
     V, d = len(vocab), config.d
     w_in = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
     w_out = [[rng.uniform(-bound, bound) for _ in range(d)] for _ in range(V)]
-    order = list(range(len(examples)))
+    order = list(range(len(steps)))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for k in order:
-            ex = examples[k]
-            _, d_in, d_out = loss_and_gradients(w_in, w_out, ex.target, ex.context)
+            target, context = steps[k]
+            _, d_in, d_out = loss_and_gradients(w_in, w_out, target, context.tolist())
             w_in = sgd_step(w_in, d_in, config.learning_rate)
             w_out = sgd_step(w_out, d_out, config.learning_rate)
     return w_in, w_out
@@ -127,14 +126,6 @@ class TestTypes:
                 W_out=Matrix([[1.0]]),
             )
 
-    def test_example_target_not_in_context(self):
-        with pytest.raises(ValueError):
-            TrainingExample(target=1, context={1, 2})
-
-    def test_example_needs_context(self):
-        with pytest.raises(EmptyInputError):
-            TrainingExample(target=0, context=set())
-
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -151,40 +142,45 @@ class TestTypes:
             TrainConfig(d=8, window=0)
 
 
+def step_lists(steps):
+    """(target, context) steps with each context array as a list."""
+    return [(target, ctx.tolist()) for target, ctx in steps]
+
+
 class TestMakeTrainingExamples:
     def test_window_one(self):
         got = make_training_examples([["a", "b", "c"]], 1, ["a", "b", "c"])
-        assert got == [
-            TrainingExample(target=0, context={1}),
-            TrainingExample(target=1, context={0, 2}),
-            TrainingExample(target=2, context={1}),
-        ]
+        assert step_lists(got) == [(0, [1]), (1, [0, 2]), (2, [1])]
+
+    def test_contexts_are_the_arrays_the_step_runs(self):
+        corpus = [["c", "a", "b", "a", "d", "c", "b"], ["d", "a"]]
+        got = make_training_examples(corpus, 3, ["a", "b", "c", "d"])
+        assert len(got) == 9
+        for target, ctx in got:
+            assert type(target) is int
+            assert ctx.dtype == np.intp and ctx.ndim == 1
+            assert not ctx.flags.writeable
+            assert (np.diff(ctx) > 0).all()  # sorted, distinct
+            assert target not in ctx.tolist()
 
     def test_single_token_sentence_emits_nothing(self):
         assert make_training_examples([["a"]], 3, ["a"]) == []
 
     def test_window_clipped_at_sentence_bounds(self):
         got = make_training_examples([["a", "b"]], 5, ["a", "b"])
-        assert got == [
-            TrainingExample(target=0, context={1}),
-            TrainingExample(target=1, context={0}),
-        ]
+        assert step_lists(got) == [(0, [1]), (1, [0])]
 
     def test_windows_do_not_cross_sentences(self):
         got = make_training_examples([["a", "b"], ["c"]], 5, ["a", "b", "c"])
-        assert all(2 not in ex.context for ex in got)
-        assert all(ex.target != 2 for ex in got)
+        assert all(2 not in ctx.tolist() for _, ctx in got)
+        assert all(target != 2 for target, _ in got)
 
     def test_repeated_target_word_excluded_from_context(self):
         # window around each "a" holds only other copies of "a": no example
         got = make_training_examples([["a", "a"]], 1, ["a", "b"])
         assert got == []
         got = make_training_examples([["a", "b", "a"]], 2, ["a", "b"])
-        assert got == [
-            TrainingExample(target=0, context={1}),
-            TrainingExample(target=1, context={0}),
-            TrainingExample(target=0, context={1}),
-        ]
+        assert step_lists(got) == [(0, [1]), (1, [0]), (0, [1])]
 
     def test_out_of_vocab_token(self):
         with pytest.raises(OutOfVocabularyError):
@@ -350,6 +346,20 @@ class TestTrain:
         with pytest.raises(EmptyInputError):
             train([], TrainConfig(d=2))
 
+    def test_model_keeps_the_trained_arrays(self):
+        # W_in and W_out are the two halves of the one draw the loop
+        # updated, handed over without a copy
+        m = train(CORPUS, TrainConfig(d=4, window=2, epochs=1, seed=3))
+        base = m.W_in.array.base
+        assert base is not None and m.W_out.array.base is base
+
+    def test_invalid_token_rejected_before_any_epoch(self):
+        seen = []
+        with pytest.raises(ValueError, match="invalid token: 'a b'"):
+            train([["a b", "c"] * 200] * 50, TrainConfig(d=8, epochs=3),
+                  on_epoch=lambda e, loss: seen.append(e))
+        assert seen == []
+
     def test_epoch_callback_reports_every_epoch(self):
         seen = []
         config = TrainConfig(d=2, window=1, epochs=4, seed=1)
@@ -399,7 +409,7 @@ class TestTrain:
         w_out = np.reshape([0.02 * (i % 7) for i in range(32)], (4, 8))
         ctx = np.array([1, 2], dtype=np.intp)
         for _ in range(500):
-            loss = _sgd_step_arrays(w_in, w_out, 0, ctx, 0.5, 0.5)
+            loss = _sgd_step_arrays(w_in, w_out, 0, ctx, 0.5)
             if loss < 0.01:
                 break
         assert loss < 0.01
