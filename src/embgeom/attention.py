@@ -21,6 +21,13 @@ itself, which passes from head to layer to layer without a copy; it is a
 sequence of row Vectors, each built only when a caller asks for it. A
 seeded stack is one bulk draw, and each of its weight matrices a
 read-only view of it.
+
+:func:`stack_forward` and :func:`attention_weights` run under linalg's
+float64 policy, entered once per call: values that overflow raise
+``ValueError("attention stack left float64: ...")`` (or "attention
+weights") with no numpy warning. A direct call of :func:`head_forward` or
+:func:`multihead_forward`, which the stack runs per head and layer, is
+stopped only by its output's finiteness check.
 """
 
 import math
@@ -175,7 +182,8 @@ def attention_weights(queries, keys, scale_scores=True):
         raise DimensionError(f"queries of dim {q.shape[1]} against keys of dim {k.shape[1]}")
     if k is q:  # numpy runs q @ q.T as a symmetric product, which rounds differently
         k = k.copy()
-    return Matrix._take(_weights(q, k, scale_scores))
+    with linalg._float64_policy("attention weights"):
+        return Matrix._take(_weights(q, k, scale_scores))
 
 
 def head_forward(seq, params, scale_scores=True):
@@ -234,12 +242,13 @@ def stack_forward(seq, config, layer_params):
         raise DimensionError(
             f"{len(layer_params)} layer parameter sets for {config.layers} layers"
         )
-    for lp in layer_params:
-        if len(lp.heads) != config.n:
-            raise HeadCountError(
-                f"layer has {len(lp.heads)} heads, config expects {config.n}"
-            )
-        x = multihead_forward(x, lp, scale_scores=config.scale_scores)
+    with linalg._float64_policy("attention stack"):
+        for lp in layer_params:
+            if len(lp.heads) != config.n:
+                raise HeadCountError(
+                    f"layer has {len(lp.heads)} heads, config expects {config.n}"
+                )
+            x = multihead_forward(x, lp, scale_scores=config.scale_scores)
     return x
 
 
@@ -282,6 +291,7 @@ def embed_sequence(table, tokens, use_positional=False,
     if not use_positional:
         return rows
     positions = [positional_encoding(i, table.D).components for i in range(len(tokens))]
+    # a finite row plus entries in [-1, 1] rounds to a finite row: no overflow
     return Matrix._take(rows.array + np.array(positions))
 
 

@@ -3,8 +3,14 @@
 Every subcommand echoes the seed as its first output line, emits either a
 human-readable table (``--format pretty``, the default) or full-precision
 TSV (``--format tsv``), and exits 0 on success, 1 on a domain error named
-on stderr in one line, or 2 on a usage error. A run that fails before its
-output prints no seed line either.
+on stderr in one line, or 2 on a usage error.
+
+Each ``cmd_*`` function computes its whole result and returns its output
+lines (``selfcheck`` also its exit status); :func:`main` alone writes
+stdout, the seed line first, and only once the command has returned. So a
+run that fails prints nothing on stdout, not even the seed line, and
+``train`` prints its epoch lines when training ends. A numeric failure is
+linalg's one ``ValueError: <what> left float64: ...`` line.
 """
 
 import argparse
@@ -65,10 +71,6 @@ def _load_table(path, lowercase=False):
         return embed_store.load_embeddings_text(src.read(), lowercase=lowercase)
 
 
-def _emit_seed(args):
-    print(f"# seed={args.seed}")
-
-
 def _fmt(x):
     return repr(float(x))
 
@@ -77,35 +79,30 @@ def _vector_fields(v):
     return " ".join(_fmt(x) for x in v)
 
 
+def _table_summary(args, table, done, dest=None):
+    """The lines that report a table a command built: its token count and dim."""
+    if args.format == "tsv":
+        return [f"tokens\t{table.V}", f"dim\t{table.D}"]
+    to = "" if dest is None else f" -> {dest}"
+    return [f"{done} {table.V} tokens of dimension {table.D}{to}"]
+
+
 def cmd_import(args):
     table = _load_table(args.input, lowercase=args.lowercase)
     if args.to == "binary":
         _write(args.output, embed_store.save_embeddings_binary(table))
     else:
         _write(args.output, embed_store.save_embeddings_text(table))
-    _emit_seed(args)
-    if args.format == "tsv":
-        print(f"tokens\t{table.V}")
-        print(f"dim\t{table.D}")
-    else:
-        print(f"Imported {table.V} tokens of dimension {table.D} -> {args.output}")
-    return 0
+    return _table_summary(args, table, "Imported", args.output)
 
 
 def cmd_neighbors(args):
     table = _load_table(args.table, lowercase=args.lowercase)
     word = args.word.lower() if args.lowercase else args.word  # folded as the table is
     result = embed_store.nearest_neighbors(table, word, args.k, filter=args.filter)
-    _emit_seed(args)
     if args.format == "tsv":
-        print("neighbour\tsimilarity")
-        for token, sim in result:
-            print(f"{token}\t{_fmt(sim)}")
-    else:
-        print("Neighbour  Similarity")
-        for token, sim in result:
-            print(f"{token} {sim:.2f}")
-    return 0
+        return ["neighbour\tsimilarity"] + [f"{token}\t{_fmt(sim)}" for token, sim in result]
+    return ["Neighbour  Similarity"] + [f"{token} {sim:.2f}" for token, sim in result]
 
 
 def cmd_train(args):
@@ -117,14 +114,13 @@ def cmd_train(args):
         epochs=args.epochs,
         seed=args.seed,
     )
+    lines = []
 
     def on_epoch(epoch, mean_loss):
-        if epoch == 0:  # once training runs, so an input error prints no seed
-            _emit_seed(args)
         if args.format == "tsv":
-            print(f"epoch\t{epoch}\t{_fmt(mean_loss)}")
+            lines.append(f"epoch\t{epoch}\t{_fmt(mean_loss)}")
         else:
-            print(f"epoch {epoch}: mean loss {mean_loss:.4f}")
+            lines.append(f"epoch {epoch}: mean loss {mean_loss:.4f}")
 
     model = trainer.train(corpus, config, on_epoch=on_epoch)
     table = trainer.extract_embeddings(model)
@@ -132,25 +128,14 @@ def cmd_train(args):
         _write(args.out, embed_store.save_embeddings_text(table))
     if args.model_out:
         _write(args.model_out, trainer.save_model(model))
-    if args.format == "tsv":
-        print(f"tokens\t{table.V}")
-        print(f"dim\t{table.D}")
-    else:
-        print(f"Trained {table.V} tokens of dimension {table.D}")
-    return 0
+    return lines + _table_summary(args, table, "Trained")
 
 
 def cmd_extract(args):
     model = trainer.load_model(_read(args.model))
     table = trainer.extract_embeddings(model)
     _write(args.out, embed_store.save_embeddings_text(table))
-    _emit_seed(args)
-    if args.format == "tsv":
-        print(f"tokens\t{table.V}")
-        print(f"dim\t{table.D}")
-    else:
-        print(f"Extracted {table.V} tokens of dimension {table.D} -> {args.out}")
-    return 0
+    return _table_summary(args, table, "Extracted", args.out)
 
 
 def cmd_attend(args):
@@ -160,21 +145,17 @@ def cmd_attend(args):
         table, tokens, use_positional=args.positional, context_window=args.window
     )
     rows = attention.attention_weights(seq, seq, scale_scores=not args.no_scale)
-    _emit_seed(args)
     if args.format == "tsv":
-        print("token\t" + "\t".join(tokens))
-        for token, row in zip(tokens, rows):
-            print(token + "\t" + "\t".join(_fmt(w) for w in row))
-    else:
-        width = max(len(t) for t in tokens)
-        header = " ".join(f"{t:>{max(len(t), 5)}}" for t in tokens)
-        print(f"{'':<{width}} {header}")
-        for token, row in zip(tokens, rows):
-            cells = " ".join(
-                f"{w:>{max(len(t), 5)}.2f}" for t, w in zip(tokens, row)
-            )
-            print(f"{token:<{width}} {cells}")
-    return 0
+        return ["token\t" + "\t".join(tokens)] + [
+            token + "\t" + "\t".join(_fmt(w) for w in row) for token, row in zip(tokens, rows)
+        ]
+    width = max(len(t) for t in tokens)
+    header = " ".join(f"{t:>{max(len(t), 5)}}" for t in tokens)
+    lines = [f"{'':<{width}} {header}"]
+    for token, row in zip(tokens, rows):
+        cells = " ".join(f"{w:>{max(len(t), 5)}.2f}" for t, w in zip(tokens, row))
+        lines.append(f"{token:<{width}} {cells}")
+    return lines
 
 
 def cmd_contextualize(args):
@@ -202,16 +183,14 @@ def cmd_contextualize(args):
     out = attention.stack_forward(seq, config, params)
     if args.save_params:  # only once the run has succeeded
         _write(args.save_params, attention.save_attention_params(params))
-    _emit_seed(args)
     if args.format == "tsv":
-        for token, v in zip(tokens, out):
-            print(f"{token}\t{_vector_fields(v)}")
-    else:
-        for token, v in zip(tokens, out):
-            head = " ".join(f"{x:.2f}" for x in list(v)[:8])
-            more = " ..." if v.dim > 8 else ""
-            print(f"{token}: [{head}{more}]")
-    return 0
+        return [f"{token}\t{_vector_fields(v)}" for token, v in zip(tokens, out)]
+    more = " ..." if out.cols > 8 else ""
+    lines = []
+    for token, v in zip(tokens, out):
+        head = " ".join(f"{x:.2f}" for x in list(v)[:8])
+        lines.append(f"{token}: [{head}{more}]")
+    return lines
 
 
 def cmd_centroid(args):
@@ -232,32 +211,25 @@ def cmd_centroid(args):
     report = sense_geometry.inventory_report(
         inventory, token_emb=token_emb, metric=args.metric
     )
-    _emit_seed(args)
     names = report.names
+    pairs = [(names[i], names[j], report.pairwise_distances.row(i)[j])
+             for i in range(len(names)) for j in range(i + 1, len(names))]
+    between = [(names[i], names[j], flag)
+               for (i, j), flag in sorted((report.betweenness or {}).items())]
+    t2c = list(zip(names, report.token_to_centroid or ()))
     if args.format == "tsv":
-        for name, c in zip(names, report.centroids):
-            print(f"centroid\t{name}\t{_vector_fields(c)}")
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                d = report.pairwise_distances.row(i)[j]
-                print(f"distance\t{names[i]}\t{names[j]}\t{_fmt(d)}")
-        if report.token_to_centroid is not None:
-            for name, d in zip(names, report.token_to_centroid):
-                print(f"token_distance\t{name}\t{_fmt(d)}")
-            for (i, j), flag in sorted(report.betweenness.items()):
-                print(f"betweenness\t{names[i]}\t{names[j]}\t{str(flag).lower()}")
-    else:
-        print(f"Senses of {inventory.word!r}: {', '.join(names)}")
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                d = report.pairwise_distances.row(i)[j]
-                print(f"distance({names[i]}, {names[j]}) = {d:.2f}")
-        if report.token_to_centroid is not None:
-            for name, d in zip(names, report.token_to_centroid):
-                print(f"token -> {name}: {d:.2f}")
-            for (i, j), flag in sorted(report.betweenness.items()):
-                print(f"between {names[i]} and {names[j]}: {'yes' if flag else 'no'}")
-    return 0
+        return (
+            [f"centroid\t{name}\t{_vector_fields(c)}" for name, c in zip(names, report.centroids)]
+            + [f"distance\t{a}\t{b}\t{_fmt(d)}" for a, b, d in pairs]
+            + [f"token_distance\t{name}\t{_fmt(d)}" for name, d in t2c]
+            + [f"betweenness\t{a}\t{b}\t{str(flag).lower()}" for a, b, flag in between]
+        )
+    return (
+        [f"Senses of {inventory.word!r}: {', '.join(names)}"]
+        + [f"distance({a}, {b}) = {d:.2f}" for a, b, d in pairs]
+        + [f"token -> {name}: {d:.2f}" for name, d in t2c]
+        + [f"between {a} and {b}: {'yes' if flag else 'no'}" for a, b, flag in between]
+    )
 
 
 def cmd_shift(args):
@@ -269,12 +241,9 @@ def cmd_shift(args):
     else:
         raise EmbgeomError("pass --ctx or both --ctx-table and --ctx-word")
     value = sense_geometry.contextual_shift(token_emb, ctx_emb, metric=args.metric)
-    _emit_seed(args)
     if args.format == "tsv":
-        print(f"shift\t{_fmt(value)}")
-    else:
-        print(f"Contextual shift of {args.word!r}: {value:.4f}")
-    return 0
+        return [f"shift\t{_fmt(value)}"]
+    return [f"Contextual shift of {args.word!r}: {value:.4f}"]
 
 
 def cmd_separate(args):
@@ -292,26 +261,25 @@ def cmd_separate(args):
         seed=args.seed,
         metric=args.metric,
     )
-    _emit_seed(args)
     dist = report.pairwise_distances.row(0)[1]
+    between = report.betweenness[(0, 1)]
     if args.format == "tsv":
-        print(f"distance\t{_fmt(dist)}")
-        for i, d in enumerate(report.token_to_centroid):
-            print(f"token_distance\tcluster-{i}\t{_fmt(d)}")
-        print(f"betweenness\t{str(report.betweenness[(0, 1)]).lower()}")
+        lines = [f"distance\t{_fmt(dist)}"]
+        lines += [f"token_distance\tcluster-{i}\t{_fmt(d)}"
+                  for i, d in enumerate(report.token_to_centroid)]
+        lines.append(f"betweenness\t{str(between).lower()}")
         if report.purity is not None:
-            print(f"purity\t{_fmt(report.purity)}")
-        for k, (label, cluster) in enumerate(zip(gold, report.assignments)):
-            print(f"assignment\t{k}\t{label}\t{cluster}")
-    else:
-        print(f"Separated {len(occurrences)} occurrences of {args.word!r}")
-        print(f"inter-centroid distance = {dist:.2f}")
-        for i, d in enumerate(report.token_to_centroid):
-            print(f"token -> cluster-{i}: {d:.2f}")
-        print(f"token between clusters: {'yes' if report.betweenness[(0, 1)] else 'no'}")
-        if report.purity is not None:
-            print(f"purity against gold senses = {report.purity:.2f}")
-    return 0
+            lines.append(f"purity\t{_fmt(report.purity)}")
+        lines += [f"assignment\t{k}\t{label}\t{cluster}"
+                  for k, (label, cluster) in enumerate(zip(gold, report.assignments))]
+        return lines
+    lines = [f"Separated {len(occurrences)} occurrences of {args.word!r}",
+             f"inter-centroid distance = {dist:.2f}"]
+    lines += [f"token -> cluster-{i}: {d:.2f}" for i, d in enumerate(report.token_to_centroid)]
+    lines.append(f"token between clusters: {'yes' if between else 'no'}")
+    if report.purity is not None:
+        lines.append(f"purity against gold senses = {report.purity:.2f}")
+    return lines
 
 
 def cmd_probe_train(args):
@@ -324,14 +292,10 @@ def cmd_probe_train(args):
     if args.out:
         _write(args.out, sense_geometry.save_probe_model(model))
     accuracy = sense_geometry.probe_accuracy(model, pairs)
-    _emit_seed(args)
     if args.format == "tsv":
-        print(f"classes\t{','.join(model.classes)}")
-        print(f"accuracy\t{_fmt(accuracy)}")
-    else:
-        print(f"Classes: {', '.join(model.classes)}")
-        print(f"Training accuracy (exact set match): {accuracy:.2f}")
-    return 0
+        return [f"classes\t{','.join(model.classes)}", f"accuracy\t{_fmt(accuracy)}"]
+    return [f"Classes: {', '.join(model.classes)}",
+            f"Training accuracy (exact set match): {accuracy:.2f}"]
 
 
 def cmd_probe_eval(args):
@@ -339,36 +303,31 @@ def cmd_probe_eval(args):
     examples = sense_geometry.load_probe_tsv(_read(args.data))
     pairs = [(ex.vector, ex.labels) for ex in examples]
     predictions, accuracy = sense_geometry._evaluate(model, pairs, threshold=args.threshold)
-    _emit_seed(args)
+    lines = []
     for ex, predicted in zip(examples, predictions):
         ambiguous = len(predicted) >= 2
         labels = ",".join(sorted(predicted))
         if args.format == "tsv":
-            print(f"prediction\t{ex.token}\t{labels}\t{str(ambiguous).lower()}")
+            lines.append(f"prediction\t{ex.token}\t{labels}\t{str(ambiguous).lower()}")
         else:
             mark = " (ambiguous)" if ambiguous else ""
-            print(f"{ex.token}: {labels or '-'}{mark}")
+            lines.append(f"{ex.token}: {labels or '-'}{mark}")
     if args.format == "tsv":
-        print(f"accuracy\t{_fmt(accuracy)}")
-    else:
-        print(f"Accuracy (exact set match): {accuracy:.2f}")
-    return 0
+        return lines + [f"accuracy\t{_fmt(accuracy)}"]
+    return lines + [f"Accuracy (exact set match): {accuracy:.2f}"]
 
 
 def cmd_selfcheck(args):
+    """The check lines, and exit status 1 if any check failed."""
     results = selfcheck.run_all(seed=args.seed)
-    _emit_seed(args)
-    failed = 0
-    for r in results:
-        if not r.passed:
-            failed += 1
-        if args.format == "tsv":
-            print(f"check\t{r.name}\t{'pass' if r.passed else 'fail'}\t{r.detail}")
-        else:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} - {r.detail}")
-    if args.format != "tsv":
-        print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
+    failed = sum(not r.passed for r in results)
+    if args.format == "tsv":
+        lines = [f"check\t{r.name}\t{'pass' if r.passed else 'fail'}\t{r.detail}"
+                 for r in results]
+    else:
+        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name} - {r.detail}" for r in results]
+        lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    return lines, 1 if failed else 0
 
 
 def _add_common(sub):
@@ -503,11 +462,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        result = args.func(args)
     # RuntimeError: a text-table worker process died (BrokenProcessPool).
     except (EmbgeomError, ValueError, TypeError, OSError, RuntimeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    lines, code = result if isinstance(result, tuple) else (result, 0)
+    print("\n".join([f"# seed={args.seed}", *lines]))
+    return code
 
 
 if __name__ == "__main__":

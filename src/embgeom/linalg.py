@@ -9,12 +9,19 @@ Matrix has passed it, so handing one on costs no second check.
 weight, run by numpy's ``MT19937`` on a ``random.Random``'s own state when
 large and scaled to its bounds in place. ``_softmax_in_place`` is the one
 array softmax: attention's weights and the trainer's step both run it.
+``_float64_policy`` is the package's one rule for numeric failure: numpy
+overflow or an invalid result inside it raises
+``ValueError("<what> left float64: ...")`` with no numpy warning, and
+underflow stays silent, which keeps the softmax floor. The attention
+entry points and sense geometry enter it once per call, the trainer once
+per epoch.
 The rest of the package computes on numpy arrays. Beyond a Vector's ``+``
 and ``*``, only ``dot``, ``softmax`` and ``linear_apply`` work on plain
 floats, each small enough to verify by hand. No shipped path runs them:
 the benchmark pins them, and the tests replay the attention stack to 1e-12.
 """
 
+import contextlib
 import math
 from operator import index, mul
 
@@ -38,6 +45,23 @@ _NUMPY_DRAW_MIN = 1 << 18
 
 # the smallest subnormal: the floor of every softmax entry
 _TINY = math.ulp(0.0)
+
+
+@contextlib.contextmanager
+def _float64_policy(what):
+    """Raise ``ValueError("<what> left float64: ...")`` on numpy overflow or
+    an invalid result (inf - inf, 0 * inf) inside the block or decorated call.
+
+    numpy would otherwise warn and carry on with inf or nan. Underflow
+    stays silent: subnormals and the softmax's ``ulp(0)`` floor are
+    results, not failures. Entering costs about 2 µs, so callers enter it
+    once per call or epoch, never per step.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} left float64: {exc}") from None
 
 
 def random_array(rng, m, lo=0.0, hi=1.0):

@@ -7,7 +7,6 @@ homonym's occurrences, and one-vs-rest logistic probes that read sense
 classes and ambiguity off embeddings.
 """
 
-import functools
 import math
 import numbers
 import random
@@ -124,19 +123,6 @@ class SenseReport:
             raise ValueError("cosine distances must lie in [0, 2]")
 
 
-def _in_float64(fn):
-    """Run ``fn`` with numpy overflow and invalid results raising ValueError."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise ValueError(f"vectors too large for float64 distances: {exc}") from None
-    return run
-
-
 def _mean(x):
     """Mean of the rows of ``x``: their sum times 1/n."""
     return x.sum(axis=0) * (1.0 / len(x))
@@ -160,7 +146,7 @@ def _distances(x, xnorms, c, metric):
     return np.subtract(1.0, dist, out=dist)
 
 
-@_in_float64
+@linalg._float64_policy("sense centroid")
 def sense_centroid(occurrences):
     """Mean of the occurrence vectors of one sense."""
     try:
@@ -170,7 +156,7 @@ def sense_centroid(occurrences):
     return Vector(_mean(x).tolist())
 
 
-@_in_float64
+@linalg._float64_policy("contextual shift")
 def contextual_shift(token_emb, ctx_emb, metric="cosine"):
     """How far a contextualized occurrence moved from its token embedding.
 
@@ -179,8 +165,10 @@ def contextual_shift(token_emb, ctx_emb, metric="cosine"):
     either vector of zero norm raises ZeroVectorError under cosine.
     """
     _check_metric(metric)
-    x = linalg.matrix_array([token_emb, ctx_emb])
-    return float(_distances(x[:1], _row_norms(x[:1]), x[1:], metric)[0, 0])
+    t, c = linalg.matrix_array([token_emb]), linalg.matrix_array([ctx_emb])
+    if t.shape[1] != c.shape[1]:
+        raise DimensionError(f"context dim {c.shape[1]} does not match token dim {t.shape[1]}")
+    return float(_distances(t, _row_norms(t), c, metric)[0, 0])
 
 
 def _lloyd(x, norms, init_pair, metric):
@@ -251,7 +239,7 @@ def _centroid_geometry(c, token_emb, metric):
     return Matrix._take(pair), tuple(t2c), flags
 
 
-@_in_float64
+@linalg._float64_policy("homonym separation")
 def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
                        metric="cosine"):
     """Split a homonym's occurrence vectors into two sense clusters.
@@ -309,7 +297,7 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
     )
 
 
-@_in_float64
+@linalg._float64_policy("sense inventory report")
 def inventory_report(inventory, token_emb=None, metric="cosine"):
     """Centroid geometry of a labeled sense inventory.
 
@@ -429,21 +417,18 @@ def probe_train(examples, config=None):
     rng = random.Random(config.seed)
     order = list(range(len(xs)))
     lr = config.learning_rate
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in range(config.epochs):
-                rng.shuffle(order)
-                for k in order:
-                    x = xs[k]
-                    # a saturated class has g == 0 and so moves by zero
-                    f = [
-                        lr * (_sigmoid(z + b) - y)
-                        for z, b, y in zip((weights @ x).tolist(), biases, ys[k])
-                    ]
-                    weights -= np.multiply.outer(f, x)
-                    biases = [b - fc for b, fc in zip(biases, f)]
-    except FloatingPointError as exc:
-        raise ValueError(f"probe weights left float64: {exc}") from None
+    with linalg._float64_policy("probe weights"):
+        for _ in range(config.epochs):
+            rng.shuffle(order)
+            for k in order:
+                x = xs[k]
+                # a saturated class has g == 0 and so moves by zero
+                f = [
+                    lr * (_sigmoid(z + b) - y)
+                    for z, b, y in zip((weights @ x).tolist(), biases, ys[k])
+                ]
+                weights -= np.multiply.outer(f, x)
+                biases = [b - fc for b, fc in zip(biases, f)]
     return ProbeModel(tuple(classes), Matrix._take(weights), tuple(biases))
 
 

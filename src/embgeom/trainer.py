@@ -12,7 +12,9 @@ shipped implementation of the forward pass and the gradient; the built-in
 gradient check and the acceptance criterion run it with a learning rate
 of 1 and read the gradient off the weights' change. Its pure-Python
 reference (``loss_and_gradients`` then ``sgd_step``) lives in the tests,
-which replay training through it.
+which replay training through it. Each epoch runs under linalg's float64
+policy, so a learning rate that makes the weights diverge fails naming
+its epoch, with no numpy warning and no nan loss.
 
 :func:`make_training_examples` returns the ``(target, context)`` steps in
 the form that step runs, and the trained :class:`ToyLM` takes the two
@@ -32,7 +34,7 @@ from .errors import (
     EmptyInputError,
     OutOfVocabularyError,
 )
-from .linalg import Matrix, _softmax_in_place, random_array
+from .linalg import Matrix, _float64_policy, _softmax_in_place, random_array
 
 __all__ = [
     "ToyLM",
@@ -177,7 +179,9 @@ def train(corpus, config, on_epoch=None):
     draw, from the seeded generator that also drives the per-epoch example
     shuffle. ``on_epoch`` (if given) is called with (epoch index, mean loss).
     The vocabulary is checked before the weights are drawn, so a token that
-    :class:`ToyLM` rejects raises ValueError before any epoch runs.
+    :class:`ToyLM` rejects raises ValueError before any epoch runs. Each
+    epoch runs under linalg's float64 policy: weights that overflow raise
+    ``ValueError("weights in epoch k left float64: ...")``, never a nan loss.
     """
     corpus = [list(s) for s in corpus]
     vocab = induce_vocab(corpus)
@@ -194,8 +198,9 @@ def train(corpus, config, on_epoch=None):
     for epoch in range(config.epochs):
         rng.shuffle(order)
         total = 0.0
-        for k in order:
-            total += _sgd_step_arrays(w_in, w_out, *steps[k], lr)
+        with _float64_policy(f"weights in epoch {epoch}"):
+            for k in order:
+                total += _sgd_step_arrays(w_in, w_out, *steps[k], lr)
         if on_epoch is not None:
             mean = total / len(order) if order else 0.0
             on_epoch(epoch, mean)

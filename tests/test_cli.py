@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -527,6 +528,14 @@ class TestSenseSubcommands:
         )
         assert out.splitlines()[1] == "shift\t0.0"
 
+    def test_shift_context_of_another_dim_names_both_dims(self, capsys, tmp_path):
+        table = tmp_path / "d4.vec"
+        table.write_text("1 4\nw 1 2 3 4\n", encoding="utf-8")
+        code, out, err = run(capsys, ["shift", "--table", str(table), "--word", "w",
+                                      "--ctx", "1 2"])
+        assert (code, out) == (1, "")
+        assert err == "DimensionError: context dim 2 does not match token dim 4\n"
+
     def test_shift_from_second_table(self, capsys, table_file):
         _, out, _ = run(
             capsys,
@@ -547,7 +556,7 @@ class TestSenseSubcommands:
                         "w\ta\t1e200 1\nw\tb\t1e200 2\n", encoding="utf-8")
         code, out, err = run(capsys, argv + [str(path)])
         assert (code, out) == (1, "")
-        assert err.startswith("ValueError: ") and "too large" in err
+        assert err.startswith("ValueError: ") and " left float64: " in err
 
     def test_shift_without_context_is_domain_error(self, capsys, table_file):
         code, _, err = run(capsys, ["shift", "--table", table_file, "--word", "horse"])
@@ -711,7 +720,7 @@ def test_non_finite_learning_rate_fails_before_any_output(tmp_path, subcommand, 
     assert result.stderr == "ValueError: learning rate must be positive and finite\n"
 
 
-# One failing run per subcommand, each failing before it prints anything.
+# One failing run per subcommand but selfcheck.
 FAILING_RUNS = {
     "import": ["--input", "{tmp}/missing.vec", "--output", "{tmp}/x.emb"],
     "neighbors": ["--table", "{table}", "--word", "zebra"],
@@ -748,17 +757,115 @@ def test_a_failing_run_prints_one_error_line_and_no_output(capsys, tmp_path, tab
     assert "Traceback" not in err
 
 
-def test_attend_overflow_prints_no_seed(tmp_path):
-    # numpy warns on the overflow, which pytest would raise in-process, so
-    # this run is a subprocess; the warnings may reach stderr (not stdout).
-    table = tmp_path / "big.vec"
-    table.write_text("2 2\na 1e200 1e200\nb 1e200 -1e200\n", encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "embgeom", "attend", "--table", str(table), "--tokens", "a b"],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 1
-    assert result.stdout == ""
+# The edge-argument sweep. Each entry is (expected exit, argv); "{name}"
+# fields name the files _sweep_files writes. No case asks for a large
+# allocation: a huge --dim would draw the whole V x dim table first.
+def _sweep():
+    huge = str(10**18)
+    table, pair = ["--table", "{table}"], ["--tokens", "horse cow"]
+    cases = {}
+    for n, code in (("0", 1), ("-1", 1), (huge, 0)):
+        cases[f"neighbors-k={n}"] = (code, ["neighbors", *table, "--word", "horse", "--k", n])
+        cases[f"train-window={n}"] = (code, ["train", "--corpus", "{corpus}", "--dim", "4",
+                                             "--window", n])
+        cases[f"attend-window={n}"] = (code, ["attend", *table, *pair, "--window", n])
+        for flag in ("--heads", "--layers", "--window"):
+            # 10**18 heads do not divide d; 10**18 layers overflow the draw's size
+            huge_code = 0 if flag == "--window" else 1
+            cases[f"contextualize{flag}={n}"] = (
+                huge_code if n == huge else code, ["contextualize", *table, *pair, flag, n])
+    for lr in ("nan", "inf", "5", "1e200"):  # 5 and 1e200 make the trainer diverge
+        cases[f"train-lr={lr}"] = (1, ["train", "--corpus", "{corpus}", "--dim", "4", "--lr", lr])
+        cases[f"probe-train-lr={lr}"] = (1 if lr in ("nan", "inf") else 0,
+                                         ["probe-train", "--data", "{probe}", "--lr", lr])
+    cases["attend-tokens="] = (1, ["attend", *table, "--tokens", ""])
+    cases["contextualize-tokens="] = (1, ["contextualize", *table, "--tokens", ""])
+    cases["shift-ctx="] = (1, ["shift", *table, "--word", "horse", "--ctx", ""])
+    for kind in ("magic", "dir", "missing"):
+        f = "{%s}" % kind
+        cases[f"import-{kind}"] = (1, ["import", "--input", f, "--output", "{tmp}/x.emb"])
+        cases[f"neighbors-{kind}"] = (1, ["neighbors", "--table", f, "--word", "horse"])
+        cases[f"train-{kind}"] = (1, ["train", "--corpus", f, "--dim", "4"])
+        cases[f"extract-{kind}"] = (1, ["extract", "--model", f, "--out", "{tmp}/x.vec"])
+        cases[f"attend-{kind}"] = (1, ["attend", "--table", f, *pair])
+        cases[f"contextualize-{kind}"] = (1, ["contextualize", *table, *pair, "--params", f])
+        cases[f"centroid-{kind}"] = (1, ["centroid", "--senses", f])
+        cases[f"shift-{kind}"] = (1, ["shift", "--table", f, "--word", "horse", "--ctx", "1 0"])
+        cases[f"separate-{kind}"] = (1, ["separate", "--senses", f, "--word", "bank", *table])
+        cases[f"probe-train-{kind}"] = (1, ["probe-train", "--data", f])
+        cases[f"probe-eval-{kind}"] = (1, ["probe-eval", "--model", f, "--data", "{probe}"])
+    # the +-1e200 table: neighbors rescales its rows, EMB1 holds no such
+    # float32 value, and the rest leave float64
+    big, x = ["--table", "{big}"], ["--tokens", "x y z"]
+    cases["import-big"] = (1, ["import", "--input", "{big}", "--output", "{tmp}/x.emb"])
+    cases["neighbors-big"] = (0, ["neighbors", *big, "--word", "x"])
+    cases["attend-big"] = (1, ["attend", *big, *x])
+    cases["attend-big-positional"] = (1, ["attend", *big, *x, "--positional"])
+    cases["contextualize-big"] = (1, ["contextualize", *big, *x])
+    cases["shift-big"] = (1, ["shift", *big, "--word", "x", "--ctx", "1 2 3 4"])
+    cases["centroid-big"] = (1, ["centroid", "--senses", "{big_senses}", *big])
+    cases["separate-big"] = (1, ["separate", "--senses", "{big_senses}", "--word", "x", *big])
+    cases["probe-train-big"] = (1, ["probe-train", "--data", "{big_probe}"])
+    cases["selfcheck-seed=huge"] = (0, ["selfcheck", "--seed", huge])
+    return cases
+
+
+SWEEP = _sweep()
+# numpy's warnings reach the real stderr only outside pytest, which raises
+# them in-process; this case checks the stderr a user sees.
+IN_A_SUBPROCESS = {"attend-big"}
+
+BIG_ROWS = ("1e200 -1e200 2e200 3e200", "-2e200 1e200 1e200 -1e200",
+            "3e200 2e200 -1e200 1e200")
+
+
+def _sweep_files(tmp_path):
+    """Write the sweep's inputs; returns the format fields of its argv."""
+    rng = random.Random(0)
+    words = "abcdefghij"
+    texts = {
+        "table": MINI_TABLE,
+        "big": "3 4\n" + "".join(f"{t} {row}\n" for t, row in zip("xyz", BIG_ROWS)),
+        # 30 sentences over 10 words: --lr 5 diverges at --dim 4
+        "corpus": "".join(" ".join(rng.choice(words) for _ in range(6)) + "\n"
+                          for _ in range(30)),
+        "probe": PROBE_TSV,
+        "big_senses": "".join(f"x\t{s}\t{row}\n" for s, row in
+                              zip("aabb", (*BIG_ROWS, "2e200 1e200 1e200 -1e200"))),
+        "big_probe": "p\tA\t1e200 1\nq\tB\t-1e200 1\n",
+    }
+    fields = {"tmp": str(tmp_path), "dir": str(tmp_path), "missing": str(tmp_path / "missing")}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        fields[name] = str(tmp_path / name)
+    # no container's magic, and not UTF-8 either
+    (tmp_path / "magic").write_bytes(b"EMB0\xff\xfe 1 2\n")
+    fields["magic"] = str(tmp_path / "magic")
+    return fields
+
+
+def test_sweep_covers_every_subcommand():
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert {argv[0] for _, argv in SWEEP.values()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP))
+def test_every_edge_run_keeps_the_exit_contract(capsys, tmp_path, case):
+    expected, template = SWEEP[case]
+    argv = [arg.format(**_sweep_files(tmp_path)) for arg in template]
+    if case in IN_A_SUBPROCESS:
+        result = subprocess.run([sys.executable, "-m", "embgeom", *argv],
+                                capture_output=True, text=True)
+        code, out, err = result.returncode, result.stdout, result.stderr
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv)
+        err += "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert code == expected, err
+    assert "Traceback" not in err and "Warning" not in err, err
+    if code == 1:  # one named line, and nothing on stdout: not even the seed
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 @pytest.mark.parametrize("window", ["0", "-5"])

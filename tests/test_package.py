@@ -21,6 +21,11 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
 
 
+def _module_trees():
+    """Each module of the package, by its name, as a parsed tree."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(embgeom.__file__).parent.glob("*.py")}
+
 
 # The pure-Python algebra: the traced benchmark counts calls of these three
 # (tests/test_benchmark_contract.py pins the names) and tests replay the
@@ -31,9 +36,9 @@ PURE_PYTHON = {"dot", "softmax", "linear_apply"}
 def _linalg_names_used():
     """Per module of the package, the linalg names it imports or reads as attributes."""
     used = {}
-    for path in Path(embgeom.__file__).parent.glob("*.py"):
-        names = used[path.stem] = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module, tree in _module_trees().items():
+        names = used[module] = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg":
@@ -60,9 +65,7 @@ def _private_definitions_and_uses():
     reads them by ``from .m import name`` or as ``m.name``.
     """
     defined, used = set(), set()
-    for path in Path(embgeom.__file__).parent.glob("*.py"):
-        module = path.stem
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _module_trees().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -86,3 +89,30 @@ def _private_definitions_and_uses():
 def test_every_private_helper_is_used_in_the_package():
     defined, used = _private_definitions_and_uses()
     assert sorted(defined - used) == []
+
+
+def test_only_linalg_makes_numpy_errors_raise():
+    # linalg._float64_policy is the one rule for numeric failure; a module
+    # with its own raising np.errstate would name its failures its own way
+    raising = set()
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "errstate"
+                    and any(isinstance(k.value, ast.Constant) and k.value.value == "raise"
+                            for k in node.keywords)):
+                raising.add(module)
+    assert raising == {"linalg"}
+
+
+def test_no_subcommand_writes_stdout_itself():
+    # cli.main prints the seed and a command's lines once the command has
+    # returned, so a failing run leaves stdout empty
+    writers = set()
+    for node in _module_trees()["cli"].body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Name) and inner.id == "print"
+                        or isinstance(inner, ast.Attribute) and inner.attr == "stdout"):
+                    writers.add(node.name)
+    assert writers == set()
