@@ -464,7 +464,8 @@ def main(argv=None):
     try:
         result = args.func(args)
     # RuntimeError: a text-table worker process died (BrokenProcessPool).
-    except (EmbgeomError, ValueError, TypeError, OSError, RuntimeError) as exc:
+    # MemoryError: a draw or table too large to allocate; numpy names its size.
+    except (EmbgeomError, ValueError, TypeError, OSError, RuntimeError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     lines, code = result if isinstance(result, tuple) else (result, 0)

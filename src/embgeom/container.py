@@ -23,9 +23,6 @@ PRB1 = b"PRB1"
 
 _U32 = struct.Struct("<I")
 
-# Bytes read at a time ahead of the header and name fields of a file source.
-_READ_AHEAD = 1 << 16
-
 # Fixed or scientific decimal notation; deliberately narrower than float()
 # (no nan/inf, no underscores, no hex, no whitespace, ASCII digits only).
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
@@ -77,43 +74,25 @@ def build(constructor, *args, line=None, **kwargs):
 class Reader:
     """A cursor over one container, starting after its magic.
 
-    ``source`` is bytes-like or a binary file object. A seekable file that
-    can ``readinto`` is read in pieces: the header and names as the fields
-    need them, each float payload with ``readinto`` straight into a fresh
-    array. Any other file is read whole first. A payload read from bytes is
-    a zero-copy view when it sits at an aligned offset and an aligned copy
-    when not; numpy runs no BLAS kernel on an unaligned array. Either way
+    ``source`` is bytes-like or a binary file object. :func:`_whole` reads
+    it into one buffer, and every field is parsed from that buffer. A
+    payload is a zero-copy view of it when it sits at an aligned offset and
+    an aligned copy when not; numpy runs no BLAS kernel on an unaligned
+    array. A file's buffer ends on a 64-byte boundary, so a payload that
+    ends the file, such as EMB1's rows, is always a view. Either way
     :meth:`floats` returns an aligned, read-only array.
     """
 
     def __init__(self, source, magic):
-        self.raw, self.pos, self._file = b"", 0, None
-        if _seekable_file(source):
-            self._file = source
-        else:
-            self.raw = read_bytes(source)
-        self._fill(4)
-        got = self.raw[:4]
+        self.raw, self.pos = _whole(source), 4
+        got = bytes(self.raw[:4])
         if got != magic:
             raise ParseError(f"bad magic: {got!r}, expected {magic!r}")
-        self.pos = 4
-
-    def _fill(self, n):
-        """Whether ``n`` bytes follow the cursor, reading ahead from a file
-        source until they do or it ends."""
-        short = n - (len(self.raw) - self.pos)
-        if short > 0 and self._file is not None:
-            parts = [self.raw[self.pos :]]
-            while short > 0 and (part := self._file.read(max(short, _READ_AHEAD))):
-                parts.append(part)
-                short -= len(part)
-            self.raw, self.pos = b"".join(parts), 0
-        return short <= 0
 
     def _take(self, n, what):
-        if not self._fill(n):
-            raise ParseError(f"truncated {what}")
         start = self.pos
+        if start + n > len(self.raw):
+            raise ParseError(f"truncated {what}")
         self.pos += n
         return start
 
@@ -135,76 +114,59 @@ class Reader:
         out = []
         for _ in range(count):
             if pos + 4 > end:
-                raw, pos, end = self._refill(pos, 4, what)
+                raise ParseError(f"truncated {what}")
             (n,) = unpack(raw, pos)
-            if pos + 4 + n > end:
-                raw, pos, end = self._refill(pos, 4 + n, what)
             pos += 4
+            if pos + n > end:
+                raise ParseError(f"truncated {what}")
             try:
-                out.append(raw[pos : pos + n].decode("utf-8"))
+                out.append(str(raw[pos : pos + n], "utf-8"))
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{what} is not UTF-8: {exc}") from None
             pos += n
         self.pos = pos
         return out
 
-    def _refill(self, pos, n, what):
-        """:meth:`names`' cursor moved to ``pos`` with ``n`` bytes after it."""
-        self.pos = pos
-        if not self._fill(n):
-            raise ParseError(f"truncated {what}")
-        return self.raw, self.pos, len(self.raw)
-
     def floats(self, count, dtype, what):
         """``count`` finite ``dtype`` floats (``"<f4"`` or ``"<f8"``) as an
         aligned, read-only array."""
-        size = count * np.dtype(dtype).itemsize
-        if self._file is None:
-            start = self._take(size, what)
-            arr = np.frombuffer(self.raw, dtype, count, start)
-            if not arr.flags.aligned:
-                arr = arr.copy()
-        else:
-            arr = self._read_into(count, dtype, size, what)
+        start = self._take(count * np.dtype(dtype).itemsize, what)
+        arr = np.frombuffer(self.raw, dtype, count, start)
+        if not arr.flags.aligned:
+            arr = arr.copy()
         if not np.isfinite(arr).all():
             raise ParseError(f"non-finite value in {what}")
         arr.flags.writeable = False
         return arr
 
-    def _read_into(self, count, dtype, size, what):
-        """A fresh array of ``size`` bytes filled from the bytes read ahead,
-        then from the file itself."""
-        ahead = len(self.raw) - self.pos
-        here = self._file.tell()
-        if size > ahead + self._file.seek(0, 2) - here:  # before allocating
-            raise ParseError(f"truncated {what}")
-        self._file.seek(here)
-        arr = np.empty(count, dtype)
-        view = memoryview(arr).cast("B")
-        got = min(ahead, size)
-        view[:got] = self.raw[self.pos : self.pos + got]
-        self.pos += got
-        while got < size:
-            n = self._file.readinto(view[got:])
-            if not n:
-                raise ParseError(f"truncated {what}")
-            got += n
-        return arr
-
     def end(self):
-        extra = len(self.raw) - self.pos
-        if self._file is not None:
-            extra += len(self._file.read())
-        if extra:
+        if extra := len(self.raw) - self.pos:
             raise ParseError(f"{extra} trailing bytes")
 
 
-def _seekable_file(source):
-    """Whether ``source`` is a file object :class:`Reader` can read in pieces."""
+def _whole(source):
+    """A memoryview of the content of ``source``, in one buffer.
+
+    A seekable file that can ``readinto`` is read from its position in one
+    loop into a fresh array, placed so that the file's last byte ends on a
+    64-byte boundary. Any other source is read whole by :func:`read_bytes`.
+    """
     try:
-        return source.seekable() and hasattr(source, "readinto")
+        sized = source.seekable() and hasattr(source, "readinto")
     except (AttributeError, ValueError):  # bytes or another non-file, or a closed file
-        return False
+        sized = False
+    if not sized:
+        return memoryview(read_bytes(source))
+    here = source.tell()
+    size = source.seek(0, 2) - here
+    source.seek(here)
+    buf = np.empty(size + 64, np.uint8)
+    start = -(buf.ctypes.data + size) % 64
+    view = memoryview(buf)[start : start + size]
+    got = 0
+    while got < size and (n := source.readinto(view[got:])):
+        got += n
+    return view[:got]
 
 
 def u64s(*values):

@@ -524,8 +524,9 @@ def save_embeddings_text(table):
 def load_embeddings_binary(source, lowercase=False):
     """Parse the EMB1 binary embedding format into an EmbeddingTable.
 
-    ``source`` is bytes or a binary file object; a seekable file's rows are
-    read straight into the table's array (see :class:`container.Reader`).
+    ``source`` is bytes or a binary file object; a seekable file is read
+    once, and the table's array is an aligned view of that read (see
+    :class:`container.Reader`).
     ``lowercase`` folds the vocabulary as :func:`load_embeddings_text` does;
     two tokens that fold alike are a ParseError.
     """
@@ -544,10 +545,17 @@ def save_embeddings_binary(table):
     """Serialize a table to the EMB1 binary format as bytes.
 
     Matrix entries are stored as little-endian float32; vocabulary entries
-    are UTF-8 with a little-endian u32 byte-length prefix.
+    are UTF-8 with a little-endian u32 byte-length prefix. A table with a
+    value beyond float32 is a ValueError naming the first such row.
     """
+    try:
+        rows = container.floats(table._array, "<f4")
+    except ValueError as exc:
+        with np.errstate(over="ignore"):
+            fits = np.isfinite(table._array.astype(np.float32)).all(axis=1)
+        raise ValueError(f"row {table.vocab[fits.argmin()]!r}: {exc}") from None
     head = container.EMB1 + container.u64s(table.V, table.D)
-    return head + container.names(table.vocab) + container.floats(table._array, "<f4")
+    return head + container.names(table.vocab) + rows
 
 
 def _row_norms(arr, unit_rows):

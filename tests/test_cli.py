@@ -757,6 +757,20 @@ def test_a_failing_run_prints_one_error_line_and_no_output(capsys, tmp_path, tab
     assert "Traceback" not in err
 
 
+def test_an_allocation_failure_prints_one_error_line(capsys, monkeypatch, table_file):
+    # Stands in for a draw too large to allocate; no test asks for a real one.
+    def no_memory(config, seed):
+        raise MemoryError("Unable to allocate 7.28 EiB for an array with shape "
+                          "(1000000000000000000,) and data type float64")
+
+    monkeypatch.setattr(attention, "random_stack_params", no_memory)
+    code, out, err = run(capsys, ["contextualize", "--table", table_file,
+                                  "--tokens", "horse cow"])
+    assert (code, out) == (1, "")
+    assert err == ("MemoryError: Unable to allocate 7.28 EiB for an array with shape "
+                   "(1000000000000000000,) and data type float64\n")
+
+
 # The edge-argument sweep. Each entry is (expected exit, argv); "{name}"
 # fields name the files _sweep_files writes. No case asks for a large
 # allocation: a huge --dim would draw the whole V x dim table first.
@@ -814,6 +828,8 @@ SWEEP = _sweep()
 # numpy's warnings reach the real stderr only outside pytest, which raises
 # them in-process; this case checks the stderr a user sees.
 IN_A_SUBPROCESS = {"attend-big"}
+# What a case's stderr line must name.
+NAMED_IN_STDERR = {"import-big": "row 'x'"}
 
 BIG_ROWS = ("1e200 -1e200 2e200 3e200", "-2e200 1e200 1e200 -1e200",
             "3e200 2e200 -1e200 1e200")
@@ -866,6 +882,7 @@ def test_every_edge_run_keeps_the_exit_contract(capsys, tmp_path, case):
     assert "Traceback" not in err and "Warning" not in err, err
     if code == 1:  # one named line, and nothing on stdout: not even the seed
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
+    assert NAMED_IN_STDERR.get(case, "") in err, err
 
 
 @pytest.mark.parametrize("window", ["0", "-5"])

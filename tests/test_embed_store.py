@@ -14,7 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from embgeom import embed_store
+from embgeom import container, embed_store
 from embgeom.embed_store import (
     EmbeddingTable,
     load_embeddings_binary,
@@ -576,7 +576,7 @@ class TestAlignedPayload:
     """Wherever the names leave the payload, the rows load aligned."""
 
     @pytest.mark.parametrize("offset", [0, 1, 2, 3])
-    def test_every_payload_offset_loads_aligned(self, tmp_path, offset):
+    def test_every_payload_offset_loads_aligned(self, tmp_path, monkeypatch, offset):
         rows = np.random.default_rng(26).normal(size=(3, 5)).astype(np.float32)
         # EMB1 header 20 bytes, then (4 + len) per name
         vocab = ["a" * (1 + (offset + 1) % 4), "b", "c"]
@@ -584,6 +584,13 @@ class TestAlignedPayload:
         start = 20 + sum(4 + len(t) for t in vocab)
         assert start % 4 == offset and len(blob) == start + rows.nbytes
         blob_at = np.frombuffer(blob, np.uint8).ctypes.data
+        reads, whole = [], container._whole
+
+        def spy(source):
+            reads.append(whole(source))
+            return reads[-1]
+
+        monkeypatch.setattr(container, "_whole", spy)
         for kind, source in emb1_sources(blob, tmp_path):
             t = load_embeddings_binary(source)
             arr = t._array
@@ -594,6 +601,10 @@ class TestAlignedPayload:
             # bytes keep the zero-copy view where the payload is aligned
             in_blob = blob_at <= arr.ctypes.data < blob_at + len(blob)
             assert in_blob == (kind == "bytes" and (blob_at + start) % 4 == 0)
+            if kind != "bytes":  # a file's rows are a view of its one read, ending aligned
+                assert (arr.ctypes.data + arr.nbytes) % 64 == 0, kind
+                assert np.shares_memory(arr, np.frombuffer(reads[-1], np.uint8)), kind
+        assert len(reads) == 3
 
 
 def brute_force(table_rows, vocab, token, k, filter=None):

@@ -170,16 +170,22 @@ def _valid_inputs():
         ProbeExample("rock", frozenset(), Vector([-1.0, -1.0])),
     ]
     # (loader, valid blob, float width in bytes, or None for text formats)
-    return {
-        "text_table": (load_embeddings_text, save_embeddings_text(table), None),
+    binary = {
         "emb1": (load_embeddings_binary, save_embeddings_binary(table), 4),
-        "emb1_file_object": (
-            lambda blob: load_embeddings_binary(io.BytesIO(blob)), save_embeddings_binary(table), 4
-        ),
         "named_matrices": (load_named_matrices, save_named_matrices(named), 4),
         "attention_params": (load_attention_params, save_attention_params(stack), 4),
         "tlm1": (load_model, save_model(model), 8),
         "prb1": (load_probe_model, save_probe_model(probe), 8),
+    }
+    # each binary container again from an in-memory file: the Reader's file path
+    files = {
+        f"{name}_file_object": (lambda blob, load=load: load(io.BytesIO(blob)), blob, width)
+        for name, (load, blob, width) in binary.items()
+    }
+    return {
+        **binary,
+        **files,
+        "text_table": (load_embeddings_text, save_embeddings_text(table), None),
         "sense_tsv": (load_sense_tsv, save_sense_tsv([inventory]), None),
         "probe_tsv": (load_probe_tsv, save_probe_tsv(examples), None),
     }
