@@ -193,18 +193,21 @@ def cmd_contextualize(args):
     return lines
 
 
-def cmd_centroid(args):
+def _inventory(args):
+    """The inventory of ``--word`` in the ``--senses`` TSV, or without
+    ``--word`` of the one word it holds."""
     inventories = sense_geometry.load_sense_tsv(_read(args.senses))
     if args.word is not None:
         if args.word not in inventories:
             raise EmbgeomError(f"word {args.word!r} not present in {args.senses}")
-        inventory = inventories[args.word]
-    elif len(inventories) == 1:
-        inventory = next(iter(inventories.values()))
-    else:
-        raise EmbgeomError(
-            f"{args.senses} holds {len(inventories)} words; pass --word"
-        )
+        return inventories[args.word]
+    if len(inventories) != 1:
+        raise EmbgeomError(f"{args.senses} holds {len(inventories)} words; pass --word")
+    return next(iter(inventories.values()))
+
+
+def cmd_centroid(args):
+    inventory = _inventory(args)
     token_emb = None
     if args.table:
         token_emb = _load_table(args.table).lookup(inventory.word)
@@ -247,10 +250,7 @@ def cmd_shift(args):
 
 
 def cmd_separate(args):
-    inventories = sense_geometry.load_sense_tsv(_read(args.senses))
-    if args.word not in inventories:
-        raise EmbgeomError(f"word {args.word!r} not present in {args.senses}")
-    senses = inventories[args.word].senses
+    senses = _inventory(args).senses
     occurrences = np.vstack([m.array for m in senses.values()])
     gold = [sense for sense, m in senses.items() for _ in range(m.rows)]
     token_emb = _load_table(args.table).lookup(args.word)

@@ -2,7 +2,10 @@
 
 Each check draws randomized cases from a seeded generator, asserts one
 documented invariant, and reports pass/fail with a short detail line.
-The suite is sized to finish in seconds.
+The checks run the code the commands run: centroids come from
+``inventory_report``, as ``embgeom centroid`` prints them, and positional
+rows from ``embed_sequence``, as ``embgeom contextualize --positional``
+builds them. The suite is sized to finish in seconds.
 """
 
 import math
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, embed_store, sense_geometry, trainer
-from .linalg import Matrix, Vector, random_array
+from .linalg import Matrix, random_array
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -93,10 +96,10 @@ def _check_permutation_equivariance(rng):
     d, n = 4, 2
     config = attention.MultiHeadConfig(d=d, n=n, layers=1)
     params = attention.random_stack_params(config, seed=rng.randrange(10**9))
-    X = np.array([_random_vector(rng, d) for _ in range(3)])
-    positions = np.array([attention.positional_encoding(i, d).components for i in range(3)])
-    with_pos = X + positions
-    with_pos_rev = X[::-1] + positions
+    tokens = ["t0", "t1", "t2"]
+    table = embed_store.EmbeddingTable(tokens, [_random_vector(rng, d) for _ in tokens])
+    with_pos = attention.embed_sequence(table, tokens, use_positional=True)
+    with_pos_rev = attention.embed_sequence(table, tokens[::-1], use_positional=True)
     out = attention.stack_forward(with_pos, config, params)
     out_rev = attention.stack_forward(with_pos_rev, config, params)
     broke = any(
@@ -177,26 +180,32 @@ def _check_gradients(rng):
     return CheckResult("gradient check", passed, f"max relative error = {worst:.2e}")
 
 
+def _centroid(occurrences):
+    """The centroid ``embgeom centroid`` prints for one sense of these occurrences."""
+    inventory = sense_geometry.SenseInventory("w", {"s": occurrences})
+    return sense_geometry.inventory_report(inventory).centroids[0]
+
+
 def _check_centroid_identity(rng):
     for _ in range(20):
         d = rng.randint(1, 6)
-        v = Vector(_random_vector(rng, d))
+        v = _random_vector(rng, d)
         k = rng.randint(1, 5)
-        c = sense_geometry.sense_centroid([v] * k)
+        c = _centroid([v] * k)
         if max(abs(a - b) for a, b in zip(c, v)) > 1e-12:
             return CheckResult(
                 "centroid identity", False, "mean of copies is not the copy"
             )
-        occ = [Vector(_random_vector(rng, d)) for _ in range(k + 1)]
+        occ = [_random_vector(rng, d) for _ in range(k + 1)]
         perm = list(range(k + 1))
         rng.shuffle(perm)
-        c1 = sense_geometry.sense_centroid(occ)
-        c2 = sense_geometry.sense_centroid([occ[p] for p in perm])
+        c1 = _centroid(occ)
+        c2 = _centroid([occ[p] for p in perm])
         if max(abs(a - b) for a, b in zip(c1, c2)) > 1e-12:
             return CheckResult(
                 "centroid identity", False, "centroid is order-sensitive"
             )
-        cancel = sense_geometry.sense_centroid([v, -np.array(v.components)])
+        cancel = _centroid([v, -v])
         if max(abs(x) for x in cancel) > 1e-12:
             return CheckResult(
                 "centroid identity", False, "opposite pairs do not cancel"

@@ -35,12 +35,10 @@ __all__ = [
     "ProbeModel",
     "ProbeConfig",
     "ProbeExample",
-    "sense_centroid",
     "contextual_shift",
     "homonym_separation",
     "inventory_report",
     "probe_train",
-    "probe_scores",
     "probe_predict",
     "ambiguity_flag",
     "probe_accuracy",
@@ -84,10 +82,6 @@ class SenseInventory:
         if len(dims) != 1:
             raise DimensionError(f"{self.word!r}: mixed occurrence dims {sorted(dims)}")
         object.__setattr__(self, "senses", clean)
-
-    @property
-    def d(self):
-        return next(iter(self.senses.values())).cols
 
 
 @dataclass(frozen=True)
@@ -144,16 +138,6 @@ def _distances(x, xnorms, c, metric):
     dist = x @ c.T
     dist /= np.outer(xnorms, cnorms)
     return np.subtract(1.0, dist, out=dist)
-
-
-@linalg._float64_policy("sense centroid")
-def sense_centroid(occurrences):
-    """Mean of the occurrence vectors of one sense."""
-    try:
-        x = linalg.matrix_array(occurrences)
-    except EmptyInputError:
-        raise EmptyInputError("a centroid needs at least one occurrence") from None
-    return Vector(_mean(x).tolist())
 
 
 @linalg._float64_policy("contextual shift")
@@ -463,11 +447,6 @@ def _evaluate(model, examples, threshold):
     x, labels = _normalize_examples(examples)
     predictions = _predict(model, x, threshold)
     return predictions, sum(p == l for p, l in zip(predictions, labels)) / len(labels)
-
-
-def probe_scores(model, emb):
-    """Sigmoid score per class, in model class order."""
-    return _scores(model, linalg.matrix_array([emb]))[0]
 
 
 def probe_predict(model, emb, threshold=0.5):

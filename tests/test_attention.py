@@ -211,6 +211,10 @@ class TestHeadForward:
                 Wq=Matrix.identity(2), Wk=Matrix.identity(2), Wv=Matrix.zeros(3, 2)
             )
 
+    def test_input_width_other_than_the_heads_d(self):
+        with pytest.raises(DimensionError, match="head expects input dim 2, sequence has 3"):
+            head_forward([[1.0, 2.0, 3.0]], identity_head(2))
+
 
 class TestMultiheadForward:
     def test_single_head_identity_wo_matches_head_forward(self):
@@ -823,10 +827,18 @@ class TestParamPersistence:
                                  "layer0.Wo": Matrix.identity(2),
                                  **head_matrices(1, 0, 3, 3),
                                  "layer1.Wo": Matrix.identity(3)}),
+            # the one matrix of a 1-matrix file, its count set to 2 and its record repeated
+            b"ATT1" + struct.pack("<Q", 2) + 2 * save_named_matrices({"m": Matrix([[1.0]])})[12:],
+            save_named_matrices({**head_matrices(0, 0, 1, 1),
+                                 "layer0.Wo": Matrix.identity(1),
+                                 "layer0.head0.bias": Matrix([[1.0]])}),
         ],
         ids=["no-Wk", "no-Wv", "no-heads", "unequal-shapes", "zero-rows", "nan-entry",
-             "unequal-heads", "heads-short-of-d", "wo-not-d-by-d", "layers-differ-in-d"],
+             "unequal-heads", "heads-short-of-d", "wo-not-d-by-d", "layers-differ-in-d",
+             "duplicate-name", "matrix-outside-the-scheme"],
     )
-    def test_malformed_rejected(self, blob):
-        with pytest.raises(ParseError):
+    def test_malformed_rejected(self, blob, request):
+        match = {"duplicate-name": "duplicate matrix name 'm'",
+                 "matrix-outside-the-scheme": "outside the layer scheme"}
+        with pytest.raises(ParseError, match=match.get(request.node.callspec.id)):
             load_attention_params(blob)

@@ -520,6 +520,21 @@ class TestSenseSubcommands:
         assert code == 1
         assert "--word" in err
 
+    def test_centroid_word_picks_its_inventory_from_a_multi_word_file(self, capsys, tmp_path):
+        path = tmp_path / "multi.tsv"
+        path.write_text(
+            "bank\triver\t1 0\nbat\tanimal\t2 4\nbank\tmoney\t0 1\n"
+            "bat\tanimal\t4 2\nbat\tclub\t0 1\n", encoding="utf-8"
+        )
+        code, out, _ = run(capsys, ["centroid", "--senses", str(path), "--word", "bat",
+                                    "--format", "tsv"])
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "centroid\tanimal\t3.0 3.0",
+            "centroid\tclub\t0.0 1.0",
+            "distance\tanimal\tclub\t0.2928932188134524",
+        ]
+
     def test_shift_inline_context(self, capsys, table_file):
         _, out, _ = run(
             capsys,

@@ -239,7 +239,7 @@ class TestTextFormat:
             load_embeddings_text(b"3 2\na 1 0\nb 0 1\n")
 
     def test_bad_header(self):
-        for header in (b"2", b"2 2 2", b"-1 2", b"2 x", b"2  2"):
+        for header in (b"2", b"2 2 2", b"-1 2", b"2 x", b"2  2", b"0 2", b"2 0"):
             with pytest.raises(ParseError, match="line 1"):
                 load_embeddings_text(header + b"\na 1 0\nb 0 1\n")
 

@@ -91,6 +91,26 @@ def test_every_private_helper_is_used_in_the_package():
     assert sorted(defined - used) == []
 
 
+# Exports with no reader in the package, each kept for a caller outside it.
+_FUZZ = "the format fuzz in tests/test_formats.py builds its inputs with it"
+UNREAD_EXPORTS = {
+    **{("linalg", n): "the traced benchmark counts its calls" for n in PURE_PYTHON},
+    ("sense_geometry", "ambiguity_flag"): "acceptance criterion 09 calls it",
+    ("sense_geometry", "save_sense_tsv"):
+        f"writes the sense TSV the CLI reads; {_FUZZ}; ROADMAP item 5 gives it a caller",
+    ("sense_geometry", "save_probe_tsv"): f"writes the probe TSV the CLI reads; {_FUZZ}",
+}
+
+
+def test_every_export_is_read_in_the_package():
+    _, used = _private_definitions_and_uses()
+    unread = {(m, n) for m in MODULES
+              for n in getattr(importlib.import_module(f"embgeom.{m}"), "__all__", ())
+              if (m, n) not in used}
+    assert sorted(unread - set(UNREAD_EXPORTS)) == []
+    assert sorted(set(UNREAD_EXPORTS) - unread) == []
+
+
 def test_only_linalg_makes_numpy_errors_raise():
     # linalg._float64_policy is the one rule for numeric failure; a module
     # with its own raising np.errstate would name its failures its own way

@@ -36,12 +36,10 @@ from embgeom.sense_geometry import (
     load_sense_tsv,
     probe_accuracy,
     probe_predict,
-    probe_scores,
     probe_train,
     save_probe_model,
     save_probe_tsv,
     save_sense_tsv,
-    sense_centroid,
 )
 from embgeom.linalg import Matrix
 
@@ -143,30 +141,35 @@ def two_clusters(n, d, seed):
     return occ.tolist(), rng.normal(size=d).tolist()
 
 
+def _sense_centroid(occurrences):
+    """The centroid of one sense's occurrences, read off inventory_report."""
+    return inventory_report(SenseInventory(word="w", senses={"s": occurrences})).centroids[0]
+
+
 class TestSenseCentroid:
     def test_singleton(self):
         v = Vector([1.5, -2.0])
-        assert sense_centroid([v]) == v
+        assert _sense_centroid([v]) == v
 
     def test_midpoint(self):
-        assert sense_centroid([[0.0, 2.0], [2.0, 0.0]]) == Vector([1.0, 1.0])
+        assert _sense_centroid([[0.0, 2.0], [2.0, 0.0]]) == Vector([1.0, 1.0])
 
     def test_cancellation(self):
         v = Vector([3.0, -1.0, 2.0])
         occ = [v] * 4 + [Vector([-3.0, 1.0, -2.0])] * 4
-        assert sense_centroid(occ) == Vector([0.0, 0.0, 0.0])
+        assert _sense_centroid(occ) == Vector([0.0, 0.0, 0.0])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(50)
         occ = [rng.normal(size=3) for _ in range(6)]
-        a = sense_centroid(occ)
+        a = _sense_centroid(occ)
         perm = [occ[i] for i in rng.permutation(6)]
-        b = sense_centroid(perm)
+        b = _sense_centroid(perm)
         np.testing.assert_allclose(a.components, b.components, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            sense_centroid([])
+            _sense_centroid([])
 
 
 def _sense_distance(c1, c2, metric="cosine"):
@@ -386,12 +389,15 @@ class TestHomonymSeparation:
 
 
 class TestSeparationMatchesReference:
-    @pytest.mark.parametrize("metric, n, d, seed", [
-        ("cosine", 150, 32, 61),
-        ("cosine", 24, 768, 62),
-        ("euclidean", 40, 4, 63),
-    ])
-    def test_replay(self, metric, n, d, seed):
+    # a cap of one pass ends every run at the cap, not at a fixpoint
+    @pytest.mark.parametrize("metric, n, d, seed, max_iter", [
+        ("cosine", 150, 32, 61, sense_geometry.MAX_ITER),
+        ("cosine", 24, 768, 62, sense_geometry.MAX_ITER),
+        ("euclidean", 40, 4, 63, sense_geometry.MAX_ITER),
+        ("cosine", 150, 32, 61, 1),
+    ], ids=["cosine-150-32-61", "cosine-24-768-62", "euclidean-40-4-63", "cosine-150-32-61-capped"])
+    def test_replay(self, metric, n, d, seed, max_iter, monkeypatch):
+        monkeypatch.setattr(sense_geometry, "MAX_ITER", max_iter)
         occ, token = two_clusters(n, d, seed)
         for split_seed in range(3):
             report = homonym_separation(token, occ, seed=split_seed, metric=metric)
@@ -456,7 +462,7 @@ class TestInventoryReport:
 @pytest.mark.parametrize("call", [
     lambda: contextual_shift([1e200, 1.0], [1e200, 2.0]),
     lambda: contextual_shift([1e200, 0.0], [-1e200, 0.0], metric="euclidean"),
-    lambda: sense_centroid([[1e308, 0.0], [1e308, 0.0]]),
+    lambda: inventory_report(SenseInventory("w", {"a": [[1e308, 0.0], [1e308, 0.0]]})),
     lambda: inventory_report(SenseInventory("w", {"a": [[1e200, 1.0]], "b": [[1e200, 2.0]]})),
     lambda: inventory_report(SenseInventory("w", {"a": [[1e200, 0.0]], "b": [[-1e200, 0.0]]}),
                              metric="euclidean"),
@@ -523,7 +529,8 @@ class TestSenseInventory:
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])
         inv = SenseInventory(word="w", senses={"a": rows, "b": [Vector([5.0, 6.0])]})
         rows[0, 0] = 9.0  # the inventory holds a copy
-        assert list(inv.senses["a"]) == [Vector([1.0, 2.0]), Vector([3.0, 4.0])] and inv.d == 2
+        assert list(inv.senses["a"]) == [Vector([1.0, 2.0]), Vector([3.0, 4.0])]
+        assert inv.senses["a"].cols == 2
         assert not inv.senses["b"].array.flags.writeable
 
 
@@ -731,7 +738,7 @@ class TestProbePredict:
             biases=(0.0, 0.0),
         )
         assert probe_predict(model, [3.0]) == {"A", "B"}
-        assert probe_scores(model, [3.0]) == (0.5, 0.5)
+        assert sense_geometry._scores(model, np.array([[3.0]])) == [(0.5, 0.5)]
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
@@ -754,7 +761,7 @@ class TestProbePredict:
         model = ProbeModel(classes=("A", "B"), weights=((1e300, -1e300), (1e300, 0.0)),
                            biases=(0.0, 0.0))
         for call in (
-            lambda: probe_scores(model, [1e10, 1e10]),
+            lambda: sense_geometry._scores(model, np.array([[1e10, 1e10]])),
             lambda: probe_predict(model, [1e10, 1e10], threshold=0.0),
             lambda: probe_accuracy(model, [([0.0, 1.0], {"A"}), ([1e10, 1e10], {"B"})]),
         ):
@@ -764,7 +771,7 @@ class TestProbePredict:
     def test_overflow_to_inf_still_scores(self):
         model = ProbeModel(classes=("A", "B"), weights=((1e300, 1e300), (-1e300, 0.0)),
                            biases=(0.0, 0.0))
-        assert probe_scores(model, [1e10, 1e10]) == (1.0, 0.0)
+        assert sense_geometry._scores(model, np.array([[1e10, 1e10]])) == [(1.0, 0.0)]
         assert probe_predict(model, [1e10, 1e10]) == {"A"}
 
 
@@ -802,7 +809,7 @@ class TestProbeModel:
 
 
 class TestOneScoringKernel:
-    """probe_scores, probe_predict and probe_accuracy share one kernel whose
+    """probe_predict and probe_accuracy share one scoring kernel whose
     scores of a row do not depend on the other rows scored with it."""
 
     @pytest.mark.parametrize("n, d, seed", [(24, 768, 81), (60, 8, 82), (7, 3, 83)])
@@ -814,7 +821,7 @@ class TestOneScoringKernel:
         odd = sense_geometry._scores(model, x[1::2])
         predictions, accuracy = sense_geometry._evaluate(model, examples, 0.5)
         for i, (v, labels) in enumerate(examples):
-            assert probe_scores(model, v) == batch[i]
+            assert sense_geometry._scores(model, np.array([v])) == [batch[i]]
             assert probe_predict(model, v) == predictions[i]
             if i % 2:
                 assert odd[i // 2] == batch[i]
@@ -898,7 +905,7 @@ class TestSenseTsv:
         bank = load_sense_tsv(self.SAMPLE)["bank"]
         np.testing.assert_array_equal(bank.senses["river"].array, [[1.0, 0.0], [0.9, 0.1]])
         # each word has its own dim
-        assert load_sense_tsv(b"a\tx\t1\nb\ty\t1 2\n")["b"].d == 2
+        assert load_sense_tsv(b"a\tx\t1\nb\ty\t1 2\n")["b"].senses["y"].cols == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
