@@ -14,7 +14,6 @@ linalg's one ``ValueError: <what> left float64: ...`` line.
 """
 
 import argparse
-import io
 import sys
 
 import numpy as np
@@ -46,8 +45,13 @@ def _parse_filter(spec):
 
 
 def _read(path):
-    with open(path, "rb") as fh:
-        return fh.read()
+    """The content of the file at ``path``, read once by :func:`container.read`.
+
+    The file is opened unbuffered: a buffered file's ``read()`` joins the
+    bytes it read ahead to the rest, a second copy of a piped input.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        return container.read(fh)
 
 
 def _write(path, blob):
@@ -56,19 +60,12 @@ def _write(path, blob):
 
 
 def _load_table(path, lowercase=False):
-    """An EMB1 table read from its open file, or a text table from its bytes.
-
-    The file is opened unbuffered: a buffered file's ``read()`` joins the
-    bytes it read ahead to the rest, a second copy of a text table. A pipe
-    cannot seek back to its start, so it is read whole.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        head = fh.read(4)
-        src = fh if fh.seekable() else io.BytesIO(head + fh.read())  # a pipe
-        src.seek(0)
-        if head == container.EMB1:
-            return embed_store.load_embeddings_binary(src, lowercase=lowercase)
-        return embed_store.load_embeddings_text(src.read(), lowercase=lowercase)
+    """The table at ``path``: EMB1 if its magic says so, else text, parsed
+    from the one read of the file."""
+    raw = _read(path)
+    if raw[:4] == container.EMB1:
+        return embed_store.load_embeddings_binary(raw, lowercase=lowercase)
+    return embed_store.load_embeddings_text(raw, lowercase=lowercase)
 
 
 def _fmt(x):

@@ -5,7 +5,8 @@ names, each behind its little-endian u32 byte length, and little-endian f32
 or f64 payloads, with nothing after the last field. Each format module
 picks its fields and their order; this module encodes and checks them, and
 every decoding failure it reports is a :class:`~embgeom.errors.ParseError`.
-It also reads every loader's sources, binary or UTF-8 text, and text decimals.
+Its :func:`read` is the package's one reader: every loader's source, binary
+or UTF-8 text, becomes one read-only buffer there. It also reads text decimals.
 """
 
 import math
@@ -28,23 +29,44 @@ _U32 = struct.Struct("<I")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 
 
-def read_bytes(source):
-    """The content of ``source``: bytes-like, or a binary file object."""
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    return source.read()
+def read(source):
+    """The content of ``source`` as one read-only memoryview.
+
+    ``source`` is a str, taken as UTF-8 (a lone surrogate then fails every
+    UTF-8 check), a bytes-like object, or a binary file object. A read-only
+    memoryview is returned as it is, and mutable input is copied, so no
+    caller can change what a loader parses. A seekable file that can
+    ``readinto`` is read from its position in one loop into a fresh array,
+    placed so that the file's last byte ends on a 64-byte boundary; any
+    other file is read whole.
+    """
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, memoryview) and source.readonly:
+        return source
+    if not hasattr(source, "read"):
+        return memoryview(bytes(source))
+    if not (source.seekable() and hasattr(source, "readinto")):
+        return read(source.read())
+    here = source.tell()
+    size = source.seek(0, 2) - here
+    source.seek(here)
+    buf = np.empty(size + 64, np.uint8)
+    start = -(buf.ctypes.data + size) % 64
+    view = memoryview(buf)[start : start + size]
+    got = 0
+    while got < size and (n := source.readinto(view[got:])):
+        got += n
+    return view[:got].toreadonly()
 
 
 def read_text(source):
-    """The content of ``source`` as text: a str, bytes-like, or a file object.
+    """The content of ``source``, as :func:`read` takes it, as text.
 
-    Bytes must be valid UTF-8; anything else is a ParseError.
+    It must be valid UTF-8; anything else is a ParseError.
     """
-    raw = source if isinstance(source, str) else read_bytes(source)
-    if isinstance(raw, str):
-        return raw
     try:
-        return raw.decode("utf-8")
+        return str(read(source), "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from None
 
@@ -74,17 +96,16 @@ def build(constructor, *args, line=None, **kwargs):
 class Reader:
     """A cursor over one container, starting after its magic.
 
-    ``source`` is bytes-like or a binary file object. :func:`_whole` reads
-    it into one buffer, and every field is parsed from that buffer. A
-    payload is a zero-copy view of it when it sits at an aligned offset and
-    an aligned copy when not; numpy runs no BLAS kernel on an unaligned
-    array. A file's buffer ends on a 64-byte boundary, so a payload that
-    ends the file, such as EMB1's rows, is always a view. Either way
-    :meth:`floats` returns an aligned, read-only array.
+    Every field is parsed from the one buffer :func:`read` returns for
+    ``source``. A payload is a zero-copy view of it when it sits at an
+    aligned offset and an aligned copy when not; numpy runs no BLAS kernel
+    on an unaligned array. A file's buffer ends on a 64-byte boundary, so a
+    payload that ends the file, such as EMB1's rows, is always a view.
+    Either way :meth:`floats` returns an aligned, read-only array.
     """
 
     def __init__(self, source, magic):
-        self.raw, self.pos = _whole(source), 4
+        self.raw, self.pos = read(source), 4
         got = bytes(self.raw[:4])
         if got != magic:
             raise ParseError(f"bad magic: {got!r}, expected {magic!r}")
@@ -142,31 +163,6 @@ class Reader:
     def end(self):
         if extra := len(self.raw) - self.pos:
             raise ParseError(f"{extra} trailing bytes")
-
-
-def _whole(source):
-    """A memoryview of the content of ``source``, in one buffer.
-
-    A seekable file that can ``readinto`` is read from its position in one
-    loop into a fresh array, placed so that the file's last byte ends on a
-    64-byte boundary. Any other source is read whole by :func:`read_bytes`.
-    """
-    try:
-        sized = source.seekable() and hasattr(source, "readinto")
-    except (AttributeError, ValueError):  # bytes or another non-file, or a closed file
-        sized = False
-    if not sized:
-        return memoryview(read_bytes(source))
-    here = source.tell()
-    size = source.seek(0, 2) - here
-    source.seek(here)
-    buf = np.empty(size + 64, np.uint8)
-    start = -(buf.ctypes.data + size) % 64
-    view = memoryview(buf)[start : start + size]
-    got = 0
-    while got < size and (n := source.readinto(view[got:])):
-        got += n
-    return view[:got]
 
 
 def u64s(*values):

@@ -49,6 +49,7 @@ _CHUNK_BYTES = 16 << 20
 
 # Whitespace in a token: \s matches exactly the characters str.isspace() does.
 _SPACE_RE = re.compile(r"\s")
+_NEWLINE = re.compile(b"\n")
 
 # Rows widened to float64 at a time while a table's query state is built.
 _BLOCK_ROWS = 1024
@@ -293,7 +294,8 @@ def token_filter(rules=()):
 def load_embeddings_text(source, lowercase=False):
     """Parse the text embedding format into an EmbeddingTable.
 
-    Line 1 is ``<V> <D>``; then exactly V lines of ``<token> <x1> ... <xD>``
+    ``source`` is anything :func:`container.read` takes. Line 1 is
+    ``<V> <D>``; then exactly V lines of ``<token> <x1> ... <xD>``
     with single-space separation and ``\\n`` line endings. ``lowercase``
     folds tokens at ingest (later duplicates of a folded token are rejected).
     Rows stream through in runs of whole lines into a preallocated table;
@@ -301,10 +303,8 @@ def load_embeddings_text(source, lowercase=False):
 
     Raises ParseError naming the first faulty line on any malformation.
     """
-    raw = source if isinstance(source, str) else container.read_bytes(source)
-    if isinstance(raw, str):  # lone surrogates then fail the UTF-8 checks
-        raw = raw.encode("utf-8", "surrogatepass")
-    end = raw.find(b"\n") if b"\n" in raw else len(raw)
+    raw = container.read(source)
+    end = m.start() if (m := _NEWLINE.search(raw)) else len(raw)
     first = container.read_text(raw[:end])
     header = first.split(" ")
     if len(header) != 2 or not all(f.isascii() and f.isdigit() for f in header):
@@ -315,7 +315,7 @@ def load_embeddings_text(source, lowercase=False):
 
     bounds, pos = [], end + 1  # runs of whole lines
     while pos < len(raw):
-        stop = raw.find(b"\n", pos + _CHUNK_BYTES - 1) + 1 or len(raw)
+        stop = m.end() if (m := _NEWLINE.search(raw, pos + _CHUNK_BYTES - 1)) else len(raw)
         bounds.append((pos, stop))
         pos = stop
     # A row takes at least 2D + 1 bytes: a header cannot make the table large.
@@ -327,7 +327,7 @@ def load_embeddings_text(source, lowercase=False):
     try:
         for pos, stop in bounds:
             # The final row may lack its newline.
-            chunk = raw[pos:stop] if raw[stop - 1] == 10 else raw[pos:] + b"\n"
+            chunk = bytes(raw[pos:stop]) if raw[stop - 1] == 10 else bytes(raw[pos:]) + b"\n"
             line = len(vocab) + 2
             n, e, fault = _scan_rows(chunk, V, D, vocab, lowercase)
             if n:
@@ -344,7 +344,7 @@ def load_embeddings_text(source, lowercase=False):
         # that stopped the scan.
         for line, (a, b, _), ok in jobs:
             if ok is False or (ok is not True and not ok.result()):
-                raise _value_fault(raw[a:b], D, line, lowercase)
+                raise _value_fault(bytes(raw[a:b]), D, line, lowercase)
         if fault is not None:
             raise fault
     finally:
@@ -462,7 +462,7 @@ def _parse_values(raw, arr, a, b, row):
     The rows passed ``_scan_rows`` and are joined by ``\\n``. Returns
     whether every value parsed and is finite; if not, nothing is written.
     """
-    rests = [r.partition(b" ")[2].decode() for r in raw[a:b].split(b"\n")]
+    rests = [r.partition(b" ")[2].decode() for r in bytes(raw[a:b]).split(b"\n")]
     try:
         vals = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
@@ -524,9 +524,9 @@ def save_embeddings_text(table):
 def load_embeddings_binary(source, lowercase=False):
     """Parse the EMB1 binary embedding format into an EmbeddingTable.
 
-    ``source`` is bytes or a binary file object; a seekable file is read
-    once, and the table's array is an aligned view of that read (see
-    :class:`container.Reader`).
+    ``source`` is anything :func:`container.read` takes; it is read once,
+    and the table's array is an aligned view of that read where the
+    payload allows it (see :class:`container.Reader`).
     ``lowercase`` folds the vocabulary as :func:`load_embeddings_text` does;
     two tokens that fold alike are a ParseError.
     """

@@ -319,6 +319,45 @@ class TestTrain:
         assert code == 0
         assert trained.read_bytes() == extracted.read_bytes()
 
+    @staticmethod
+    def unaligned_model(path):
+        """A TLM1 file whose weights start 6 bytes past an 8-byte boundary."""
+        rng = np.random.default_rng(30)
+        model = trainer.ToyLM(vocab=("a", "b"), W_in=Matrix(rng.normal(size=(2, 3))),
+                              W_out=Matrix(rng.normal(size=(2, 3))))
+        blob = trainer.save_model(model)
+        assert (len(blob) - 2 * 6 * 8) % 8 == 6  # header 20 bytes, names 2 x 5
+        path.write_bytes(blob)
+        return model
+
+    def test_model_weights_are_aligned_views_of_the_one_read(self, tmp_path):
+        path = tmp_path / "m.tlm"
+        model = self.unaligned_model(path)
+        raw = cli._read(str(path))
+        got = trainer.load_model(raw)
+        for want, w in ((model.W_in, got.W_in), (model.W_out, got.W_out)):
+            arr = w.array
+            assert arr.flags.aligned and not arr.flags.writeable
+            assert np.shares_memory(arr, np.frombuffer(raw, np.uint8))
+            assert np.array_equal(arr, want.array)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_extract_reads_a_model_from_a_pipe(self, capsys, tmp_path):
+        path = tmp_path / "m.tlm"
+        self.unaligned_model(path)
+        fifo = tmp_path / "m.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            piped = run(capsys, ["extract", "--model", str(fifo), "--out", str(tmp_path / "p")])
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        from_file = run(capsys, ["extract", "--model", str(path), "--out", str(tmp_path / "f")])
+        assert piped[0] == from_file[0] == 0
+        assert (tmp_path / "p").read_bytes() == (tmp_path / "f").read_bytes()
+
 
 class TestAttend:
     def test_rows_sum_to_one(self, capsys, table_file):

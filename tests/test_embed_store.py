@@ -584,13 +584,13 @@ class TestAlignedPayload:
         start = 20 + sum(4 + len(t) for t in vocab)
         assert start % 4 == offset and len(blob) == start + rows.nbytes
         blob_at = np.frombuffer(blob, np.uint8).ctypes.data
-        reads, whole = [], container._whole
+        reads, read = [], container.read
 
         def spy(source):
-            reads.append(whole(source))
+            reads.append(read(source))
             return reads[-1]
 
-        monkeypatch.setattr(container, "_whole", spy)
+        monkeypatch.setattr(container, "read", spy)
         for kind, source in emb1_sources(blob, tmp_path):
             t = load_embeddings_binary(source)
             arr = t._array
@@ -605,6 +605,18 @@ class TestAlignedPayload:
                 assert (arr.ctypes.data + arr.nbytes) % 64 == 0, kind
                 assert np.shares_memory(arr, np.frombuffer(reads[-1], np.uint8)), kind
         assert len(reads) == 3
+
+
+@pytest.mark.parametrize("save, load", [
+    (save_embeddings_text, load_embeddings_text),
+    (save_embeddings_binary, load_embeddings_binary),
+], ids=["text", "emb1"])
+def test_table_from_a_bytearray_keeps_its_rows_when_the_caller_writes(save, load):
+    rows = [[0.5, -1.25], [2.0, 0.0]]
+    blob = bytearray(save(make_table(["a", "b"], rows)))
+    t = load(blob)
+    blob[-12:] = b"\0" * 12  # bytes of the rows, in either form
+    assert t == make_table(["a", "b"], rows)
 
 
 def brute_force(table_rows, vocab, token, k, filter=None):

@@ -125,6 +125,20 @@ def test_only_linalg_makes_numpy_errors_raise():
     assert raising == {"linalg"}
 
 
+def test_only_container_reads_a_source():
+    # container.read turns every source into one read-only buffer; a module
+    # that reads a file itself would decide a second way how input is held
+    readers = set()
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"read", "readinto"}
+                    and not (node.func.attr == "read"
+                             and getattr(node.func.value, "id", None) == "container")):
+                readers.add(module)
+    assert readers <= {"container"}
+
+
 def test_no_subcommand_writes_stdout_itself():
     # cli.main prints the seed and a command's lines once the command has
     # returned, so a failing run leaves stdout empty

@@ -459,6 +459,33 @@ class TestInventoryReport:
             assert np.array_equal(m, m.T) and not np.diag(m).any()
 
 
+class TestSenseReport:
+    """A report's fields must agree and its distances be a distance matrix."""
+
+    @staticmethod
+    def report(m, names=("a", "b"), metric="cosine"):
+        return sense_geometry.SenseReport(names=names, centroids=(Vector([1.0]), Vector([2.0])),
+                                          pairwise_distances=Matrix(m), metric=metric)
+
+    @pytest.mark.parametrize("names, m", [
+        (("a",), [[0.0, 1.0], [1.0, 0.0]]),
+        (("a", "b"), [[0.0]]),
+    ], ids=["names", "matrix"])
+    def test_sense_count_disagreement_is_dimension_error(self, names, m):
+        with pytest.raises(DimensionError, match="number of senses"):
+            self.report(m, names=names)
+
+    @pytest.mark.parametrize("m, match", [
+        ([[0.5, 1.0], [1.0, 0.0]], "diagonal must be zero"),
+        ([[0.0, 1.0], [1.5, 0.0]], "must be symmetric"),
+        ([[0.0, 2.5], [2.5, 0.0]], r"lie in \[0, 2\]"),
+        ([[0.0, -0.5], [-0.5, 0.0]], r"lie in \[0, 2\]"),
+    ], ids=["diagonal", "asymmetric", "above-2", "negative"])
+    def test_distances_that_are_no_distance_matrix(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            self.report(m)
+
+
 @pytest.mark.parametrize("call", [
     lambda: contextual_shift([1e200, 1.0], [1e200, 2.0]),
     lambda: contextual_shift([1e200, 0.0], [-1e200, 0.0], metric="euclidean"),
@@ -802,6 +829,10 @@ class TestProbeModel:
         with pytest.raises(ValueError, match="class name"):
             ProbeModel(classes=("A", name), weights=np.eye(2), biases=(0.0, 0.0))
 
+    def test_no_classes_is_empty_input_error(self):
+        with pytest.raises(EmptyInputError, match="at least one class"):
+            ProbeModel(classes=(), weights=np.ones((0, 2)), biases=())
+
     def test_misaligned_fields_are_dimension_errors(self):
         for weights, biases in ((np.eye(2), (0.0,)), (np.ones((3, 2)), (0.0, 0.0))):
             with pytest.raises(DimensionError, match="align"):
@@ -911,6 +942,12 @@ class TestSenseTsv:
         with pytest.raises(ParseError):
             load_sense_tsv(b"")
 
+    @pytest.mark.parametrize("line", [b"\triver\t1 0\n", b"bank\t\t1 0\n"],
+                             ids=["word", "sense"])
+    def test_empty_label_rejected(self, line):
+        with pytest.raises(ParseError, match="line 2: empty word or sense label"):
+            load_sense_tsv(b"bank\triver\t1 0\n" + line)
+
 
 class TestProbeTsv:
     SAMPLE = (
@@ -932,6 +969,10 @@ class TestProbeTsv:
     def test_wrong_columns(self):
         with pytest.raises(ParseError, match="line 1"):
             load_probe_tsv(b"apple\t1 0\n")
+
+    def test_empty_token_rejected(self):
+        with pytest.raises(ParseError, match="line 1: empty token"):
+            load_probe_tsv(b"\tA\t1 0\n")
 
 
 class TestProbeModelPersistence:
