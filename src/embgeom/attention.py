@@ -22,12 +22,10 @@ sequence of row Vectors, each built only when a caller asks for it. A
 seeded stack is one bulk draw, and each of its weight matrices a
 read-only view of it.
 
-:func:`stack_forward` and :func:`attention_weights` run under linalg's
-float64 policy, entered once per call: values that overflow raise
-``ValueError("attention stack left float64: ...")`` (or "attention
-weights") with no numpy warning. A direct call of :func:`head_forward` or
-:func:`multihead_forward`, which the stack runs per head and layer, is
-stopped only by its output's finiteness check.
+:func:`head_forward`, :func:`multihead_forward` and :func:`attention_weights`
+run under linalg's float64 policy, so the stack runs every head and layer
+under it: an overflow raises ``ValueError("attention head left float64: overflow")``
+(or "attention layer", "attention weights"), with no numpy warning.
 """
 
 import math
@@ -186,6 +184,7 @@ def attention_weights(queries, keys, scale_scores=True):
         return Matrix._take(_weights(q, k, scale_scores))
 
 
+@linalg._float64_policy("attention head")
 def head_forward(seq, params, scale_scores=True):
     """Run one attention head over a sequence of d-dim vectors.
 
@@ -202,6 +201,7 @@ def head_forward(seq, params, scale_scores=True):
     return Matrix._take(w @ (x @ wv.T))
 
 
+@linalg._float64_policy("attention layer")
 def multihead_forward(seq, layer, scale_scores=True):
     """Run every head of ``layer``, concatenate per position, project back to dim d.
 
@@ -242,13 +242,12 @@ def stack_forward(seq, config, layer_params):
         raise DimensionError(
             f"{len(layer_params)} layer parameter sets for {config.layers} layers"
         )
-    with linalg._float64_policy("attention stack"):
-        for lp in layer_params:
-            if len(lp.heads) != config.n:
-                raise HeadCountError(
-                    f"layer has {len(lp.heads)} heads, config expects {config.n}"
-                )
-            x = multihead_forward(x, lp, scale_scores=config.scale_scores)
+    for lp in layer_params:
+        if len(lp.heads) != config.n:
+            raise HeadCountError(
+                f"layer has {len(lp.heads)} heads, config expects {config.n}"
+            )
+        x = multihead_forward(x, lp, scale_scores=config.scale_scores)
     return x
 
 
@@ -304,7 +303,8 @@ def random_stack_params(config, seed):
     """
     d, n = config.d, config.n
     bound = 1.0 / math.sqrt(d)
-    w = linalg.random_array(random.Random(seed), config.layers * 4 * d * d, -bound, bound)
+    m = linalg._draw_count(config.layers * 4 * d * d, f"{config.layers} layers at d = {d}")
+    w = linalg.random_array(random.Random(seed), m, -bound, bound)
     return tuple(
         AttentionLayerParams(
             heads=[AttentionHeadParams(*map(Matrix._take, h))

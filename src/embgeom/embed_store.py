@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import container
+from . import container, linalg
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -61,10 +61,6 @@ _BLOCK_ROWS = 1024
 # the query row's rounding, the weighting and the error-state switch.
 _UNIT_ROWS_UP_TO = 1 << 16
 _STORED_NORMS = (2.0**-60, 2.0**60)
-
-# A row's sum of squares at or above this, and at or below its inverse, lost
-# nothing that matters to under- or overflow.
-_SAFE_SQUARES = 2.0**-960
 
 
 def token_index(vocab):
@@ -564,10 +560,9 @@ def _row_norms(arr, unit_rows):
     float32 unit rows (else None).
 
     The rows are widened to float64 in blocks, so the norms are the same bits
-    whether they are stored as float32 or float64. A row whose sum of squares
-    would over- or underflow is first scaled by 2**-e, e the exponent of its
-    largest |x|; that is exact. Every other row keeps scale 1, as every
-    float32 row does. A zero row has norm 0 and a zero unit row.
+    whether they are stored as float32 or float64. The scales are
+    :func:`linalg._row_scales`' rule, under which every float32 row keeps
+    scale 1. A zero row has norm 0 and a zero unit row.
     """
     V, D = arr.shape
     unit = np.empty((V, D), dtype=np.float32) if unit_rows else None
@@ -579,13 +574,12 @@ def _row_norms(arr, unit_rows):
             rows = buf[: b - a]
             np.copyto(rows, arr[a:b])
             ss = np.einsum("ij,ij->i", rows, rows)
-            odd = np.flatnonzero(~(ss >= _SAFE_SQUARES) | (ss > 1.0 / _SAFE_SQUARES))
-            if odd.size:
-                top = np.abs(rows[odd]).max(axis=1)
-                s = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
-                rows[odd] *= s[:, None]
+            s = linalg._row_scales(rows, ss)
+            if s is not None:
+                odd = np.flatnonzero(s != 1.0)
+                rows[odd] *= s[odd, None]
                 ss[odd] = np.einsum("ij,ij->i", rows[odd], rows[odd])
-                scale[a + odd] = s
+                scale[a:b] = s
             norms[a:b] = n = np.sqrt(ss)
             if unit is not None:
                 rows *= (1.0 / np.where(n > 0.0, n, 1.0))[:, None]

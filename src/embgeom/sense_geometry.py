@@ -122,17 +122,24 @@ def _mean(x):
     return x.sum(axis=0) * (1.0 / len(x))
 
 
-def _row_norms(a):
-    return np.sqrt((a * a).sum(axis=1))
+@np.errstate(over="ignore")  # an overflowed square only marks its row for scaling
+def _scaled(a):
+    """``a``'s rows scaled by linalg's norm rule, their norms, and the scales (1.0 if all 1)."""
+    ss = (a * a).sum(axis=1)
+    scale = linalg._row_scales(a, ss)
+    if scale is None:
+        return a, np.sqrt(ss), 1.0
+    a = a * scale[:, None]
+    return a, np.sqrt((a * a).sum(axis=1)), scale
 
 
-def _distances(x, xnorms, c, metric):
-    """Distances from each row of ``x`` (n x d) to each row of ``c`` (k x d), as n x k."""
+def _distances(x, xs, c, metric):
+    """n x k distances from the rows of ``x`` to those of ``c``; cosine reads ``xs = _scaled(x)``."""
     if metric == "euclidean":
         # from differences, one row of c at a time: no n x k x d intermediate
-        # and no cancellation from expanding |x - c|^2
-        return np.column_stack([_row_norms(x - row) for row in c])
-    cnorms = _row_norms(c)
+        # and no cancellation from expanding |x - c|^2; each norm scaled back
+        return np.column_stack([np.divide(*_scaled(x - row)[1:]) for row in c])
+    (x, xnorms, _), (c, cnorms, _) = xs, (xs if c is x else _scaled(c))
     if not (xnorms.all() and cnorms.all()):
         raise ZeroVectorError("cosine distance is undefined for zero-norm vectors")
     dist = x @ c.T
@@ -152,10 +159,10 @@ def contextual_shift(token_emb, ctx_emb, metric="cosine"):
     t, c = linalg.matrix_array([token_emb]), linalg.matrix_array([ctx_emb])
     if t.shape[1] != c.shape[1]:
         raise DimensionError(f"context dim {c.shape[1]} does not match token dim {t.shape[1]}")
-    return float(_distances(t, _row_norms(t), c, metric)[0, 0])
+    return float(_distances(t, _scaled(t), c, metric)[0, 0])
 
 
-def _lloyd(x, norms, init_pair, metric):
+def _lloyd(x, xs, init_pair, metric):
     """Two-centroid k-means from one starting pair; returns (assign, centroids, cost).
 
     A pass that changes no assignment ends the run: its centroids are the
@@ -164,7 +171,7 @@ def _lloyd(x, norms, init_pair, metric):
     centroids = x[list(init_pair)]
     assign = None
     for _ in range(MAX_ITER):
-        dist = _distances(x, norms, centroids, metric)
+        dist = _distances(x, xs, centroids, metric)
         new = np.where(dist[:, 0] <= dist[:, 1], 0, 1)
         if assign is not None and np.array_equal(new, assign):
             break
@@ -175,14 +182,14 @@ def _lloyd(x, norms, init_pair, metric):
             if len(members):
                 centroids[k] = _mean(members)
     else:
-        dist = _distances(x, norms, centroids, metric)
+        dist = _distances(x, xs, centroids, metric)
     return assign, centroids, float(dist[np.arange(len(x)), assign].sum())
 
 
-def _farthest_pair(x, norms, metric):
+def _farthest_pair(x, xs, metric):
     # the first maximum in row-major i < j order: argmax scans row-major,
     # and the masked diagonal and lower triangle can never be the maximum
-    dist = _distances(x, norms, x, metric)
+    dist = _distances(x, xs, x, metric)
     dist[np.tri(len(x), dtype=bool)] = -np.inf
     return divmod(int(np.argmax(dist)), len(x))
 
@@ -209,14 +216,14 @@ def _centroid_geometry(c, token_emb, metric):
     k, d = c.shape
     pair = np.zeros((k, k))
     if k > 1:  # one centroid has no pair, so it needs no norm under cosine
-        pair = np.triu(_distances(c, _row_norms(c), c, metric), 1)
+        pair = np.triu(_distances(c, _scaled(c), c, metric), 1)
         pair = pair + pair.T
     if token_emb is None:
         return Matrix._take(pair), None, None
     t = linalg.matrix_array([token_emb])
     if t.shape[1] != d:
         raise DimensionError(f"token dim {t.shape[1]} does not match occurrence dim {d}")
-    t2c = _distances(t, _row_norms(t), c, metric)[0].tolist()
+    t2c = _distances(t, _scaled(t), c, metric)[0].tolist()
     m = pair.tolist()
     flags = {(i, j): t2c[i] <= m[i][j] and t2c[j] <= m[i][j]
              for i in range(k) for j in range(i + 1, k)}
@@ -248,8 +255,8 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
         )
 
     rng = random.Random(seed)
-    norms = _row_norms(x)
-    inits = [_farthest_pair(x, norms, metric)]
+    xs = _scaled(x)
+    inits = [_farthest_pair(x, xs, metric)]
     while len(inits) < RESTARTS:
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -257,7 +264,7 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
             inits.append((i, j))
     best = None
     for pair in inits:
-        assign, centroids, cost = _lloyd(x, norms, pair, metric)
+        assign, centroids, cost = _lloyd(x, xs, pair, metric)
         if best is None or cost < best[2] - 1e-12:
             best = (assign, centroids, cost)
     assign, centroids = best[0].tolist(), best[1]

@@ -34,7 +34,7 @@ from .errors import (
     EmptyInputError,
     OutOfVocabularyError,
 )
-from .linalg import Matrix, _float64_policy, _softmax_in_place, random_array
+from .linalg import Matrix, _draw_count, _float64_policy, _softmax_in_place, random_array
 
 __all__ = [
     "ToyLM",
@@ -192,7 +192,8 @@ def train(corpus, config, on_epoch=None):
     rng = random.Random(config.seed)
     d = config.d
     V = len(vocab)
-    w_in, w_out = random_array(rng, 2 * V * d, -0.5 / d, 0.5 / d).reshape(2, V, d)
+    m = _draw_count(2 * V * d, f"{V} tokens at d = {d}")
+    w_in, w_out = random_array(rng, m, -0.5 / d, 0.5 / d).reshape(2, V, d)
     order = list(range(len(steps)))
     lr = config.learning_rate
     for epoch in range(config.epochs):

@@ -191,8 +191,8 @@ class TestHeadForward:
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_overflowing_output_raises_value_error(self):
-        # numpy's own overflow warnings are silenced, so only the output's
-        # finiteness check can stop the call; it must raise, not warn
+        # the caller silences numpy's overflow warnings, but each call runs
+        # under the float64 policy all the same: it must raise, not warn
         head = AttentionHeadParams(
             Wq=Matrix.zeros(1, 2), Wk=Matrix.zeros(1, 2), Wv=Matrix([[1e308, 1e308]])
         )
@@ -204,6 +204,18 @@ class TestHeadForward:
                 head_forward(seq, head)
             with pytest.raises(ValueError):
                 multihead_forward(seq, AttentionLayerParams([identity_head(2)], big_wo))
+
+    @pytest.mark.parametrize("call", [
+        lambda seq: head_forward(seq, identity_head(2)),
+        lambda seq: multihead_forward(seq, AttentionLayerParams([identity_head(2)],
+                                                                Matrix.identity(2))),
+    ], ids=["head", "layer"])
+    def test_a_direct_call_leaves_float64_by_name(self, call):
+        # scores of 2e600 overflow the matmul: one named ValueError, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^attention head left float64: overflow"):
+                call([[1e300, 1e300], [1e300, -1e300]])
 
     def test_head_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -646,6 +658,14 @@ class TestEmbedSequence:
 
 
 class TestRandomStackParams:
+    def test_a_draw_numpy_cannot_size_names_its_layers(self, monkeypatch):
+        # the count is checked as a Python int, before anything is drawn
+        monkeypatch.setattr(linalg, "random_array", lambda *args: pytest.fail("drew"))
+        layers = 10**18
+        match = f"^{layers} layers at d = 4 need {layers * 4 * 4 * 4} weights, more than numpy"
+        with pytest.raises(ValueError, match=match):
+            random_stack_params(MultiHeadConfig(d=4, n=2, layers=layers), seed=0)
+
     def test_deterministic(self):
         config = MultiHeadConfig(d=4, n=2, layers=2)
         a = random_stack_params(config, seed=9)

@@ -231,6 +231,13 @@ class TestRandomArray:
         assert bulk.getstate() == single.getstate()
 
 
+def test_draw_count_is_the_largest_numpy_can_size():
+    most = np.iinfo(np.intp).max // 8
+    assert linalg._draw_count(most, "a draw") == most
+    with pytest.raises(ValueError, match=f"^a draw need {most + 1} weights, more than numpy"):
+        linalg._draw_count(most + 1, "a draw")
+
+
 class TestDot:
     def test_hand_value(self):
         assert linalg.dot([1.0, 2.0], [3.0, 4.0]) == 11.0

@@ -119,10 +119,26 @@ def test_only_linalg_makes_numpy_errors_raise():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "errstate"
-                    and any(isinstance(k.value, ast.Constant) and k.value.value == "raise"
-                            for k in node.keywords)):
+                    and any(isinstance(k.value, ast.Constant)
+                            and k.value.value in {"raise", "call"} for k in node.keywords)):
                 raising.add(module)
     assert raising == {"linalg"}
+
+
+def test_only_linalg_holds_the_norm_rule():
+    # linalg._row_scales is the one power-of-two norm rule; a module that
+    # scales rows itself, or keeps its own safe range, would take norms a
+    # second way
+    scaling = {"frexp", "ldexp"}
+    holders = set()
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Attribute) and node.attr in scaling)
+                    or (isinstance(node, ast.alias) and node.name in scaling)
+                    or (isinstance(node, ast.Name) and node.id == "_SAFE_SQUARES"
+                        and isinstance(node.ctx, ast.Store))):
+                holders.add(module)
+    assert holders == {"linalg"}
 
 
 def test_only_container_reads_a_source():

@@ -381,11 +381,20 @@ class TestHomonymSeparation:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_float64_overflow_is_value_error(self, metric):
+        # rows whose squares overflow are scaled first, so they split as
+        # rows of ordinary size do: nothing here leaves float64
         occ = [[1e200, 0.0], [1e200, 1.0], [-1e200, 0.0], [-1e200, 1.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=" left float64: "):
-                homonym_separation([1.0, 1.0], occ, metric=metric)
+            report = homonym_separation([1.0, 1.0], occ, metric=metric)
+        assert report.assignments == (0, 0, 1, 1)
+        assert report.centroids == (Vector([1e200, 0.5]), Vector([-1e200, 0.5]))
+        if metric == "cosine":
+            assert report.pairwise_distances.row(0)[1] == 2.0
+            assert report.token_to_centroid == pytest.approx((1 - 0.5**0.5, 1 + 0.5**0.5))
+        else:
+            assert report.pairwise_distances.row(0)[1] == 2e200
+            assert report.token_to_centroid == pytest.approx((1e200, 1e200), rel=1e-15)
 
 
 class TestSeparationMatchesReference:
@@ -486,25 +495,43 @@ class TestSenseReport:
             self.report(m)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: contextual_shift([1e200, 1.0], [1e200, 2.0]),
-    lambda: contextual_shift([1e200, 0.0], [-1e200, 0.0], metric="euclidean"),
-    lambda: inventory_report(SenseInventory("w", {"a": [[1e308, 0.0], [1e308, 0.0]]})),
-    lambda: inventory_report(SenseInventory("w", {"a": [[1e200, 1.0]], "b": [[1e200, 2.0]]})),
-    lambda: inventory_report(SenseInventory("w", {"a": [[1e200, 0.0]], "b": [[-1e200, 0.0]]}),
-                             metric="euclidean"),
-    lambda: inventory_report(SenseInventory("w", {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}),
-                             token_emb=[1e200, 1.0]),
-    lambda: inventory_report(SenseInventory("w", {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}),
-                             token_emb=[-1e200, 1e200], metric="euclidean"),
+def _pairwise(report):
+    return report.pairwise_distances.row(0)[1]
+
+
+def _token(report):
+    return report.token_to_centroid
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: contextual_shift([1e200, 1.0], [1e200, 2.0]), 0.0),
+    (lambda: contextual_shift([1e200, 0.0], [-1e200, 0.0], metric="euclidean"), 2e200),
+    (lambda: inventory_report(SenseInventory("w", {"a": [[1e308, 0.0], [1e308, 0.0]]})),
+     ValueError),
+    (lambda: _pairwise(inventory_report(SenseInventory("w", {"a": [[1e200, 1.0]],
+                                                             "b": [[1e200, 2.0]]}))), 0.0),
+    (lambda: _pairwise(inventory_report(SenseInventory("w", {"a": [[1e200, 0.0]],
+                                                             "b": [[-1e200, 0.0]]}),
+                                        metric="euclidean")), 2e200),
+    (lambda: _token(inventory_report(SenseInventory("w", {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}),
+                                     token_emb=[1e200, 1.0])), (0.0, 1.0)),
+    (lambda: _token(inventory_report(SenseInventory("w", {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}),
+                                     token_emb=[-1e200, 1e200], metric="euclidean")),
+     (2**0.5 * 1e200, 2**0.5 * 1e200)),
+    (lambda: contextual_shift([1e308, 0.0], [-1e308, 0.0], metric="euclidean"), ValueError),
 ], ids=["shift-cosine", "shift-euclidean", "centroid", "pairwise-cosine", "pairwise-euclidean",
-        "token-cosine", "token-euclidean"])
-def test_float64_overflow_is_value_error(call):
-    # not nan or inf distances, nor betweenness flags silently False
+        "token-cosine", "token-euclidean", "difference-euclidean"])
+def test_float64_overflow_is_value_error(call, expected):
+    # Rows whose squares overflow are scaled first, so only a true overflow
+    # fails: the sum of two 1e308 rows, or their difference. It fails by
+    # name, never as nan or inf distances or betweenness flags silently False.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=" left float64: "):
-            call()
+        if expected is ValueError:
+            with pytest.raises(ValueError, match=" left float64: "):
+                call()
+        else:
+            assert call() == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -1014,3 +1041,47 @@ class TestProbeModelPersistence:
         )
         with pytest.raises(ParseError):
             load_probe_model(mutate(save_probe_model(model)))
+
+
+# Rows near two directions, with entries between 2**-8 and 4 in size: every
+# product with 2**k, -1000 <= k <= 1000, is an exact normal float, and so
+# are the differences and means the geometry takes of them.
+SCALE_ROWS = np.array([
+    [1.0, 0.75, -0.25], [1.25, 0.5, -0.375], [0.875, 1.0, -0.125], [1.5, 0.625, 0.0078125],
+    [-0.5, 1.0, 2.0], [-0.75, 1.25, 1.75], [-0.625, 0.875, 2.5], [-0.375, 1.125, 2.25],
+])
+SCALE_TOKEN = np.array([0.25, 1.0, 1.0])
+GOLD = "AAAABBBB"
+
+
+def _geometry(k, metric):
+    """Every number the three sense-geometry calls give for the rows times 2**k."""
+    x, t = np.ldexp(SCALE_ROWS, k), np.ldexp(SCALE_TOKEN, k)
+    inv = SenseInventory("w", {"a": x[:4], "b": x[4:]})
+    reports = [inventory_report(inv, token_emb=t, metric=metric),
+               homonym_separation(t, x, gold_labels=GOLD, seed=3, metric=metric)]
+    distances = [contextual_shift(t, x[0], metric=metric),
+                 contextual_shift(x[1], x[6], metric=metric)]
+    for r in reports:
+        distances += [*r.pairwise_distances.array.ravel().tolist(), *r.token_to_centroid]
+    centroids = [np.array([c.components for c in r.centroids]) for r in reports]
+    return distances, centroids, [(r.betweenness, r.assignments, r.purity) for r in reports]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_one_norm_rule_takes_every_scale_alike(metric):
+    # a cosine does not depend on how large the rows are; a euclidean
+    # distance scales with them, exactly, since a power of two is exact
+    distances, centroids, labels = _geometry(0, metric)
+    assert labels[1][2] == 1.0  # the split finds the two directions
+    for k in range(-1000, 1001, 8):  # both ends of the squares' safe range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the degenerate flag's bound is an absolute 1e-9, which the
+            # euclidean distances of rows this small fall under
+            warnings.simplefilter("ignore", DegenerateClustersWarning)
+            got = _geometry(k, metric)
+        want = distances if metric == "cosine" else [math.ldexp(v, k) for v in distances]
+        assert got[0] == want, k
+        assert all(np.array_equal(g, np.ldexp(c, k)) for g, c in zip(got[1], centroids)), k
+        assert got[2] == labels, k

@@ -9,6 +9,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from embgeom import trainer
 from embgeom.errors import (
     DimensionError,
     EmptyInputError,
@@ -335,6 +336,13 @@ class TestTrain:
         assert a.W_out == b.W_out
         c = train(CORPUS, TrainConfig(d=4, window=2, epochs=3, seed=43))
         assert c.W_in != a.W_in
+
+    def test_a_draw_numpy_cannot_size_names_d(self, monkeypatch):
+        # the count is checked as a Python int, before anything is drawn
+        monkeypatch.setattr(trainer, "random_array", lambda *args: pytest.fail("drew"))
+        d = 10**18
+        with pytest.raises(ValueError, match=f"^6 tokens at d = {d} need {2 * 6 * d} weights"):
+            train(CORPUS, TrainConfig(d=d, window=2, epochs=1))
 
     def test_vocab_induced_in_first_occurrence_order(self):
         config = TrainConfig(d=2, window=1, epochs=1, seed=0)
