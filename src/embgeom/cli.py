@@ -72,6 +72,13 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _distance(x, digits):
+    """A distance for ``--format pretty``: ``digits`` decimals, or in
+    exponent form from 1e16 on, where fixed form would print digits that
+    are not the value's (a distance of 2e200 as a 201-digit integer)."""
+    return f"{x:.{digits}{'e' if abs(x) >= 1e16 else 'f'}}"
+
+
 def _vector_fields(v):
     return " ".join(_fmt(x) for x in v)
 
@@ -226,8 +233,8 @@ def cmd_centroid(args):
         )
     return (
         [f"Senses of {inventory.word!r}: {', '.join(names)}"]
-        + [f"distance({a}, {b}) = {d:.2f}" for a, b, d in pairs]
-        + [f"token -> {name}: {d:.2f}" for name, d in t2c]
+        + [f"distance({a}, {b}) = {_distance(d, 2)}" for a, b, d in pairs]
+        + [f"token -> {name}: {_distance(d, 2)}" for name, d in t2c]
         + [f"between {a} and {b}: {'yes' if flag else 'no'}" for a, b, flag in between]
     )
 
@@ -243,7 +250,7 @@ def cmd_shift(args):
     value = sense_geometry.contextual_shift(token_emb, ctx_emb, metric=args.metric)
     if args.format == "tsv":
         return [f"shift\t{_fmt(value)}"]
-    return [f"Contextual shift of {args.word!r}: {value:.4f}"]
+    return [f"Contextual shift of {args.word!r}: {_distance(value, 4)}"]
 
 
 def cmd_separate(args):
@@ -271,8 +278,9 @@ def cmd_separate(args):
                   for k, (label, cluster) in enumerate(zip(gold, report.assignments))]
         return lines
     lines = [f"Separated {len(occurrences)} occurrences of {args.word!r}",
-             f"inter-centroid distance = {dist:.2f}"]
-    lines += [f"token -> cluster-{i}: {d:.2f}" for i, d in enumerate(report.token_to_centroid)]
+             f"inter-centroid distance = {_distance(dist, 2)}"]
+    lines += [f"token -> cluster-{i}: {_distance(d, 2)}"
+              for i, d in enumerate(report.token_to_centroid)]
     lines.append(f"token between clusters: {'yes' if between else 'no'}")
     if report.purity is not None:
         lines.append(f"purity against gold senses = {report.purity:.2f}")

@@ -13,11 +13,18 @@ their float32 rows, which float32 holds exactly.
 
 A neighbour query screens every row in float32, cuts the rows whose
 screened cosine cannot reach the top ``k``, and ranks the rest exactly in
-float64 (see :func:`nearest_neighbors`).
+float64 (see :func:`nearest_neighbors`). A screen of more than
+``_SPLIT_ENTRIES`` entries, such as a BERT-sized table's, is computed in
+contiguous row blocks, one per usable CPU at most, on short-lived threads
+that are joined before the query returns. This module is the package's
+only user of threads, so no thread is alive when the text loader
+forks its workers.
 """
 
+import contextvars
 import os
 import re
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +68,17 @@ _BLOCK_ROWS = 1024
 # the query row's rounding, the weighting and the error-state switch.
 _UNIT_ROWS_UP_TO = 1 << 16
 _STORED_NORMS = (2.0**-60, 2.0**60)
+
+# A table of more entries than this has its norms pass and its screen split
+# into contiguous row blocks, one per started _SPLIT_ENTRIES entries and at
+# most one per usable CPU (see _row_norms and _screen_into). With one BLAS
+# thread on a 2-vCPU VM, a screen in two blocks broke even at about 2**21.6
+# entries (4096 x 768, 0.47 ms either way), took 0.67 ms to 0.53 ms at 2**22
+# and 7.2 ms to 4.3 ms at 30522 x 768; starting and joining a thread costs
+# about 0.1 ms. A BLAS left to run one thread per CPU spreads each block
+# again, two threads to a CPU: there the p90 of 100 queries at 30522 x 768
+# went from 3.4-4.3 ms unsplit to 4.1-12 ms split (p50 3.2-4.0 ms either way).
+_SPLIT_ENTRIES = 1 << 22
 
 
 def token_index(vocab):
@@ -559,18 +577,21 @@ def _row_norms(arr, unit_rows):
     float64 norm of its scaled row, and with ``unit_rows`` the read-only
     float32 unit rows (else None).
 
-    The rows are widened to float64 in blocks, so the norms are the same bits
-    whether they are stored as float32 or float64. The scales are
+    The rows are widened to float64 in blocks of ``_BLOCK_ROWS``, so the
+    norms are the same bits whether they are stored as float32 or float64,
+    and whether a large table's blocks are spread over several CPUs (as
+    :func:`_in_threads` runs them) or not. The scales are
     :func:`linalg._row_scales`' rule, under which every float32 row keeps
     scale 1. A zero row has norm 0 and a zero unit row.
     """
     V, D = arr.shape
     unit = np.empty((V, D), dtype=np.float32) if unit_rows else None
     scale, norms = np.ones(V), np.empty(V)
-    buf = np.empty((min(V, _BLOCK_ROWS), D))
-    with np.errstate(under="ignore"):  # squares far below the row's largest
-        for a in range(0, V, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, V)
+
+    def fill(start, stop):
+        buf = np.empty((min(stop - start, _BLOCK_ROWS), D))
+        for a in range(start, stop, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, stop)
             rows = buf[: b - a]
             np.copyto(rows, arr[a:b])
             ss = np.einsum("ij,ij->i", rows, rows)
@@ -588,9 +609,68 @@ def _row_norms(arr, unit_rows):
                 rows += 2.0**-10
                 rows -= 2.0**-10
                 unit[a:b] = rows
+
+    # whole blocks of _BLOCK_ROWS to each thread
+    runs, blocks = -(-V // _BLOCK_ROWS), _blocks(arr.size)
+    edges = [min(V, _BLOCK_ROWS * (runs * i // blocks)) for i in range(blocks + 1)]
+    with np.errstate(under="ignore"):  # squares far below the row's largest
+        _in_threads(fill, edges)
     if unit is not None:
         unit.flags.writeable = False
     return (None if (scale == 1.0).all() else scale), norms, unit
+
+
+def _blocks(entries):
+    """The number of row blocks to split work on ``entries`` entries into:
+    one per started ``_SPLIT_ENTRIES`` entries, at most one per usable CPU."""
+    return min(_usable_cpus(), -(-entries // _SPLIT_ENTRIES))
+
+
+def _screen_into(screen, q, out):
+    """Write ``screen @ q`` into ``out``, one float32 mat-vec per row block.
+
+    A screen of more than ``_SPLIT_ENTRIES`` entries is split into
+    contiguous blocks, one per usable CPU at most (see :func:`_in_threads`);
+    a smaller screen is one block, a single ``np.matmul``. A block may round
+    its sums in another order than the whole screen would, which
+    ``_screen_error`` allows for.
+    """
+    if screen.size <= _SPLIT_ENTRIES:
+        np.matmul(screen, q, out=out)  # a small table's whole query is 30 us
+        return
+    V, blocks = len(screen), _blocks(screen.size)
+    edges = [V * i // blocks for i in range(blocks + 1)]
+    _in_threads(lambda a, b: np.matmul(screen[a:b], q, out=out[a:b]), edges)
+
+
+def _in_threads(work, edges):
+    """Run ``work(a, b)`` for each block ``edges[i]:edges[i + 1]``.
+
+    This thread runs the first block; a short-lived thread runs each other
+    one, in a copy of this thread's context, so under the same numpy error
+    state. Every started thread is joined before this returns, and the
+    first exception any block raised is raised here.
+    """
+    errors = []
+
+    def run(a, b):
+        try:
+            work(a, b)
+        except BaseException as exc:  # raised in the caller, not lost in the thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for a, b in zip(edges[1:-1], edges[2:]):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, a, b))
+            t.start()
+            started.append(t)
+        work(edges[0], edges[1])
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _screen_error(D):
@@ -620,6 +700,11 @@ def _screen_error(D):
     normal float32; a table with a row outside that range
     (``_STORED_NORMS``) screens unit rows.
 
+    Higham's bound holds for a dot product summed in any order. So a screen
+    computed in row blocks, or by a BLAS that orders its sums otherwise, may
+    differ in its last bits and keep other rows past the cut, but every row
+    of the top ``k`` still survives it, and the ranked result is the same.
+
     Past D*u = 1/4, 2D covers any difference, so no row is cut.
     """
     u = 2.0**-24
@@ -637,7 +722,8 @@ def nearest_neighbors(table, token, k, filter=None):
 
     One float32 mat-vec screens every candidate: over the stored rows of a
     float32 table, each product then weighted by its row's float32 1/norm,
-    or over cached unit rows (see ``EmbeddingTable._query_state``). A
+    or over cached unit rows (see ``EmbeddingTable._query_state``); a large
+    screen is computed in row blocks on several CPUs (``_screen_into``). A
     screened cosine is within eps (``_screen_error``) of the ranked one,
     so each row of the top k screens at least sigma_k - 2 eps, sigma_k
     being the k-th highest screened cosine. Only those rows are scored
@@ -659,11 +745,12 @@ def nearest_neighbors(table, token, k, filter=None):
     # row a stored-row screen multiplies; the exact ranking uses it as it is.
     arr = table._array
     q = (arr[qi] if scale is None else arr[qi] * scale[qi]) / norms[qi]
+    screened = np.empty(len(screen), dtype=np.float32)
     if weight is None:
-        screened = screen @ screen[qi]
+        _screen_into(screen, screen[qi], screened)
     else:
         with np.errstate(under="ignore"):  # products below float32's normal range
-            screened = screen @ q.astype(np.float32)
+            _screen_into(screen, q.astype(np.float32), screened)
             screened *= weight
     screened += bias
     screened[qi] = -np.inf

@@ -240,7 +240,10 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
     restarts initializes centroids at the farthest occurrence pair, the rest
     at seeded random distinct pairs; each runs until an assignment pass
     changes nothing, for at most ``MAX_ITER`` passes. The run with the
-    lowest within-cluster distance sum wins (first winner on ties). The
+    lowest within-cluster distance sum wins (first winner on ties, and a
+    later run must be lower by more than 1e-12). Centroids within 1e-9 of
+    each other warn ``DegenerateClustersWarning``. Under euclidean both
+    bounds are multiplied by the largest |entry| of the occurrences. The
     report carries both centroids, their distance, the token embedding's
     distance to each, purity against ``gold_labels`` when given, and the
     betweenness flag: whether the token embedding is at least as similar to
@@ -256,6 +259,9 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
 
     rng = random.Random(seed)
     xs = _scaled(x)
+    # A cosine distance has no unit; a euclidean one is in the units of the
+    # rows, so its two bounds scale with the largest entry of the rows.
+    size = 1.0 if metric == "cosine" else float(np.abs(x).max())
     inits = [_farthest_pair(x, xs, metric)]
     while len(inits) < RESTARTS:
         i = rng.randrange(n)
@@ -265,12 +271,12 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
     best = None
     for pair in inits:
         assign, centroids, cost = _lloyd(x, xs, pair, metric)
-        if best is None or cost < best[2] - 1e-12:
+        if best is None or cost < best[2] - 1e-12 * size:
             best = (assign, centroids, cost)
     assign, centroids = best[0].tolist(), best[1]
 
     pairwise, t2c, flags = _centroid_geometry(centroids, token_emb, metric)
-    degenerate = pairwise.row(0)[1] <= 1e-9
+    degenerate = pairwise.row(0)[1] <= 1e-9 * size
     if degenerate:
         warnings.warn("clustering produced (near-)identical centroids",
                       DegenerateClustersWarning, stacklevel=3)

@@ -615,6 +615,40 @@ class TestSenseSubcommands:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == last_line
 
+    def test_pretty_euclidean_distances_of_a_1e200_table(self, capsys, tmp_path):
+        # fixed-point form would print 6.08e200 as a 201-digit integer
+        table, senses = tmp_path / "t.vec", tmp_path / "s.tsv"
+        table.write_text("1 2\nbank 0 1e200\n", encoding="utf-8")
+        senses.write_text("bank\triver\t3e200 0\nbank\triver\t3e200 1e200\n"
+                          "bank\tmoney\t-3e200 0\nbank\tmoney\t-3e200 -1e200\n",
+                          encoding="utf-8")
+        T, S = str(table), str(senses)
+        for argv, want in [
+            (["shift", "--table", T, "--word", "bank", "--ctx", "2e200 0"],
+             ["Contextual shift of 'bank': 2.2361e+200"]),
+            (["shift", "--table", T, "--word", "bank", "--ctx", "1e-200 1e200"],
+             ["Contextual shift of 'bank': 0.0000"]),
+            (["centroid", "--senses", S, "--table", T],
+             ["Senses of 'bank': money, river", "distance(money, river) = 6.08e+200",
+              "token -> money: 3.35e+200", "token -> river: 3.04e+200",
+              "between money and river: yes"]),
+            (["separate", "--senses", S, "--word", "bank", "--table", T],
+             ["Separated 4 occurrences of 'bank'", "inter-centroid distance = 6.08e+200",
+              "token -> cluster-0: 3.04e+200", "token -> cluster-1: 3.35e+200",
+              "token between clusters: yes", "purity against gold senses = 1.00"]),
+        ]:
+            code, out, err = run(capsys, argv + ["--metric", "euclidean"])
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1:] == want
+
+    @pytest.mark.parametrize("value, digits, shown", [
+        (0.123456, 2, "0.12"), (0.123456, 4, "0.1235"), (9999999999999998.0, 2,
+         "9999999999999998.00"), (1e16, 2, "1.00e+16"), (2e200, 4, "2.0000e+200"),
+        (1e-170, 2, "0.00"),
+    ])
+    def test_pretty_distances_switch_to_exponent_form_at_1e16(self, value, digits, shown):
+        assert cli._distance(value, digits) == shown
+
     def test_shift_without_context_is_domain_error(self, capsys, table_file):
         code, _, err = run(capsys, ["shift", "--table", table_file, "--word", "horse"])
         assert code == 1

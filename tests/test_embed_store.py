@@ -7,6 +7,7 @@ import os
 import random
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -14,7 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from embgeom import container, embed_store
+from embgeom import cli, container, embed_store
 from embgeom.embed_store import (
     EmbeddingTable,
     load_embeddings_binary,
@@ -906,6 +907,216 @@ class TestNearestNeighbors:
         assert [tok for tok, _ in nearest_neighbors(t, "q", k=3, filter=keep)] == ["[CLS]", "word"]
         dropped.add("word")
         assert [tok for tok, _ in nearest_neighbors(t, "q", k=3, filter=keep)] == ["[CLS]"]
+
+
+def split_screen(monkeypatch, cpus):
+    """Split every screen and every norms pass of more than one entry into
+    ``cpus`` row blocks, as ``cpus`` usable CPUs would a large table's; ``cpus=None`` keeps every table whole, as a small one is.
+    Each block of the norms pass holds at most 64 rows."""
+    use_cpus(monkeypatch, cpus or 1)
+    monkeypatch.setattr(embed_store, "_SPLIT_ENTRIES", 1 if cpus else 1 << 62)
+    monkeypatch.setattr(embed_store, "_BLOCK_ROWS", 64)
+
+
+def _split_cases():
+    """(table maker, queries, filters, ks) for each kind of screen the
+    TestNeighbourScreen and TestNearestNeighbors cases query: stored and
+    unit rows, planted ties, float32 extremes and subnormal rows."""
+    drop = token_filter(["drop-prefix:##"])
+    planted = _planted_table(np.random.default_rng(22), 1024, 96, 10)
+    vocab = planted[0]
+    queries = [vocab[0], vocab[5], vocab[700]]
+    cases = {
+        "planted-unit-rows": (lambda: make_table(*planted), queries, (None, drop), (10, 1024)),
+        "planted-stored-rows": (
+            lambda: load_embeddings_binary(save_embeddings_binary(make_table(*planted))),
+            queries, (None, drop), (10, 1024),
+        ),
+    }
+    rng = np.random.default_rng(27)
+    base = rng.normal(size=(1100, 64))
+    names = [f"##t{i}" if i % 3 == 0 else f"t{i}" for i in range(1100)]
+    for kind, (change, _) in TestNeighbourScreen.F32_EXTREMES.items():
+        rows = base.copy()
+        rows[:40] = change(rows[:40])
+        rows = rows.astype(np.float32)
+        live = [names[i] for i in (1, 2, 5, 40, 700) if rows[i].any()]
+        cases[f"f32-{kind}"] = (
+            lambda rows=rows: load_embeddings_binary(save_embeddings_binary(make_table(names, rows))),
+            live, (None, drop), (10, 1100),
+        )
+    sub = rng.normal(size=(200, 12)).astype(np.float32)
+    sub[3] = (rng.normal(size=12) * 1e-40).astype(np.float32)
+    sub[9] = 0.0
+    small = [f"t{i}" for i in range(200)]
+    cases["f32-subnormal-row"] = (
+        lambda: load_embeddings_binary(save_embeddings_binary(make_table(small, sub))),
+        ["t3", "t4"], (None,), (5, 200),
+    )
+    wide = rng.normal(size=(300, 16))
+    wide[7] = 0.0
+    wide[:100] *= 1e300
+    wide[100:200] *= 1e-300
+    wide[260] *= 1e-310
+    tokens = [f"t{i}" for i in range(300)]
+    cases["f64-extreme-magnitudes"] = (
+        lambda: make_table(tokens, wide), ["t3", "t150", "t260"],
+        (None, token_filter(["drop-prefix:t1"])), (20, 300),
+    )
+    ties = ["q", "c", "b", "a"], [[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
+    cases["tiny-ties"] = (lambda: make_table(*ties), ["q", "c"], (None,), (1, 3))
+    return cases
+
+
+SPLIT_CASES = _split_cases()
+
+
+class TestSplitScreen:
+    """A screen and a norms pass split into row blocks on several threads
+    leave every neighbour list, and the table's query state, bit for bit."""
+
+    @staticmethod
+    def answers(case):
+        make, queries, filters, ks = SPLIT_CASES[case]
+        t = make()
+        lists = [[(n.token, n.similarity.hex()) for n in nearest_neighbors(t, q, k, f)]
+                 for q in queries for f in filters for k in ks]
+        screen, weight, scale, norms, eps = t._query_state()
+        state = [a.tobytes() for a in (screen, weight, scale, norms) if a is not None]
+        return lists, state, eps
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_every_list_is_identical_at_one_and_two_cpus(self, monkeypatch, case):
+        blocks = []
+        in_threads = embed_store._in_threads
+
+        def counted(work, edges):
+            blocks.append(len(edges) - 1)
+            return in_threads(work, edges)
+
+        monkeypatch.setattr(embed_store, "_in_threads", counted)
+        got = {}
+        for cpus in (None, 1, 2):
+            split_screen(monkeypatch, cpus)
+            blocks.clear()
+            got[cpus] = self.answers(case)
+            assert set(blocks) == {cpus or 1}
+        assert got[1] == got[None] and got[2] == got[None]
+
+    @pytest.mark.parametrize("case", ["planted-unit-rows", "planted-stored-rows"])
+    def test_more_blocks_than_cpus_under_a_short_switch_interval(self, monkeypatch, case):
+        # eight threads on this machine's CPUs, switching every few
+        # microseconds, each writing its own rows of one screen
+        split_screen(monkeypatch, None)
+        want = self.answers(case)
+        split_screen(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = [self.answers(case) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 3
+
+    def test_no_thread_outlives_a_query(self, monkeypatch):
+        split_screen(monkeypatch, 2)
+        make, (query, *_), _, _ = SPLIT_CASES["planted-stored-rows"]
+        t = make()
+        before = threading.active_count()
+        nearest_neighbors(t, query, 10)  # builds the query state too
+        assert threading.active_count() == before
+        nearest_neighbors(t, query, 10)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["caller", "thread"])
+    @pytest.mark.parametrize("case", ["planted-unit-rows", "planted-stored-rows"])
+    def test_a_block_that_raises_makes_the_query_raise(self, monkeypatch, case, where):
+        split_screen(monkeypatch, 2)
+        make, (query, *_), _, _ = SPLIT_CASES[case]
+        t = make()
+        want = nearest_neighbors(t, query, 10)
+        caller, matmul = threading.get_ident(), np.matmul
+
+        class BlockError(Exception):
+            pass
+
+        def failing(a, b, out):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise BlockError(where)
+            return matmul(a, b, out=out)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np, "matmul", failing)
+        with pytest.raises(BlockError, match=where):
+            nearest_neighbors(t, query, 10)
+        assert threading.active_count() == before
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert nearest_neighbors(t, query, 10) == want
+
+    @pytest.mark.parametrize("case", ["planted-unit-rows", "planted-stored-rows"])
+    def test_the_callers_error_state_reaches_every_block(self, monkeypatch, case):
+        split_screen(monkeypatch, 2)
+        make, (query, *_), _, _ = SPLIT_CASES[case]
+        t = make()
+        t._query_state()
+        seen, matmul = [], np.matmul
+
+        def spy(a, b, out):
+            seen.append((threading.get_ident(), np.geterr()))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        with np.errstate(over="raise", divide="ignore", invalid="warn", under="print"):
+            nearest_neighbors(t, query, 10)
+            want = np.geterr()
+        if case == "planted-stored-rows":
+            want["under"] = "ignore"  # the stored-row screen's own setting
+        assert len({ident for ident, _ in seen}) == 2
+        assert [err for _, err in seen] == [want, want]
+
+    def test_a_forked_load_after_a_split_query_loads_as_inline(self, monkeypatch):
+        split_screen(monkeypatch, 2)
+        make, (query, *_), _, _ = SPLIT_CASES["planted-stored-rows"]
+        nearest_neighbors(make(), query, 10)
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forked = load_embeddings_text(TestTextWorkers.BLOB)
+        assert isinstance(forked._array.base, mmap.mmap)
+        assert multiprocessing.active_children() == []
+        use_cpus(monkeypatch, 1)
+        assert forked == load_embeddings_text(TestTextWorkers.BLOB)
+
+    def test_neighbors_prints_the_same_bytes_at_one_and_two_cpus(self, monkeypatch, capsys,
+                                                                  tmp_path):
+        make, queries, _, _ = SPLIT_CASES["planted-stored-rows"]
+        path = tmp_path / "t.emb"
+        path.write_bytes(save_embeddings_binary(make()))
+        printed = set()
+        for cpus in (None, 1, 2):
+            split_screen(monkeypatch, cpus)
+            for word in queries:
+                for extra in ([], ["--filter", "subwords"]):
+                    argv = ["neighbors", "--table", str(path), "--word", word, "--k", "10",
+                            "--format", "tsv"]
+                    assert cli.main(argv + extra) == 0
+                    printed.add((word, tuple(extra), capsys.readouterr().out))
+        assert len(printed) == 2 * len(queries)
+
+    def test_only_screens_past_the_threshold_split(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(embed_store, "_SPLIT_ENTRIES", 5000)
+        seen = []
+        monkeypatch.setattr(embed_store, "_in_threads", lambda work, edges: seen.append(edges))
+        screen, q = np.ones((3000, 4), dtype=np.float32), np.ones(4, dtype=np.float32)
+        filled = []
+        for rows in (1250, 3000):
+            out = np.zeros(rows, dtype=np.float32)
+            embed_store._screen_into(screen[:rows], q, out)
+            filled.append(bool((out == 4.0).all()))
+        # 12000 entries: three blocks of rows; 5000 entries: one np.matmul here
+        assert seen == [[0, 1000, 2000, 3000]]
+        assert filled == [True, False]
 
 
 class TestTokenFilter:

@@ -155,6 +155,23 @@ def test_only_container_reads_a_source():
     assert readers <= {"container"}
 
 
+def test_only_embed_store_starts_threads():
+    # the text loader forks its workers: every thread the package starts is
+    # embed_store's own, joined before the call that started it returns
+    users = set()
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+            else:
+                continue
+            if names & {"threading", "_thread", "ThreadPoolExecutor"}:
+                users.add(module)
+    assert users <= {"embed_store"}
+
+
 def test_no_subcommand_writes_stdout_itself():
     # cli.main prints the seed and a command's lines once the command has
     # returned, so a failing run leaves stdout empty

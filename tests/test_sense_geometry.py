@@ -1077,9 +1077,6 @@ def test_one_norm_rule_takes_every_scale_alike(metric):
     for k in range(-1000, 1001, 8):  # both ends of the squares' safe range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # the degenerate flag's bound is an absolute 1e-9, which the
-            # euclidean distances of rows this small fall under
-            warnings.simplefilter("ignore", DegenerateClustersWarning)
             got = _geometry(k, metric)
         want = distances if metric == "cosine" else [math.ldexp(v, k) for v in distances]
         assert got[0] == want, k
