@@ -218,8 +218,8 @@ def cmd_centroid(args):
     report = sense_geometry.inventory_report(
         inventory, token_emb=token_emb, metric=args.metric
     )
-    names = report.names
-    pairs = [(names[i], names[j], report.pairwise_distances.row(i)[j])
+    names, dist = report.names, report.pairwise_distances.array
+    pairs = [(names[i], names[j], dist[i, j])
              for i in range(len(names)) for j in range(i + 1, len(names))]
     between = [(names[i], names[j], flag)
                for (i, j), flag in sorted((report.betweenness or {}).items())]
@@ -265,12 +265,12 @@ def cmd_separate(args):
         seed=args.seed,
         metric=args.metric,
     )
-    dist = report.pairwise_distances.row(0)[1]
+    dist = report.pairwise_distances.array[0, 1]
+    t2c = list(zip(report.names, report.token_to_centroid))
     between = report.betweenness[(0, 1)]
     if args.format == "tsv":
         lines = [f"distance\t{_fmt(dist)}"]
-        lines += [f"token_distance\tcluster-{i}\t{_fmt(d)}"
-                  for i, d in enumerate(report.token_to_centroid)]
+        lines += [f"token_distance\t{name}\t{_fmt(d)}" for name, d in t2c]
         lines.append(f"betweenness\t{str(between).lower()}")
         if report.purity is not None:
             lines.append(f"purity\t{_fmt(report.purity)}")
@@ -279,8 +279,7 @@ def cmd_separate(args):
         return lines
     lines = [f"Separated {len(occurrences)} occurrences of {args.word!r}",
              f"inter-centroid distance = {_distance(dist, 2)}"]
-    lines += [f"token -> cluster-{i}: {_distance(d, 2)}"
-              for i, d in enumerate(report.token_to_centroid)]
+    lines += [f"token -> {name}: {_distance(d, 2)}" for name, d in t2c]
     lines.append(f"token between clusters: {'yes' if between else 'no'}")
     if report.purity is not None:
         lines.append(f"purity against gold senses = {report.purity:.2f}")

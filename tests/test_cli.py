@@ -122,6 +122,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_prefix_rule_without_a_prefix_is_usage_error(self, capsys, table_file):
+        code, out, err = run(
+            capsys,
+            ["neighbors", "--table", table_file, "--word", "horse",
+             "--filter", "drop-prefix:"],
+        )
+        assert (code, out) == (2, "")
+        assert "drop-prefix rule needs a prefix" in err
+
 
 class TestSeedEcho:
     def test_default_seed_is_42(self, capsys, table_file):
@@ -170,6 +179,12 @@ class TestNeighbors:
              "--filter", "subwords,specials"],
         )
         assert "##h" not in out
+
+    def test_empty_filter_entries_are_skipped(self, capsys, table_file):
+        argv = ["neighbors", "--table", table_file, "--word", "horse"]
+        code, out, _ = run(capsys, argv + ["--filter", "subwords,,specials"])
+        assert code == 0
+        assert out == run(capsys, argv + ["--filter", "subwords,specials"])[1]
 
     def test_unfiltered_keeps_subwords(self, capsys, table_file):
         _, out, _ = run(
@@ -1011,7 +1026,7 @@ class TestSelfcheck:
         assert all(l.split("\t")[2] == "pass" for l in checks)
 
     def test_row_sum_check_runs_the_shipped_head(self, monkeypatch):
-        assert selfcheck._check_attention_row_sums(random.Random(0)).passed
+        assert selfcheck._check_attention_row_sums(random.Random(0))[0]
         shipped = attention.head_forward
         monkeypatch.setattr(
             attention, "head_forward",
@@ -1019,22 +1034,40 @@ class TestSelfcheck:
                 1.5 * shipped(seq, params, scale_scores=scale_scores).array
             ),
         )
-        assert not selfcheck._check_attention_row_sums(random.Random(0)).passed
+        assert not selfcheck._check_attention_row_sums(random.Random(0))[0]
 
     def test_softmax_check_runs_the_shipped_kernel(self, monkeypatch):
-        assert selfcheck._check_softmax_normalization(random.Random(0)).passed
+        assert selfcheck._check_softmax_normalization(random.Random(0))[0]
         shipped = attention._weights
         monkeypatch.setattr(attention, "_weights", lambda q, k, scale: 1.5 * shipped(q, k, scale))
-        assert not selfcheck._check_softmax_normalization(random.Random(0)).passed
+        assert not selfcheck._check_softmax_normalization(random.Random(0))[0]
 
     def test_gradient_check_runs_the_shipped_step(self, monkeypatch):
-        assert selfcheck._check_gradients(random.Random(0)).passed
+        assert selfcheck._check_gradients(random.Random(0))[0]
         shipped = trainer._sgd_step_arrays
         monkeypatch.setattr(
             trainer, "_sgd_step_arrays",
             lambda w_in, w_out, target, ctx, lr: shipped(w_in, w_out, target, ctx, 1.5 * lr),
         )
-        assert not selfcheck._check_gradients(random.Random(0)).passed
+        assert not selfcheck._check_gradients(random.Random(0))[0]
+
+    @pytest.mark.parametrize("fmt", ["pretty", "tsv"])
+    def test_a_check_that_raises_fails_under_its_own_name(self, capsys, monkeypatch, fmt):
+        _, shipped, _ = run(capsys, ["selfcheck", "--format", fmt])
+
+        def broken(*args):
+            raise RuntimeError("step broke")
+
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", broken)
+        code, out, err = run(capsys, ["selfcheck", "--format", fmt])
+        assert (code, err) == (1, "")
+        want = shipped.splitlines()  # the seed line, then one line per check
+        if fmt == "tsv":
+            want[5] = "check\tgradient check\tfail\traised RuntimeError: step broke"
+        else:
+            want[5] = "FAIL  gradient check - raised RuntimeError: step broke"
+            want[-1] = "6/7 checks passed"
+        assert out.splitlines() == want
 
 
 class TestNeighborsOutput:

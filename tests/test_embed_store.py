@@ -27,6 +27,7 @@ from embgeom.embed_store import (
 )
 from embgeom.errors import (
     DimensionError,
+    EmptyInputError,
     OutOfVocabularyError,
     ParseError,
     ZeroVectorError,
@@ -102,6 +103,12 @@ class TestEmbeddingTable:
         t = make_table(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         assert t.V == 2 and t.D == 2
         assert t.vocab == ("a", "b")
+        assert len(t) == 2
+        assert "a" in t and "c" not in t
+
+    def test_empty_vocabulary_rejected(self):
+        with pytest.raises(EmptyInputError):
+            make_table([], [[1.0]])
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -357,6 +364,13 @@ class TestTextWorkers:
     """The worker path against the inline one, forced either way."""
 
     BLOB = "4 2\nRiver 1 -0.5\n日本 0.25 3e-300\n##s 0 1.5\nBANK -2.5 1e300".encode()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert embed_store._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert embed_store._usable_cpus() == 1
 
     def load_both(self, monkeypatch, data, **kwargs):
         tables = []

@@ -62,6 +62,7 @@ class TestVector:
         assert Vector([1, 2]) == Vector([1.0, 2.0])
         assert hash(Vector([1, 2])) == hash(Vector([1.0, 2.0]))
         assert Vector([1, 2]) != Vector([2, 1])
+        assert (Vector([1.0]) == (1.0,)) is False
 
 
 class TestMatrix:

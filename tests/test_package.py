@@ -183,3 +183,23 @@ def test_no_subcommand_writes_stdout_itself():
                         or isinstance(inner, ast.Attribute) and inner.attr == "stdout"):
                     writers.add(node.name)
     assert writers == set()
+
+
+def test_selfcheck_names_each_check_once():
+    # selfcheck._CHECKS is the one table of (printed name, check): a check
+    # left out of it never runs, and a CheckResult built anywhere but
+    # run_all could name a check a second way
+    tree = _module_trees()["selfcheck"]
+    defined = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")]
+    names, checks = zip(*importlib.import_module("embgeom.selfcheck")._CHECKS)
+    assert sorted(check.__name__ for check in checks) == sorted(defined)
+    assert len(set(names)) == len(names)
+    builders = set()
+    for node in tree.body:
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Call)
+                    and "CheckResult" in {getattr(inner.func, "id", None),
+                                          getattr(inner.func, "attr", None)}):
+                builders.add(getattr(node, "name", None))
+    assert builders == {"run_all"}

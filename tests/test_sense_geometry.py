@@ -694,6 +694,10 @@ class TestProbeTrain:
         with pytest.raises(TypeError):
             probe_train([([1.0], "A"), ([0.0], "B")])
 
+    def test_no_examples_rejected(self):
+        with pytest.raises(EmptyInputError):
+            probe_train([])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProbeConfig(learning_rate=0.0)

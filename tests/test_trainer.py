@@ -127,6 +127,10 @@ class TestTypes:
                 W_out=Matrix([[1.0]]),
             )
 
+    def test_empty_vocabulary_rejected(self):
+        with pytest.raises(EmptyInputError):
+            ToyLM(vocab=(), W_in=Matrix([[1.0]]), W_out=Matrix([[1.0]]))
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -186,6 +190,10 @@ class TestMakeTrainingExamples:
     def test_out_of_vocab_token(self):
         with pytest.raises(OutOfVocabularyError):
             make_training_examples([["a", "zebra"]], 1, ["a"])
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="window must be positive"):
+            make_training_examples([["a", "b"]], 0, ["a", "b"])
 
 
 class TestModelForward:
