@@ -14,6 +14,13 @@ The package is organised around a handful of small modules:
 ``sense_geometry``
     Centroids, contextual shift, homonym separation, and probing
     classifiers over embedding spaces.
+``container``
+    The one reader of every input, the binary container layout, and the
+    decimals of the text formats.
+``errors``
+    The package's exception types, under ``EmbgeomError``, and its warning.
+``selfcheck``
+    The built-in invariant suite behind ``embgeom selfcheck``.
 ``cli``
     The ``embgeom`` command-line front end.
 """

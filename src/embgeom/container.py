@@ -6,7 +6,7 @@ or f64 payloads, with nothing after the last field. Each format module
 picks its fields and their order; this module encodes and checks them, and
 every decoding failure it reports is a :class:`~embgeom.errors.ParseError`.
 Its :func:`read` is the package's one reader: every loader's source, binary
-or UTF-8 text, becomes one read-only buffer there. It also reads text decimals.
+or UTF-8 text, becomes one read-only buffer there. It also reads and writes decimals.
 """
 
 import math
@@ -80,6 +80,11 @@ def decimal(field):
     if not math.isfinite(x):
         raise ValueError(f"value out of range: {field!r}")
     return x
+
+
+def _decimals(values):
+    """Floats as single-spaced ``%.17g`` decimals, which :func:`decimal` reads back exactly."""
+    return " ".join(f"{x:.17g}" for x in values)
 
 
 def build(constructor, *args, line=None, **kwargs):

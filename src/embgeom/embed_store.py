@@ -3,13 +3,14 @@
 Tables are immutable after construction. Storage and the exhaustive
 similarity scan sit on numpy so that a 30k x 768 table loads and scans in
 seconds; the public surface speaks :class:`~embgeom.linalg.Vector` and
-:class:`~embgeom.linalg.Matrix` like the rest of the package. The text
-loader streams runs of whole lines (about 16 MB) into a preallocated
-table, so beyond its input it holds the table and one run. It checks the
-runs' layout and tokens in file order itself; when there are several runs
-and several usable CPUs, forked worker processes parse their values into
-the table, which then sits in shared anonymous memory. EMB1 tables keep
-their float32 rows, which float32 holds exactly.
+:class:`~embgeom.linalg.Matrix` like the rest of the package. EMB1 tables
+keep their float32 rows, which float32 holds exactly. The text loader makes
+one ordered pass over runs of whole lines (about 16 MB), holding the table
+and one run beyond its input. It checks each run's layout and tokens, and
+its values are parsed into a preallocated table inline or, with several
+runs and usable CPUs, by forked workers into shared anonymous memory. One
+loop takes the parses back in file order: the first faulty line is named,
+and a failed parse stops the pass within two runs per usable CPU.
 
 A neighbour query screens every row in float32, cuts the rows whose
 screened cosine cannot reach the top ``k``, and ranks the rest exactly in
@@ -17,10 +18,11 @@ float64 (see :func:`nearest_neighbors`). A screen of more than
 ``_SPLIT_ENTRIES`` entries, such as a BERT-sized table's, is computed in
 contiguous row blocks, one per usable CPU at most, on short-lived threads
 that are joined before the query returns. This module is the package's
-only user of threads, so no thread is alive when the text loader
-forks its workers.
+only user of threads and only starter of processes, so no thread is alive
+when the text loader forks its workers.
 """
 
+import collections
 import contextvars
 import os
 import re
@@ -287,9 +289,8 @@ class TokenFilter:
 
     def __call__(self, token):
         """True when the token survives every enabled rule."""
-        for p in self._prefixes:
-            if token.startswith(p):
-                return False
+        if token.startswith(self._prefixes):
+            return False
         if self._bracketed and token.startswith("[") and token.endswith("]"):
             return False
         if self._alpha_only and not token.isalpha():
@@ -312,8 +313,8 @@ def load_embeddings_text(source, lowercase=False):
     ``<V> <D>``; then exactly V lines of ``<token> <x1> ... <xD>``
     with single-space separation and ``\\n`` line endings. ``lowercase``
     folds tokens at ingest (later duplicates of a folded token are rejected).
-    Rows stream through in runs of whole lines into a preallocated table;
-    when there is more than one run, forked workers parse their values.
+    One ordered pass checks runs of whole lines and parses their values into
+    a preallocated table, inline or, past one run, on forked workers.
 
     Raises ParseError naming the first faulty line on any malformation.
     """
@@ -327,38 +328,35 @@ def load_embeddings_text(source, lowercase=False):
     if V < 1 or D < 1:
         raise ParseError(f"V and D must be positive, got {V} {D}", line=1)
 
-    bounds, pos = [], end + 1  # runs of whole lines
-    while pos < len(raw):
-        stop = m.end() if (m := _NEWLINE.search(raw, pos + _CHUNK_BYTES - 1)) else len(raw)
-        bounds.append((pos, stop))
-        pos = stop
+    cuts = [end + 1]  # runs of whole lines, each from one cut to the next
+    while cuts[-1] < len(raw):
+        m = _NEWLINE.search(raw, cuts[-1] + _CHUNK_BYTES - 1)
+        cuts.append(m.end() if m else len(raw))
     # A row takes at least 2D + 1 bytes: a header cannot make the table large.
     rows = min(V, (len(raw) - end) // (2 * D + 1))
-    arr, pool = _table_and_pool(raw, (rows, D), len(bounds))
-    # token -> row; each run's value parse, in file order; the fault that
-    # stopped the scan
-    vocab, jobs, fault = {}, [], None
-    try:
-        for pos, stop in bounds:
+    arr, pool = _table_and_pool(raw, (rows, D), len(cuts) - 1)
+    vocab, fault = {}, None  # token -> row; the fault that stopped the scan
+
+    def scan():  # each run's sound rows as (start, end, first row), in file order
+        nonlocal fault
+        for pos, stop in zip(cuts, cuts[1:]):
             # The final row may lack its newline.
             chunk = bytes(raw[pos:stop]) if raw[stop - 1] == 10 else bytes(raw[pos:]) + b"\n"
-            line = len(vocab) + 2
             n, e, fault = _scan_rows(chunk, V, D, vocab, lowercase)
             if n:
-                job = (pos, pos + e, line - 2)
-                if pool is None:
-                    ok = _parse_values(raw, arr, *job)
-                else:
-                    ok = pool.submit(_parse_inherited, *job)
-                jobs.append((line, job, ok))
-            # A failed value parse puts the first fault at or before its chunk.
-            if fault is not None or any(_failed(ok) for *_, ok in jobs):
-                break
-        # The first faulty line wins: a value fault comes before the row
-        # that stopped the scan.
-        for line, (a, b, _), ok in jobs:
-            if ok is False or (ok is not True and not ok.result()):
-                raise _value_fault(bytes(raw[a:b]), D, line, lowercase)
+                yield pos, pos + e, len(vocab) - n
+            if fault is not None:
+                return
+
+    try:
+        if pool is None:  # lazy: a failed parse stops the scan
+            parsed = map(lambda job: (*job, _parse_values(raw, arr, *job)), scan())
+        else:
+            parsed = _lazy_map(pool, _parse_inherited, scan(), 2 * _usable_cpus())
+        # A value fault precedes the row that stopped the scan: the first faulty line wins.
+        for a, b, row, ok in parsed:
+            if not ok:
+                raise _value_fault(bytes(raw[a:b]), D, row + 2, lowercase)
         if fault is not None:
             raise fault
     finally:
@@ -367,12 +365,6 @@ def load_embeddings_text(source, lowercase=False):
     if (n := len(vocab)) < V:
         raise ParseError(f"expected {V} embedding rows, found {n}", line=n + 2)
     return container.build(EmbeddingTable._take, vocab, arr)
-
-
-def _failed(ok):
-    """Whether a value parse is known to have failed: ``ok`` is its outcome
-    inline, or the future of a worker that may not be done yet."""
-    return ok is False or (ok is not True and ok.done() and not ok.result())
 
 
 def _usable_cpus():
@@ -418,8 +410,20 @@ def _inherit(raw, arr):
     _inherited = raw, arr
 
 
-def _parse_inherited(a, b, row):
-    return _parse_values(*_inherited, a, b, row)
+def _parse_inherited(job):
+    """``job`` and whether its values parsed, in a worker (see _parse_values)."""
+    return *job, _parse_values(*_inherited, *job)
+
+
+def _lazy_map(pool, fn, jobs, ahead):
+    """``pool.map(fn, jobs)``, drawing a job only while fewer than ``ahead`` are
+    unanswered (``pool.map`` draws every job before it yields the first)."""
+    futures = collections.deque()
+    for job in jobs:
+        futures.append(pool.submit(fn, job))
+        if len(futures) == ahead:
+            yield futures.popleft().result()
+    yield from (future.result() for future in futures)
 
 
 def _scan_rows(chunk, V, D, vocab, lowercase):
@@ -526,13 +530,8 @@ def save_embeddings_text(table):
     Floats are written with 17 significant digits, enough for the
     load(save(t)) round-trip to be exact, well inside the 1e-8 contract.
     """
-    out = [f"{table.V} {table.D}"]
-    arr = table._array
-    for i, token in enumerate(table.vocab):
-        row = " ".join(f"{x:.17g}" for x in arr[i].tolist())
-        out.append(f"{token} {row}")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    rows = (f"{t} {container._decimals(x.tolist())}\n" for t, x in zip(table.vocab, table._array))
+    return f"{table.V} {table.D}\n{''.join(rows)}".encode("utf-8")
 
 
 def load_embeddings_binary(source, lowercase=False):

@@ -522,7 +522,7 @@ def load_sense_tsv(source):
 def _tsv_bytes(rows):
     """(column 1, column 2, values) rows as UTF-8 `col1<TAB>col2<TAB>x1 ... xD` lines."""
     return "".join(
-        f"{a}\t{b}\t{' '.join(f'{x:.17g}' for x in values)}\n" for a, b, values in rows
+        f"{a}\t{b}\t{container._decimals(values)}\n" for a, b, values in rows
     ).encode("utf-8")
 
 

@@ -161,14 +161,7 @@ def _sgd_step_arrays(w_in, w_out, target, ctx, lr):
 
 def induce_vocab(corpus):
     """Vocabulary in order of first occurrence across the corpus."""
-    vocab = []
-    seen = set()
-    for sentence in corpus:
-        for tok in sentence:
-            if tok not in seen:
-                seen.add(tok)
-                vocab.append(tok)
-    return tuple(vocab)
+    return tuple(dict.fromkeys(tok for sentence in corpus for tok in sentence))
 
 
 def train(corpus, config, on_epoch=None):
@@ -218,12 +211,7 @@ def load_corpus(source, lowercase=False):
     text = container.read_text(source)
     if lowercase:
         text = text.lower()
-    corpus = []
-    for line in text.split("\n"):
-        tokens = line.split()
-        if tokens:
-            corpus.append(tokens)
-    return corpus
+    return [tokens for line in text.split("\n") if (tokens := line.split())]
 
 
 def save_model(m):

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -1011,6 +1012,17 @@ def test_attend_and_contextualize_reject_a_window_alike(capsys, table_file, wind
     assert errors == {"ValueError: context window must be positive\n"}
 
 
+def _zero_weights(q, k, scale_scores):
+    return np.zeros((len(q), len(k)))
+
+
+def _one_column_more(shipped):
+    def wider(*args, **kwargs):
+        out = shipped(*args, **kwargs).array
+        return Matrix(np.column_stack([out, out[:, :1]]))
+    return wider
+
+
 class TestSelfcheck:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, ["selfcheck"])
@@ -1068,6 +1080,47 @@ class TestSelfcheck:
             want[5] = "FAIL  gradient check - raised RuntimeError: step broke"
             want[-1] = "6/7 checks passed"
         assert out.splitlines() == want
+
+    # One case per failure branch: the kernel a check runs, how it is broken
+    # (a function of the shipped kernel), the check, and its detail as a
+    # pattern.
+    BROKEN = {
+        "zero-weights": (attention, "_weights", lambda f: _zero_weights,
+                         "softmax normalization", "non-positive probability"),
+        "zero-head-weights": (attention, "_weights", lambda f: _zero_weights,
+                              "attention row sums", "non-positive attention weight"),
+        "row-index-added": (
+            attention, "stack_forward",
+            lambda f: lambda seq, *a: Matrix(f(seq, *a).array + np.arange(len(seq))[:, None]),
+            "permutation equivariance", r"max deviation = [1-5]\.00e\+00",
+        ),
+        "wide-head": (attention, "head_forward", _one_column_more,
+                      "concat dimensionality", "head output is not d/n at d=8, n=1"),
+        "wide-layer": (attention, "multihead_forward", _one_column_more,
+                       "concat dimensionality", "layer output is not d at d=8, n=1"),
+        "sum-not-mean": (sense_geometry, "_mean", lambda f: lambda x: x.sum(axis=0),
+                         "centroid identity", "mean of copies is not the copy"),
+        # right for copies and for opposite pairs, but the first and last
+        # rows weigh in
+        "order-weighted-mean": (
+            sense_geometry, "_mean", lambda f: lambda x: f(x) * (1.0 + x[0, 0] - x[-1, 0]),
+            "centroid identity", "centroid is order-sensitive",
+        ),
+        "row-wise-max": (sense_geometry, "_mean", lambda f: lambda x: x.max(axis=0),
+                         "centroid identity", "opposite pairs do not cancel"),
+        "reversed-neighbours": (
+            embed_store, "nearest_neighbors", lambda f: lambda *a, **k: f(*a, **k)[::-1],
+            "neighbour ranking", "top 10 of 't0' differs from the float64 ranking",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", BROKEN)
+    def test_each_failure_branch_names_its_fault(self, monkeypatch, case):
+        module, name, broken, check, detail = self.BROKEN[case]
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        result = {r.name: r for r in selfcheck.run_all()}[check]
+        assert not result.passed
+        assert re.fullmatch(detail, result.detail), result.detail
 
 
 class TestNeighborsOutput:

@@ -105,6 +105,8 @@ class TestEmbeddingTable:
         assert t.vocab == ("a", "b")
         assert len(t) == 2
         assert "a" in t and "c" not in t
+        assert repr(t) == "EmbeddingTable(V=2, D=2)"
+        assert (t == 3) is False
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -450,6 +452,40 @@ class TestTextWorkers:
                 use_cpus(monkeypatch, cpus)
                 seen.add(repr(outcome(bad)))
             assert len(seen) == 1, bad
+
+    def scans(self, monkeypatch):
+        """The chunks ``_scan_rows`` is called on, as a list that grows."""
+        calls, shipped = [], embed_store._scan_rows
+        monkeypatch.setattr(embed_store, "_scan_rows",
+                            lambda chunk, *args: calls.append(chunk) or shipped(chunk, *args))
+        return calls
+
+    def test_a_failed_inline_parse_stops_the_scan(self, monkeypatch):
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        use_cpus(monkeypatch, 1)
+        calls = self.scans(monkeypatch)
+        with pytest.raises(ParseError, match=r"^line 2: not a decimal float: 'nan'"):
+            load_embeddings_text(b"3 1\na nan\nb 1\nc 2\n")
+        assert calls == [b"a nan\n"]
+
+    def test_a_failed_forked_parse_stops_the_scan(self, monkeypatch):
+        # no more than two runs per usable CPU are handed out ahead of the one awaited
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        use_cpus(monkeypatch, 2)
+        calls = self.scans(monkeypatch)
+        data = b"10 1\na nan\n" + b"".join(b"t%d %d\n" % (i, i) for i in range(9))
+        with pytest.raises(ParseError, match=r"^line 2: not a decimal float: 'nan'"):
+            load_embeddings_text(data)
+        assert calls == [b"a nan\n", b"t0 0\n", b"t1 1\n", b"t2 2\n"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_values_that_fail_to_parse_for_no_named_reason(self, monkeypatch, cpus):
+        monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
+        monkeypatch.setattr(embed_store, "_parse_values", lambda *args: False)
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(ParseError) as exc:
+            load_embeddings_text(self.BLOB)
+        assert str(exc.value) == "line 2: values do not parse"
 
     def test_no_worker_outlives_a_load(self, monkeypatch):
         monkeypatch.setattr(embed_store, "_CHUNK_BYTES", 3)
@@ -1162,6 +1198,7 @@ class TestTokenFilter:
         assert not f("##s")
         assert not f("[MASK]")
         assert f("horse")
+        assert repr(f) == "TokenFilter(rules=['drop-prefix:##', 'drop-bracketed'])"
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

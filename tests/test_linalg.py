@@ -64,12 +64,18 @@ class TestVector:
         assert Vector([1, 2]) != Vector([2, 1])
         assert (Vector([1.0]) == (1.0,)) is False
 
+    def test_repr_shows_at_most_eight_components(self):
+        assert repr(Vector([1, 2])) == "Vector([1.0, 2.0])"
+        assert repr(Vector(range(8))) == f"Vector({[float(i) for i in range(8)]})"
+        assert repr(Vector(range(9))) == "Vector([0.0, 1.0, 2.0, 3.0, ...], dim=9)"
+
 
 class TestMatrix:
     def test_shape(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
         assert m.shape == (2, 3)
         assert m.rows == 2 and m.cols == 3
+        assert repr(m) == "Matrix(2x3)"
 
     def test_ragged_rejected(self):
         with pytest.raises(DimensionError):
@@ -163,6 +169,7 @@ class TestMatrix:
     def test_equality_needs_equal_shapes(self):
         assert Matrix([[1.0, 2.0]]) != Matrix([[1.0], [2.0]])
         assert Matrix([[1.0, 2.0]]) != Matrix([[1.0, 3.0]])
+        assert (Matrix([[3.0]]) == 3) is False
 
 
 class TestMatrixArray:

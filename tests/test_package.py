@@ -172,6 +172,27 @@ def test_only_embed_store_starts_threads():
     assert users <= {"embed_store"}
 
 
+def test_only_embed_store_starts_processes():
+    # the text loader's forked workers are the package's only processes, so
+    # its fork-safety argument (no thread alive at the fork) has one module
+    # to check
+    starters = set()
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+            elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and getattr(node.value, "id", None) == "os"):
+                names = {"fork"}
+            else:
+                continue
+            if names & {"multiprocessing", "ProcessPoolExecutor", "subprocess", "fork"}:
+                starters.add(module)
+    assert starters <= {"embed_store"}
+
+
 def test_no_subcommand_writes_stdout_itself():
     # cli.main prints the seed and a command's lines once the command has
     # returned, so a failing run leaves stdout empty
