@@ -3,7 +3,8 @@
 Every subcommand echoes the seed as its first output line, emits either a
 human-readable table (``--format pretty``, the default) or full-precision
 TSV (``--format tsv``), and exits 0 on success, 1 on a domain error named
-on stderr in one line, or 2 on a usage error.
+on stderr in one line, or 2 on a usage error. A warning that Python's
+filters show is one such stderr line too.
 
 Each ``cmd_*`` function computes its whole result and returns its output
 lines (``selfcheck`` also its exit status); :func:`main` alone writes
@@ -15,6 +16,7 @@ linalg's one ``ValueError: <what> left float64: ...`` line.
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,11 +74,16 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _distance(x, digits):
-    """A distance for ``--format pretty``: ``digits`` decimals, or in
-    exponent form from 1e16 on, where fixed form would print digits that
-    are not the value's (a distance of 2e200 as a 201-digit integer)."""
+def _pretty(x, digits):
+    """A number for ``--format pretty``: ``digits`` decimals, or in exponent
+    form from 1e16 on, where fixed form would print digits that are not the
+    value's (a distance of 2e200 as a 201-digit integer)."""
     return f"{x:.{digits}{'e' if abs(x) >= 1e16 else 'f'}}"
+
+
+def _warning_line(message, category, filename, lineno, line=None):
+    """A shown warning as :func:`main` writes it: one line, as an error is."""
+    return f"{category.__name__}: {message}\n"
 
 
 def _vector_fields(v):
@@ -192,7 +199,7 @@ def cmd_contextualize(args):
     more = " ..." if out.cols > 8 else ""
     lines = []
     for token, v in zip(tokens, out):
-        head = " ".join(f"{x:.2f}" for x in list(v)[:8])
+        head = " ".join(_pretty(x, 2) for x in v[:8])
         lines.append(f"{token}: [{head}{more}]")
     return lines
 
@@ -233,8 +240,8 @@ def cmd_centroid(args):
         )
     return (
         [f"Senses of {inventory.word!r}: {', '.join(names)}"]
-        + [f"distance({a}, {b}) = {_distance(d, 2)}" for a, b, d in pairs]
-        + [f"token -> {name}: {_distance(d, 2)}" for name, d in t2c]
+        + [f"distance({a}, {b}) = {_pretty(d, 2)}" for a, b, d in pairs]
+        + [f"token -> {name}: {_pretty(d, 2)}" for name, d in t2c]
         + [f"between {a} and {b}: {'yes' if flag else 'no'}" for a, b, flag in between]
     )
 
@@ -250,7 +257,7 @@ def cmd_shift(args):
     value = sense_geometry.contextual_shift(token_emb, ctx_emb, metric=args.metric)
     if args.format == "tsv":
         return [f"shift\t{_fmt(value)}"]
-    return [f"Contextual shift of {args.word!r}: {_distance(value, 4)}"]
+    return [f"Contextual shift of {args.word!r}: {_pretty(value, 4)}"]
 
 
 def cmd_separate(args):
@@ -278,8 +285,8 @@ def cmd_separate(args):
                   for k, (label, cluster) in enumerate(zip(gold, report.assignments))]
         return lines
     lines = [f"Separated {len(occurrences)} occurrences of {args.word!r}",
-             f"inter-centroid distance = {_distance(dist, 2)}"]
-    lines += [f"token -> {name}: {_distance(d, 2)}" for name, d in t2c]
+             f"inter-centroid distance = {_pretty(dist, 2)}"]
+    lines += [f"token -> {name}: {_pretty(d, 2)}" for name, d in t2c]
     lines.append(f"token between clusters: {'yes' if between else 'no'}")
     if report.purity is not None:
         lines.append(f"purity against gold senses = {report.purity:.2f}")
@@ -465,6 +472,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         result = args.func(args)
     # RuntimeError: a text-table worker process died (BrokenProcessPool).
@@ -472,6 +480,8 @@ def main(argv=None):
     except (EmbgeomError, ValueError, TypeError, OSError, RuntimeError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
     lines, code = result if isinstance(result, tuple) else (result, 0)
     print("\n".join([f"# seed={args.seed}", *lines]))
     return code

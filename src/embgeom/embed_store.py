@@ -332,9 +332,10 @@ def load_embeddings_text(source, lowercase=False):
     while cuts[-1] < len(raw):
         m = _NEWLINE.search(raw, cuts[-1] + _CHUNK_BYTES - 1)
         cuts.append(m.end() if m else len(raw))
-    # A row takes at least 2D + 1 bytes: a header cannot make the table large.
+    # A row takes at least 2D + 1 bytes: a header cannot make the table large,
+    # nor wide, as a table of no rows needs no columns.
     rows = min(V, (len(raw) - end) // (2 * D + 1))
-    arr, pool = _table_and_pool(raw, (rows, D), len(cuts) - 1)
+    arr, pool = _table_and_pool(raw, (rows, D if rows else 0), len(cuts) - 1)
     vocab, fault = {}, None  # token -> row; the fault that stopped the scan
 
     def scan():  # each run's sound rows as (start, end, first row), in file order

@@ -3,7 +3,7 @@
 A ``Vector`` is a tuple of 64-bit Python floats; a ``Matrix`` is one
 read-only float64 numpy array, the same array the numpy code computes
 with, and a read-only sequence of its rows, each a Vector built when it is
-read. :func:`matrix_array` is the one validator for 2-D input; a
+read. :func:`matrix_array` validates Vector and Matrix input alike; a
 Matrix has passed it, so handing one on costs no second check.
 :func:`random_array` is the bulk seeded uniform draw behind every random
 weight, run by numpy's ``MT19937`` on a ``random.Random``'s own state when
@@ -115,30 +115,13 @@ def random_array(rng, m, lo=0.0, hi=1.0):
     return out
 
 
-def _check_finite(values):
-    # Fast path: a finite sum proves nothing is nan/inf unless the sum
-    # itself overflowed, so only then inspect element by element.
-    if math.isfinite(sum(values)):
-        return
-    for x in values:
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite component: {x!r}")
-
-
 class Vector:
-    """An ordered, immutable list of finite real numbers."""
+    """An ordered, immutable list of finite reals, checked by :func:`matrix_array`."""
 
     __slots__ = ("_data",)
 
     def __init__(self, components):
-        if isinstance(components, Vector):
-            self._data = components._data
-            return
-        data = tuple(map(float, components))
-        if not data:
-            raise EmptyInputError("a vector needs at least one component")
-        _check_finite(data)
-        self._data = data
+        self._data = tuple(matrix_array([components])[0].tolist())
 
     @classmethod
     def _of(cls, data):
@@ -209,16 +192,16 @@ def matrix_array(rows):
         packed = [r.components if isinstance(r, Vector) else tuple(map(float, r))
                   for r in rows]
         if not packed or not packed[0]:
-            raise EmptyInputError("a matrix needs at least one row and one column")
+            raise EmptyInputError("input has no entries")
         width = len(packed[0])
         for i, row in enumerate(packed):
             if len(row) != width:
                 raise DimensionError(f"row {i} has {len(row)} entries, expected {width}")
         a = np.array(packed, dtype=np.float64)
     if a.size == 0:
-        raise EmptyInputError("a matrix needs at least one row and one column")
+        raise EmptyInputError("input has no entries")
     if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
+        raise ValueError("input has a non-finite entry")
     return a
 
 
@@ -233,9 +216,6 @@ class Matrix:
     __slots__ = ("_array",)
 
     def __init__(self, rows):
-        if isinstance(rows, Matrix):
-            self._array = rows._array
-            return
         a = matrix_array(rows)
         if a is rows:  # the caller's own array: a copy the caller cannot write
             a = np.array(a)

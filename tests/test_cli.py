@@ -541,6 +541,20 @@ class TestContextualize:
         for line in out.splitlines()[1:]:
             assert len(line.split("\t")[1].split()) == 2
 
+    def test_pretty_entries_of_a_1e100_table_in_exponent_form(self, capsys, tmp_path):
+        # fixed-point form would print each entry as a 100-digit integer
+        table = tmp_path / "big.vec"
+        table.write_text("2 3\na 1e100 -1e100 2e100\nb 1e100 1e100 1e100\n", encoding="utf-8")
+        argv = ["contextualize", "--table", str(table), "--tokens", "a b", "--no-scale"]
+        _, tsv, _ = run(capsys, argv + ["--format", "tsv"])
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        for line, want in zip(out.splitlines()[1:], tsv.splitlines()[1:], strict=True):
+            token, fields = want.split("\t")
+            values = [float(x) for x in fields.split()]
+            assert min(map(abs, values)) >= 1e16
+            assert line == f"{token}: [{' '.join(f'{x:.2e}' for x in values)}]"
+
 
 class TestSenseSubcommands:
     def test_centroid_reports_distances(self, capsys, senses_file, table_file):
@@ -663,7 +677,24 @@ class TestSenseSubcommands:
         (1e-170, 2, "0.00"),
     ])
     def test_pretty_distances_switch_to_exponent_form_at_1e16(self, value, digits, shown):
-        assert cli._distance(value, digits) == shown
+        assert cli._pretty(value, digits) == shown
+
+    def test_a_warning_is_one_stderr_line(self, tmp_path):
+        # four identical occurrences split into identical centroids; run in a
+        # process of its own, as pytest would otherwise record the warning
+        senses, table = tmp_path / "same.tsv", tmp_path / "t.vec"
+        senses.write_text("x\ta\t1 2\n" * 2 + "x\tb\t1 2\n" * 2, encoding="utf-8")
+        table.write_text("1 2\nx 1 2\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "embgeom", "separate", "--senses", str(senses),
+             "--word", "x", "--table", str(table)], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [
+            "# seed=42", "Separated 4 occurrences of 'x'", "inter-centroid distance = 0.00",
+            "token -> cluster-0: 0.00", "token -> cluster-1: 0.00",
+            "token between clusters: yes", "purity against gold senses = 0.50"]
+        assert result.stderr == ("DegenerateClustersWarning: clustering produced "
+                                 "(near-)identical centroids\n")
 
     def test_shift_without_context_is_domain_error(self, capsys, table_file):
         code, _, err = run(capsys, ["shift", "--table", table_file, "--word", "horse"])
@@ -928,6 +959,7 @@ def _sweep():
     # EMB1 holds no such float32 value, and the rest leave float64
     big, x = ["--table", "{big}"], ["--tokens", "x y z"]
     cases["import-big"] = (1, ["import", "--input", "{big}", "--output", "{tmp}/x.emb"])
+    cases["import-huge-dim"] = (1, ["import", "--input", "{huge_dim}", "--output", "{tmp}/x.emb"])
     cases["neighbors-big"] = (0, ["neighbors", *big, "--word", "x"])
     cases["attend-big"] = (1, ["attend", *big, *x])
     cases["attend-big-positional"] = (1, ["attend", *big, *x, "--positional"])
@@ -945,7 +977,7 @@ SWEEP = _sweep()
 # them in-process; this case checks the stderr a user sees.
 IN_A_SUBPROCESS = {"attend-big"}
 # What a case's stderr line must name.
-NAMED_IN_STDERR = {"import-big": "row 'x'"}
+NAMED_IN_STDERR = {"import-big": "row 'x'", "import-huge-dim": "ParseError: line 2: "}
 
 BIG_ROWS = ("1e200 -1e200 2e200 3e200", "-2e200 1e200 1e200 -1e200",
             "3e200 2e200 -1e200 1e200")
@@ -965,6 +997,8 @@ def _sweep_files(tmp_path):
         "big_senses": "".join(f"x\t{s}\t{row}\n" for s, row in
                               zip("aabb", (*BIG_ROWS, "2e200 1e200 1e200 -1e200"))),
         "big_probe": "p\tA\t1e200 1\nq\tB\t-1e200 1\n",
+        # a dimension numpy cannot allocate
+        "huge_dim": f"1 {2**60}\nw 1\n",
     }
     fields = {"tmp": str(tmp_path), "dir": str(tmp_path), "missing": str(tmp_path / "missing")}
     for name, text in texts.items():

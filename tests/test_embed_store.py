@@ -85,6 +85,9 @@ MALFORMED = {
     ),
     "invalid-utf8": (b"2 1\na 1\n\xff 1\n", False, "line 3: not valid UTF-8"),
     "lone-surrogate": ("2 1\na 1\n\ud800 1\n", False, "line 3: not valid UTF-8"),
+    # a D numpy cannot allocate: the table is sized from the input, not the header
+    **{f"D-{name}": (b"1 %d\nw 1\n" % d, False, f"line 2: row 'w' needs {d} single-spaced")
+       for name, d in (("2pow60", 2**60), ("2pow63", 2**63), ("2pow64-less-1", 2**64 - 1))},
 }
 
 

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -12,8 +13,56 @@ from embgeom import linalg
 from embgeom.errors import DimensionError, EmptyInputError
 from embgeom.linalg import Matrix, Vector
 
+# Inputs for Vector and matrix_array alike, each made afresh: a generator is read once.
+ACCEPTED = {
+    "ints": lambda: [1, -2, 3],
+    "bools": lambda: (True, False),
+    "float32-scalars": lambda: [np.float32(0.1), np.float32(-3e38)],
+    "decimal-strings": lambda: ["1.5", "-0.25", "1e-300"],
+    "generator": lambda: (x / 3 for x in range(4)),
+    "range": lambda: range(5),
+    "1-d-array": lambda: np.array([0.1, -1.5, 2.0]),
+    "negative-zero": lambda: [-0.0, 0.0],
+    "subnormals": lambda: [math.ulp(0.0), -2.2250738585072e-308],
+    "sum-overflows": lambda: (1e308, 1e308),
+}
+REJECTED = {
+    "empty": (lambda: [], EmptyInputError),
+    "nan": (lambda: [1.0, math.nan], ValueError),
+    "inf": (lambda: [math.inf], ValueError),
+    "minus-inf": (lambda: [0.0, -math.inf], ValueError),
+    "inf-and-minus-inf": (lambda: (math.inf, -math.inf), ValueError),
+    "nested": (lambda: [[1.0, 2.0]], TypeError),
+    "scalar": (lambda: 3.0, TypeError),
+}
+
+
+def _bits(xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
 
 class TestVector:
+    @pytest.mark.parametrize("case", ACCEPTED)
+    def test_accepts_what_matrix_array_accepts_with_the_same_bits(self, case):
+        make = ACCEPTED[case]
+        want = _bits([float(x) for x in make()])
+        v, a = Vector(make()), linalg.matrix_array([make()])
+        assert all(type(x) is float for x in v)
+        assert _bits(v.components) == a.astype("<f8").tobytes() == want
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejects_what_matrix_array_rejects_alike(self, case):
+        make, error = REJECTED[case]
+        with pytest.raises(error) as by_vector:
+            Vector(make())
+        with pytest.raises(error) as by_matrix_array:
+            linalg.matrix_array([make()])
+        assert type(by_vector.value) is type(by_matrix_array.value)
+
+    def test_copy_equals_its_source(self):
+        v = Vector([1.0, -0.0, 2.5])
+        assert Vector(v) == v and _bits(Vector(v).components) == _bits(v.components)
+
     def test_components_are_floats(self):
         v = Vector([1, 2, 3])
         assert v.components == (1.0, 2.0, 3.0)
@@ -106,6 +155,10 @@ class TestMatrix:
         for i in (3, -4):
             with pytest.raises(IndexError):
                 m[i]
+
+    def test_copy_shares_the_read_only_array(self):
+        m = Matrix([[1.0, 2.0], [3.0, 4.0]])
+        assert Matrix(m).array is m.array
 
     def test_take_adopts_the_array(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -141,6 +141,28 @@ def test_only_linalg_holds_the_norm_rule():
     assert holders == {"linalg"}
 
 
+def _nodes_and_holders(tree):
+    """Each node of ``tree`` with the dotted name of the def or class it sits in."""
+    def visit(node, holder):
+        for child in ast.iter_child_nodes(node):
+            inner = holder
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{holder}.{child.name}" if holder else child.name
+            yield child, inner
+            yield from visit(child, inner)
+    return visit(tree, "")
+
+
+def test_only_matrix_array_and_take_check_finiteness():
+    # matrix_array validates caller-supplied reals, Vector and Matrix input
+    # alike, and Matrix._take the arrays the package builds; a finiteness
+    # check anywhere else in linalg would validate input a second way
+    checkers = {holder for node, holder in _nodes_and_holders(_module_trees()["linalg"])
+                if (isinstance(node, ast.Attribute) and node.attr == "isfinite")
+                or (isinstance(node, ast.alias) and node.name == "isfinite")}
+    assert checkers == {"matrix_array", "Matrix._take"}
+
+
 def test_only_container_reads_a_source():
     # container.read turns every source into one read-only buffer; a module
     # that reads a file itself would decide a second way how input is held
