@@ -31,6 +31,7 @@ under it: an overflow raises ``ValueError("attention head left float64: overflow
 import math
 import random
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -252,21 +253,26 @@ def stack_forward(seq, config, layer_params):
 
 
 def positional_encoding(position, d):
-    """Fixed sinusoidal position vector of even dimensionality d.
+    """Fixed sinusoidal position vector of even dimensionality d at a
+    nonnegative integer ``position``; any other position is a ValueError.
 
     Component 2i is sin(position / 10000^(2i/d)) and component 2i+1 is the
     matching cosine, so every component is bounded in [-1, 1].
     """
+    try:
+        p = float(index(position))
+    except (TypeError, OverflowError):  # not an integer, or beyond any float
+        p = math.nan
+    if not p >= 0:
+        raise ValueError(f"position must be a nonnegative integer, got {position!r}")
     if d < 1 or d % 2 != 0:
         raise DimensionError(f"positional encoding needs even positive d, got {d}")
-    if position < 0:
-        raise ValueError(f"position must be nonnegative, got {position}")
     comps = []
     for i in range(d // 2):
-        angle = position / (10000.0 ** (2 * i / d))
+        angle = p / (10000.0 ** (2 * i / d))
         comps.append(math.sin(angle))
         comps.append(math.cos(angle))
-    return Vector(comps)
+    return Vector._of(tuple(comps))  # a finite angle has a finite sine and cosine
 
 
 def embed_sequence(table, tokens, use_positional=False,

@@ -11,10 +11,13 @@ lines (``selfcheck`` also its exit status); :func:`main` alone writes
 stdout, the seed line first, and only once the command has returned. So a
 run that fails prints nothing on stdout, not even the seed line, and
 ``train`` prints its epoch lines when training ends. A numeric failure is
-linalg's one ``ValueError: <what> left float64: ...`` line.
+linalg's one ``ValueError: <what> left float64: ...`` line, and a stdout
+that cannot take the output (closed, full, a broken pipe or an encoding
+that lacks a character) is one such line too.
 """
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -22,7 +25,6 @@ import numpy as np
 
 from . import attention, container, embed_store, selfcheck, sense_geometry, trainer
 from .errors import EmbgeomError
-from .linalg import Vector
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +70,23 @@ def _load_table(path, lowercase=False):
     if raw[:4] == container.EMB1:
         return embed_store.load_embeddings_binary(raw, lowercase=lowercase)
     return embed_store.load_embeddings_text(raw, lowercase=lowercase)
+
+
+def _print_out(text):
+    """Write ``text`` and a newline to stdout and flush it, so that a closed,
+    full or broken stdout fails here as an OSError. After a failed write,
+    devnull takes stdout's place, so the flush at exit fails no second time
+    (the recipe of the Python docs for SIGPIPE)."""
+    if sys.stdout is None:  # Python starts with none when fd 1 is closed
+        raise OSError("stdout is closed")
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _fmt(x):
@@ -249,7 +268,7 @@ def cmd_centroid(args):
 def cmd_shift(args):
     token_emb = _load_table(args.table).lookup(args.word)
     if args.ctx is not None:
-        ctx_emb = Vector(map(container.decimal, args.ctx.split()))
+        ctx_emb = [container.decimal(field) for field in args.ctx.split()]
     elif args.ctx_table is not None and args.ctx_word is not None:
         ctx_emb = _load_table(args.ctx_table).lookup(args.ctx_word)
     else:
@@ -475,15 +494,16 @@ def main(argv=None):
     shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         result = args.func(args)
+        lines, code = result if isinstance(result, tuple) else (result, 0)
+        _print_out("\n".join([f"# seed={args.seed}", *lines]))
     # RuntimeError: a text-table worker process died (BrokenProcessPool).
     # MemoryError: a draw or table too large to allocate; numpy names its size.
+    # UnicodeEncodeError (a ValueError): stdout's encoding lacks a character.
     except (EmbgeomError, ValueError, TypeError, OSError, RuntimeError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = shown
-    lines, code = result if isinstance(result, tuple) else (result, 0)
-    print("\n".join([f"# seed={args.seed}", *lines]))
     return code
 
 

@@ -580,9 +580,9 @@ def _row_norms(arr, unit_rows):
     The rows are widened to float64 in blocks of ``_BLOCK_ROWS``, so the
     norms are the same bits whether they are stored as float32 or float64,
     and whether a large table's blocks are spread over several CPUs (as
-    :func:`_in_threads` runs them) or not. The scales are
-    :func:`linalg._row_scales`' rule, under which every float32 row keeps
-    scale 1. A zero row has norm 0 and a zero unit row.
+    :func:`_in_threads` runs them) or not. Each block's scales and norms are
+    :func:`linalg._norms`', under which every float32 row keeps scale 1. A
+    zero row has norm 0 and a zero unit row.
     """
     V, D = arr.shape
     unit = np.empty((V, D), dtype=np.float32) if unit_rows else None
@@ -594,14 +594,11 @@ def _row_norms(arr, unit_rows):
             b = min(a + _BLOCK_ROWS, stop)
             rows = buf[: b - a]
             np.copyto(rows, arr[a:b])
-            ss = np.einsum("ij,ij->i", rows, rows)
-            s = linalg._row_scales(rows, ss)
+            s, n = linalg._norms(rows)
+            norms[a:b] = n
             if s is not None:
-                odd = np.flatnonzero(s != 1.0)
-                rows[odd] *= s[odd, None]
-                ss[odd] = np.einsum("ij,ij->i", rows[odd], rows[odd])
                 scale[a:b] = s
-            norms[a:b] = n = np.sqrt(ss)
+                rows *= s[:, None]
             if unit is not None:
                 rows *= (1.0 / np.where(n > 0.0, n, 1.0))[:, None]
                 # Each entry to a multiple of 2**-63, so a product of two
@@ -613,7 +610,7 @@ def _row_norms(arr, unit_rows):
     # whole blocks of _BLOCK_ROWS to each thread
     runs, blocks = -(-V // _BLOCK_ROWS), _blocks(arr.size)
     edges = [min(V, _BLOCK_ROWS * (runs * i // blocks)) for i in range(blocks + 1)]
-    with np.errstate(under="ignore"):  # squares far below the row's largest
+    with np.errstate(under="ignore"):  # unit entries far below the row's largest
         _in_threads(fill, edges)
     if unit is not None:
         unit.flags.writeable = False

@@ -14,8 +14,8 @@ overflow or an invalid result inside it raises
 ``ValueError("<what> left float64: ...")`` with no numpy warning, and
 underflow stays silent, which keeps the softmax floor. The attention
 entry points and sense geometry enter it once per call, the trainer once
-per epoch. ``_row_scales`` is the one norm rule, which the neighbour
-cache and every sense distance follow alike.
+per epoch. ``_norms`` is the one row-norm kernel, whose sums and scales
+the neighbour cache and every sense distance take alike.
 The rest of the package computes on numpy arrays. Beyond a Vector's ``+``
 and ``*``, only ``dot``, ``softmax`` and ``linear_apply`` work on plain
 floats, each small enough to verify by hand. No shipped path runs them:
@@ -66,18 +66,24 @@ def _float64_policy(what):
     return np.errstate(over="call", invalid="call", call=fail)
 
 
-def _row_scales(a, ss):
-    """Each row's power-of-two scale, or None when all are 1. A row whose sum
-    of squares in ``ss`` (inf if it overflowed) is out of the safe range scales
-    exactly by 2**-e, e the exponent of its largest |x|; a zero row keeps 1."""
+def _norms(a):
+    """Each row's power-of-two scale (None when every scale is 1) and the norm
+    of each scaled row of the float64 array ``a``, which is not written. A row
+    whose ``np.einsum`` sum of squares is out of the safe range (inf if it
+    overflowed) scales exactly by 2**-e, e the exponent of its largest |x|,
+    and is summed again; a zero row keeps 1."""
     lo, hi = _SAFE_SQUARES
-    tiny = ss < lo
-    if np.maximum.reduce(ss) <= hi and not (np.count_nonzero(tiny) and a[tiny].any()):
-        return None  # every row is in the range or zero
-    odd = np.flatnonzero(tiny | (ss > hi))
-    scale = np.ones(len(a))
-    scale[odd] = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(a[odd]).max(axis=1))[1], -1021))
-    return scale
+    with np.errstate(over="ignore", under="ignore"):
+        ss = np.einsum("ij,ij->i", a, a)
+        tiny = ss < lo
+        if np.maximum.reduce(ss) <= hi and not (np.count_nonzero(tiny) and a[tiny].any()):
+            return None, np.sqrt(ss)  # every row is in the range or zero
+        odd = np.flatnonzero(tiny | (ss > hi))
+        scale = np.ones(len(a))
+        scale[odd] = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(a[odd]).max(axis=1))[1], -1021))
+        rows = a[odd] * scale[odd, None]
+        ss[odd] = np.einsum("ij,ij->i", rows, rows)
+    return scale, np.sqrt(ss)
 
 
 def _draw_count(count, what):

@@ -122,15 +122,12 @@ def _mean(x):
     return x.sum(axis=0) * (1.0 / len(x))
 
 
-@np.errstate(over="ignore")  # an overflowed square only marks its row for scaling
 def _scaled(a):
-    """``a``'s rows scaled by linalg's norm rule, their norms, and the scales (1.0 if all 1)."""
-    ss = (a * a).sum(axis=1)
-    scale = linalg._row_scales(a, ss)
+    """``a``'s rows scaled by :func:`linalg._norms`, their norms, and the scales (1.0 if all 1)."""
+    scale, norms = linalg._norms(a)
     if scale is None:
-        return a, np.sqrt(ss), 1.0
-    a = a * scale[:, None]
-    return a, np.sqrt((a * a).sum(axis=1)), scale
+        return a, norms, 1.0
+    return a * scale[:, None], norms, scale
 
 
 def _distances(x, xs, c, metric):
@@ -276,7 +273,7 @@ def homonym_separation(token_emb, occurrences, gold_labels=None, seed=0,
     assign, centroids = best[0].tolist(), best[1]
 
     pairwise, t2c, flags = _centroid_geometry(centroids, token_emb, metric)
-    degenerate = pairwise.row(0)[1] <= 1e-9 * size
+    degenerate = bool(pairwise.array[0, 1] <= 1e-9 * size)
     if degenerate:
         warnings.warn("clustering produced (near-)identical centroids",
                       DegenerateClustersWarning, stacklevel=3)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 import time
 import tracemalloc
@@ -595,6 +596,19 @@ class TestPositionalEncoding:
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
             positional_encoding(-1, 2)
+
+    @pytest.mark.parametrize("position", [-2**70, math.nan, math.inf, 2.5, 3.0, "3", None,
+                                          10**400, np.float64(1.0)],
+                             ids=repr)
+    def test_a_position_that_is_not_a_nonnegative_integer_is_named(self, position):
+        want = f"position must be a nonnegative integer, got {position!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            positional_encoding(position, 4)
+
+    def test_integer_positions_of_any_int_type_agree(self):
+        want = positional_encoding(7, 8)
+        assert positional_encoding(np.int64(7), 8) == want
+        assert all(type(x) is float for x in want)
 
 
 class TestEmbedSequence:

@@ -1327,6 +1327,45 @@ def test_module_entry_point(table_file):
     assert result.stdout.splitlines()[2] == "horses 0.99"
 
 
+STDOUT_FAILURES = {
+    "broken-pipe": "BrokenPipeError: [Errno 32] Broken pipe\n",
+    "full": "OSError: [Errno 28] No space left on device\n",
+    "closed": "OSError: stdout is closed\n",
+    "ascii": "UnicodeEncodeError: 'ascii' codec can't encode character '\\xe9'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_FAILURES))
+def test_a_stdout_that_fails_gives_one_error_line(tmp_path, case):
+    table = tmp_path / "t.vec"
+    table.write_text("2 2\ncaf\u00e9 1 0\nb 0.9 0.1\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "embgeom", "neighbors", "--table", str(table),
+            "--word", "b", "--k", "1"]
+    env, stdout = None, subprocess.DEVNULL
+    if case == "broken-pipe":  # a pipe whose reader has gone before the run
+        reader, stdout = os.pipe()
+        os.close(reader)
+    elif case == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        stdout = open("/dev/full", "wb")
+    elif case == "closed":
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    else:
+        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    try:
+        result = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                env=env)
+    finally:
+        if case == "broken-pipe":
+            os.close(stdout)
+        elif case == "full":
+            stdout.close()
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(STDOUT_FAILURES[case]), result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
 def test_cli_import_leaves_the_worker_pool_unloaded():
     # The text loader imports its process pool only when it forks workers;
     # every CLI start and every one-chunk load would pay for it otherwise.

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from embgeom import linalg
+from embgeom import embed_store, linalg, sense_geometry
 from embgeom.errors import DimensionError, EmptyInputError
 from embgeom.linalg import Matrix, Vector
 
@@ -297,6 +297,57 @@ def test_draw_count_is_the_largest_numpy_can_size():
     assert linalg._draw_count(most, "a draw") == most
     with pytest.raises(ValueError, match=f"^a draw need {most + 1} weights, more than numpy"):
         linalg._draw_count(most + 1, "a draw")
+
+
+def _true_norms(a):
+    """Each row's norm as linalg._norms gives it: the scaled row's norm over its scale."""
+    scale, norms = linalg._norms(a)
+    return norms if scale is None else norms / scale
+
+
+class TestNorms:
+    def test_scaling_by_a_power_of_two_scales_the_true_norm_exactly(self):
+        # exact while every entry stays normal: k = -1000 keeps these above 2**-1022
+        x = np.random.default_rng(5).normal(size=(16, 24))
+        base = _true_norms(x)
+        for k in range(-1000, 1001, 25):
+            assert np.array_equal(_true_norms(np.ldexp(x, k)), np.ldexp(base, k)), k
+
+    def test_zero_tiny_and_huge_rows(self):
+        a = np.array([[0.0, 0.0, 0.0], [1e-170] * 3, [1e200] * 3, [3.0, 4.0, 0.0]])
+        a.flags.writeable = False  # the kernel reads its argument only
+        scale, norms = linalg._norms(a)
+        assert scale.tolist()[0] == scale.tolist()[3] == 1.0
+        assert scale[1] > 1.0 > scale[2]
+        assert norms[0] == 0.0 and norms[3] == 5.0
+        np.testing.assert_allclose(norms / scale, [0.0, 3**0.5 * 1e-170, 3**0.5 * 1e200, 5.0],
+                                   rtol=1e-15)
+
+    def test_rows_in_range_or_zero_need_no_scale(self):
+        scale, norms = linalg._norms(np.array([[0.0, 0.0], [3.0, 4.0], [1e100, 0.0]]))
+        assert scale is None
+        assert norms.tolist() == [0.0, 5.0, 1e100]
+
+    def test_float32_blocks_take_the_bits_of_their_float64_widening(self):
+        # _row_norms widens each _BLOCK_ROWS block to float64 for the kernel
+        a32 = np.random.default_rng(6).normal(size=(2 * embed_store._BLOCK_ROWS + 5, 40))
+        a32 = a32.astype(np.float32)
+        scale32, norms32, _ = embed_store._row_norms(a32, False)
+        scale64, norms64, _ = embed_store._row_norms(a32.astype(np.float64), False)
+        assert scale32 is scale64 is None
+        assert norms32.tobytes() == norms64.tobytes()
+        assert norms32.tobytes() == linalg._norms(a32.astype(np.float64))[1].tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 32, 768])
+def test_the_neighbour_cache_and_sense_geometry_take_the_same_norms(d):
+    a = np.random.default_rng(d).normal(size=(200, d))
+    a[::7] *= 1e200
+    a[3::7] *= 1e-170
+    scale, norms, _ = embed_store._row_norms(a, False)
+    _, sense_norms, sense_scale = sense_geometry._scaled(a)
+    assert norms.tobytes() == sense_norms.tobytes()
+    assert scale.tobytes() == sense_scale.tobytes()
 
 
 class TestDot:

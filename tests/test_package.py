@@ -126,19 +126,34 @@ def test_only_linalg_makes_numpy_errors_raise():
 
 
 def test_only_linalg_holds_the_norm_rule():
-    # linalg._row_scales is the one power-of-two norm rule; a module that
-    # scales rows itself, or keeps its own safe range, would take norms a
-    # second way
-    scaling = {"frexp", "ldexp"}
+    # linalg._norms is the one row-norm kernel; a module that sums squares,
+    # takes roots or scales rows itself, or keeps its own safe range, would
+    # take norms a second way (selfcheck's np.linalg.norm oracle stays its own)
+    scaling = {"frexp", "ldexp", "einsum", "sqrt"}
     holders = set()
     for module, tree in _module_trees().items():
         for node in ast.walk(tree):
-            if ((isinstance(node, ast.Attribute) and node.attr in scaling)
+            if ((isinstance(node, ast.Attribute) and node.attr in scaling
+                 and getattr(node.value, "id", None) != "math")
                     or (isinstance(node, ast.alias) and node.name in scaling)
                     or (isinstance(node, ast.Name) and node.id == "_SAFE_SQUARES"
                         and isinstance(node.ctx, ast.Store))):
                 holders.add(module)
     assert holders == {"linalg"}
+
+
+def test_only_linalg_calls_the_checking_vector_constructor():
+    # Vector(...) checks its input through matrix_array; outside linalg the
+    # package holds checked floats already, and Vector._of adopts the rows
+    # a function returns without a second check
+    callers = set()
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and "Vector" in {getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)}):
+                callers.add(module)
+    assert callers <= {"linalg"}
 
 
 def _nodes_and_holders(tree):

@@ -262,6 +262,13 @@ class TestHomonymSeparation:
         assert report.degenerate
         assert report.pairwise_distances.row(0)[1] == pytest.approx(0.0, abs=1e-9)
 
+    def test_degenerate_is_a_python_bool(self):
+        with pytest.warns(DegenerateClustersWarning):
+            same = homonym_separation([1.0, 1.0], [[2.0, 1.0]] * 4, seed=0)
+        apart = homonym_separation([1.0, 1.0], [[1.0, 0.0]] * 2 + [[0.0, 1.0]] * 2, seed=0)
+        assert (same.degenerate, apart.degenerate) == (True, False)
+        assert type(same.degenerate) is type(apart.degenerate) is bool
+
     def test_purity_one_on_separated_gold(self):
         rng = np.random.default_rng(52)
         a = rng.normal(size=(20, 4)) * 0.05 + np.array([1.0, 0.0, 0.0, 0.0])
