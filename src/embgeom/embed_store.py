@@ -592,13 +592,11 @@ def _row_norms(arr, unit_rows):
         buf = np.empty((min(stop - start, _BLOCK_ROWS), D))
         for a in range(start, stop, _BLOCK_ROWS):
             b = min(a + _BLOCK_ROWS, stop)
-            rows = buf[: b - a]
-            np.copyto(rows, arr[a:b])
-            s, n = linalg._norms(rows)
+            np.copyto(buf[: b - a], arr[a:b])
+            rows, n, s = linalg._norms(buf[: b - a])
             norms[a:b] = n
             if s is not None:
                 scale[a:b] = s
-                rows *= s[:, None]
             if unit is not None:
                 rows *= (1.0 / np.where(n > 0.0, n, 1.0))[:, None]
                 # Each entry to a multiple of 2**-63, so a product of two

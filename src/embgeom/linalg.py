@@ -67,9 +67,10 @@ def _float64_policy(what):
 
 
 def _norms(a):
-    """Each row's power-of-two scale (None when every scale is 1) and the norm
-    of each scaled row of the float64 array ``a``, which is not written. A row
-    whose ``np.einsum`` sum of squares is out of the safe range (inf if it
+    """The rows of the float64 array ``a`` scaled by powers of two, the norm
+    of each scaled row, and each row's scale (None when every scale is 1, and
+    then the rows are ``a`` itself, which is never written). A row whose
+    ``np.einsum`` sum of squares is out of the safe range (inf if it
     overflowed) scales exactly by 2**-e, e the exponent of its largest |x|,
     and is summed again; a zero row keeps 1."""
     lo, hi = _SAFE_SQUARES
@@ -77,13 +78,13 @@ def _norms(a):
         ss = np.einsum("ij,ij->i", a, a)
         tiny = ss < lo
         if np.maximum.reduce(ss) <= hi and not (np.count_nonzero(tiny) and a[tiny].any()):
-            return None, np.sqrt(ss)  # every row is in the range or zero
+            return a, np.sqrt(ss), None  # every row is in the range or zero
         odd = np.flatnonzero(tiny | (ss > hi))
         scale = np.ones(len(a))
         scale[odd] = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(a[odd]).max(axis=1))[1], -1021))
-        rows = a[odd] * scale[odd, None]
-        ss[odd] = np.einsum("ij,ij->i", rows, rows)
-    return scale, np.sqrt(ss)
+        a = a * scale[:, None]
+        ss[odd] = np.einsum("ij,ij->i", a[odd], a[odd])
+    return a, np.sqrt(ss), scale
 
 
 def _draw_count(count, what):

@@ -124,10 +124,8 @@ def _mean(x):
 
 def _scaled(a):
     """``a``'s rows scaled by :func:`linalg._norms`, their norms, and the scales (1.0 if all 1)."""
-    scale, norms = linalg._norms(a)
-    if scale is None:
-        return a, norms, 1.0
-    return a * scale[:, None], norms, scale
+    rows, norms, scale = linalg._norms(a)
+    return rows, norms, (1.0 if scale is None else scale)
 
 
 def _distances(x, xs, c, metric):

@@ -1341,7 +1341,10 @@ def test_a_stdout_that_fails_gives_one_error_line(tmp_path, case):
     table.write_text("2 2\ncaf\u00e9 1 0\nb 0.9 0.1\n", encoding="utf-8")
     argv = [sys.executable, "-m", "embgeom", "neighbors", "--table", str(table),
             "--word", "b", "--k", "1"]
-    env, stdout = None, subprocess.DEVNULL
+    # stdout buffered, as a shell starts it: with PYTHONUNBUFFERED a failed
+    # write leaves nothing for the flush at exit to fail on again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    stdout = subprocess.DEVNULL
     if case == "broken-pipe":  # a pipe whose reader has gone before the run
         reader, stdout = os.pipe()
         os.close(reader)
@@ -1352,7 +1355,7 @@ def test_a_stdout_that_fails_gives_one_error_line(tmp_path, case):
     elif case == "closed":
         argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
     else:
-        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+        env["PYTHONIOENCODING"] = "ascii"
     try:
         result = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True,
                                 env=env)

@@ -301,7 +301,7 @@ def test_draw_count_is_the_largest_numpy_can_size():
 
 def _true_norms(a):
     """Each row's norm as linalg._norms gives it: the scaled row's norm over its scale."""
-    scale, norms = linalg._norms(a)
+    _, norms, scale = linalg._norms(a)
     return norms if scale is None else norms / scale
 
 
@@ -316,7 +316,8 @@ class TestNorms:
     def test_zero_tiny_and_huge_rows(self):
         a = np.array([[0.0, 0.0, 0.0], [1e-170] * 3, [1e200] * 3, [3.0, 4.0, 0.0]])
         a.flags.writeable = False  # the kernel reads its argument only
-        scale, norms = linalg._norms(a)
+        rows, norms, scale = linalg._norms(a)
+        assert rows.tobytes() == (a * scale[:, None]).tobytes()
         assert scale.tolist()[0] == scale.tolist()[3] == 1.0
         assert scale[1] > 1.0 > scale[2]
         assert norms[0] == 0.0 and norms[3] == 5.0
@@ -324,8 +325,9 @@ class TestNorms:
                                    rtol=1e-15)
 
     def test_rows_in_range_or_zero_need_no_scale(self):
-        scale, norms = linalg._norms(np.array([[0.0, 0.0], [3.0, 4.0], [1e100, 0.0]]))
-        assert scale is None
+        a = np.array([[0.0, 0.0], [3.0, 4.0], [1e100, 0.0]])
+        rows, norms, scale = linalg._norms(a)
+        assert scale is None and rows is a
         assert norms.tolist() == [0.0, 5.0, 1e100]
 
     def test_float32_blocks_take_the_bits_of_their_float64_widening(self):
